@@ -4,7 +4,8 @@ verification suites and the golden reports.
 Families: Z/n[i] for n in {2,3,4,5,9,10,12}; quadratic extensions of Z/2..Z/5
 with every alpha; square-zero extensions of Z/2, Z/3, Z/4 by each nontrivial
 cyclic module; truncated polynomial rings over Z/2 and Z/4 with k in {1,2,3};
-and Z/4, Z/6, Z/12 with the trivial grading.  34 instances in all.
+Z/4, Z/6, Z/12 and the product Z/4 x F4 with the trivial grading; and F4[i]
+over F4 = Z/2[x]/(x^2+x+1).  36 instances in all.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def _entries() -> list[CatalogEntry]:
                  "k": k}))
     for n in (4, 6, 12):
         out.append(CatalogEntry(f"zmod-{n}", {"kind": "zmod", "n": n}))
+    f4 = {"kind": "poly_quotient", "base": {"kind": "zmod", "n": 2},
+          "modulus": [1, 1, 1]}
+    out.append(CatalogEntry(
+        "product-4-f4", {"kind": "product", "a": {"kind": "zmod", "n": 4}, "b": f4}))
+    out.append(CatalogEntry(
+        "quadratic-f4-i", {"kind": "quadratic", "base": f4, "alpha": 1, "symbol": "i"}))
     return out
 
 

@@ -16,7 +16,7 @@ import sys
 
 from .errors import AlgebraError, EnumerationLimitError
 from .grading import is_strongly_graded
-from .instances import build_instance, parse_instance
+from .instances import build_instance, effective_bound, parse_instance
 from .dot import render_dot
 from .rings import spec as ring_spec
 from .spectrum import graded_spec
@@ -74,9 +74,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spec(args) -> int:
     instance = _read_instance(args.file)
-    g = build_instance(instance, args.bound)
+    bound = effective_bound(instance, args.bound)
+    g = build_instance(instance, bound)
     if args.graded:
-        report = graded_spec(g, args.method, args.bound)
+        report = graded_spec(g, args.method, bound)
         points = [
             {"label": gp.label(), "kind": gp.kind.value,
              "members": [g.ring.names[c] for c in sorted(gp.flat_members)]}
@@ -87,7 +88,7 @@ def _cmd_spec(args) -> int:
         points = [
             {"label": p.label(),
              "members": [g.ring.names[c] for c in sorted(p.members)]}
-            for p in ring_spec(g.ring, args.bound)
+            for p in ring_spec(g.ring, bound)
         ]
         payload = {"graded": False, "points": points}
     if args.format == "json":
@@ -102,7 +103,8 @@ def _cmd_spec(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     instance = _read_instance(args.file)
-    sys.stdout.write(render_dot(build_instance(instance, args.bound), args.bound))
+    bound = effective_bound(instance, args.bound)
+    sys.stdout.write(render_dot(build_instance(instance, bound), bound))
     return 0
 
 

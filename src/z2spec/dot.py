@@ -5,7 +5,7 @@ spectrum of the even part: two ranked clusters, inclusion edges inside each
 from __future__ import annotations
 
 from .grading import GradedRing
-from .instances import InstanceSpec, build_instance
+from .instances import InstanceSpec, build_instance, effective_bound
 from .spectrum import graded_spec
 
 
@@ -55,4 +55,5 @@ def render_dot(g: GradedRing, bound: int | None = None) -> str:
 
 def export_dot(spec: InstanceSpec, bound: int | None = None) -> str:
     """Build the instance and render its spectrum correspondence as DOT."""
-    return render_dot(build_instance(spec, bound), bound)
+    limit = effective_bound(spec, bound)
+    return render_dot(build_instance(spec, limit), limit)

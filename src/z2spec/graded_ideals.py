@@ -139,7 +139,7 @@ def graded_ideal_from_submodule(g: GradedRing, rp: Submodule) -> GradedIdeal:
     return GradedIdeal(g, residual(g, rp), rp)
 
 
-def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> list[GradedIdeal]:
+def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[GradedIdeal, ...]:
     """All graded ideals, by filtering even-ideal x submodule pairs.
 
     The compatibility conditions make the pair scan complete; the definitional
@@ -163,7 +163,7 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> list[Gra
             )
             if ok:
                 result.append(GradedIdeal(g, i0, rp))
-    result.sort(key=GradedIdeal.key)
+    result = tuple(sorted(result, key=GradedIdeal.key))
     g._cache["graded_ideals"] = result
     return result
 

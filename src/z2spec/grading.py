@@ -394,7 +394,7 @@ def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
     return True
 
 
-def submodules(g: GradedRing, bound: int | None = None) -> list[Submodule]:
+def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
     """All R0-submodules of R1, canonically ordered (same BFS as ideals)."""
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
     cached = g._cache.get("submodules")
@@ -417,7 +417,7 @@ def submodules(g: GradedRing, bound: int | None = None) -> list[Submodule]:
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)
-    result = sorted((Submodule(g, m) for m in found), key=Submodule.key)
+    result = tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
     g._cache["submodules"] = result
     return result
 

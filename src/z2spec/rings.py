@@ -206,7 +206,10 @@ def _poly_name(coeffs: Sequence[int], base: FiniteRing, symbol: str,
         if k == 0:
             terms.append(cname)
         else:
-            head = "" if c == base.one else cname
+            if c == base.one:
+                head = ""
+            else:  # a composite coefficient such as 1+x needs brackets
+                head = f"({cname})" if "+" in cname else cname
             power = symbol if k == 1 else f"{symbol}^{k}"
             terms.append(head + power)
     if descending:
@@ -408,7 +411,7 @@ def _check_bound(ring: FiniteRing, bound, what: str) -> None:
         raise EnumerationLimitError(what, ring.size, limit)
 
 
-def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> list[Ideal]:
+def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     """Every ideal of the ring, canonically ordered.
 
     Breadth-first closure: start from (0) and repeatedly extend a known ideal
@@ -439,10 +442,10 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> list[Ideal]:
                 found[bigger] = gens + (x,)
                 queue.append(bigger)
 
-    ideals = sorted(
+    ideals = tuple(sorted(
         (Ideal(ring, members, gens) for members, gens in found.items()),
         key=Ideal.key,
-    )
+    ))
     ring._cache["ideals"] = ideals
     return ideals
 
@@ -507,14 +510,14 @@ def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
     return ideal_from_members(ring, out)
 
 
-def spec(ring: FiniteRing, bound: int | None = None) -> list[Ideal]:
+def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     """All prime ideals, in canonical order."""
     cached = ring._cache.get("spec")
     if cached is None:
-        cached = [
+        cached = tuple(
             i for i in enumerate_ideals(ring, bound)
             if i.is_proper and prime_violation(ring, i.members) is None
-        ]
+        )
         ring._cache["spec"] = cached
     else:
         _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")

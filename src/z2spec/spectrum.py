@@ -215,7 +215,7 @@ def graded_spec(g: GradedRing, method: str = "definitional",
         g._cache[("graded_spec", method)] = cached
     else:
         enumerate_graded_ideals(g, bound)  # re-assert the bound contract
-    base = tuple(spec(g.r0_ring, bound))
+    base = spec(g.r0_ring, bound)
     pairs = tuple((gp, gp.p) for gp in cached)
     return SpectrumReport(method, cached, base, pairs)
 

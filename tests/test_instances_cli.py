@@ -243,6 +243,19 @@ def test_cli_spec_listing(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_spec_and_dot_honour_instance_bound(tmp_path, capsys):
+    path = write_instance(tmp_path, {
+        "ring": {"kind": "trivial_extension", "n": 17, "orders": [17]},
+        "limits": {"bound": 512}})
+    assert main(["spec", path]) == 0
+    assert main(["spec", path, "--graded"]) == 0
+    assert main(["export-dot", path]) == 0
+    assert main(["spec", path, "--bound", "256"]) == 3
+    capsys.readouterr()
+    assert "digraph" in export_dot(parse_instance(
+        '{"ring": {"kind": "gaussian", "n": 17}, "limits": {"bound": 512}}'))
+
+
 def test_cli_timings_flag_breaks_byte_identity_only_when_asked(tmp_path, capsys):
     path = write_instance(tmp_path, {"ring": {"kind": "zmod", "n": 4}})
     assert main(["verify", path, "--suite", "norm", "--format", "json",

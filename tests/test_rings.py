@@ -5,6 +5,7 @@ call the library's ideal machinery, so they can disagree with it.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -271,3 +272,155 @@ def test_catalog_flat_ideals_satisfy_invariants():
         for ideal in enumerate_ideals(ring):
             assert is_ideal_set(ring, ideal.members)
             assert ideal_members(ring, ideal.generators) == ideal.members
+
+
+def test_cached_enumerations_cannot_be_mutated_by_callers():
+    from z2spec.graded_ideals import enumerate_graded_ideals
+    from z2spec.grading import gaussian_integers, submodules
+
+    z12 = zmod(12)
+    ideals = enumerate_ideals(z12)
+    assert isinstance(ideals, tuple) and len(ideals) == 6
+    with pytest.raises(AttributeError):
+        ideals.pop()
+    assert len(enumerate_ideals(z12)) == 6
+    assert isinstance(spec(z12), tuple) and len(spec(z12)) == 2
+    g = gaussian_integers(4)
+    assert isinstance(submodules(g), tuple)
+    assert isinstance(enumerate_graded_ideals(g), tuple)
+
+
+# ---------------------------------------------------------------------------
+# operation tables against a naive per-pair reference
+
+
+def _digits(code, radix):
+    out = []
+    for r in radix:
+        code, d = divmod(code, r)
+        out.append(d)
+    return tuple(out)
+
+
+def _encode(digits, radix):
+    code = 0
+    for d, r in zip(reversed(digits), reversed(radix)):
+        code = code * r + d
+    return code
+
+
+def reference_tables(radix, add, mul, neg, zero, one, name):
+    """Tables built pair by pair: decode both codes into their digit tuples
+    (least significant first), operate on the digits, encode the result."""
+    elements = [_digits(c, radix) for c in range(math.prod(radix))]
+    return {
+        "add": tuple(tuple(_encode(add(x, y), radix) for y in elements)
+                     for x in elements),
+        "mul": tuple(tuple(_encode(mul(x, y), radix) for y in elements)
+                     for x in elements),
+        "neg": tuple(_encode(neg(x), radix) for x in elements),
+        "zero": _encode(zero, radix),
+        "one": _encode(one, radix),
+        "names": tuple(name(x) for x in elements),
+    }
+
+
+def reference_poly_quotient(base, modulus, symbol):
+    """base[X]/(modulus) by schoolbook product and long division."""
+    d = len(modulus) - 1
+    badd, bmul, bneg = base.add, base.mul, base.neg
+
+    def mul(u, v):
+        prod = [base.zero] * (2 * d - 1)
+        for i, j in itertools.product(range(d), repeat=2):
+            prod[i + j] = badd[prod[i + j]][bmul[u[i]][v[j]]]
+        for k in range(2 * d - 2, d - 1, -1):  # subtract prod[k] X^(k-d) m(X)
+            c = bneg[prod[k]]
+            for j, m in enumerate(modulus):
+                prod[k - d + j] = badd[prod[k - d + j]][bmul[c][m]]
+        return prod[:d]
+
+    def name(v):
+        terms = []
+        for k, c in enumerate(v):
+            if c == base.zero:
+                continue
+            coeff = base.names[c]
+            if k == 0:
+                terms.append(coeff)
+                continue
+            if c == base.one:
+                coeff = ""
+            elif "+" in coeff:
+                coeff = f"({coeff})"
+            terms.append(coeff + (symbol if k == 1 else f"{symbol}^{k}"))
+        return "+".join(terms) or base.names[base.zero]
+
+    return reference_tables(
+        (base.size,) * d,
+        lambda u, v: [badd[a][b] for a, b in zip(u, v)], mul,
+        lambda u: [bneg[a] for a in u],
+        [base.zero] * d, [base.one] + [base.zero] * (d - 1), name)
+
+
+def reference_product(a, b):
+    """Digits (b-part, a-part): the code is ca * |b| + cb."""
+    return reference_tables(
+        (b.size, a.size),
+        lambda x, y: (b.add[x[0]][y[0]], a.add[x[1]][y[1]]),
+        lambda x, y: (b.mul[x[0]][y[0]], a.mul[x[1]][y[1]]),
+        lambda x: (b.neg[x[0]], a.neg[x[1]]),
+        (b.zero, a.zero), (b.one, a.one),
+        lambda x: f"({a.names[x[1]]},{b.names[x[0]]})")
+
+
+def reference_trivial_extension(n, orders):
+    """Digits (r, m_1, .., m_k) with (r,m)(r',m') = (rr', rm' + r'm)."""
+    radix = (n,) + tuple(orders)
+
+    def module_name(m):
+        return str(m[0]) if len(m) == 1 else "(" + ",".join(map(str, m)) + ")"
+
+    return reference_tables(
+        radix,
+        lambda x, y: tuple((p + q) % o for p, q, o in zip(x, y, radix)),
+        lambda x, y: ((x[0] * y[0]) % n,) + tuple(
+            (x[0] * q + y[0] * p) % o
+            for p, q, o in zip(x[1:], y[1:], radix[1:])),
+        lambda x: tuple(-p % o for p, o in zip(x, radix)),
+        (0,) * len(radix), (1,) + (0,) * len(orders),
+        lambda x: f"({x[0]},{module_name(x[1:])})")
+
+
+def _f4():
+    return poly_quotient(zmod(2), [1, 1, 1])
+
+
+def _table_cases():
+    from z2spec.grading import (gaussian_integers, quadratic_extension,
+                                trivial_extension, truncated_poly)
+
+    f4 = _f4()
+    return {
+        "Z/16[i]": lambda: (gaussian_integers(16).ring,
+                            reference_poly_quotient(zmod(16), (1, 0, 1), "i")),
+        "Z/2[x]/(x^8)": lambda: (truncated_poly(zmod(2), 8).ring,
+                                 reference_poly_quotient(zmod(2), (0,) * 8 + (1,), "x")),
+        "F4": lambda: (f4, reference_poly_quotient(zmod(2), (1, 1, 1), "x")),
+        "F4[i]": lambda: (quadratic_extension(f4, 1, "i").ring,
+                          reference_poly_quotient(f4, (1, 0, 1), "i")),
+        "(Z/2 x Z/3) x F4": lambda: (
+            product_ring(product_ring(zmod(2), zmod(3)), f4),
+            reference_product(product_ring(zmod(2), zmod(3)), f4)),
+        "Z/4 + Z/2 + Z/4": lambda: (trivial_extension(zmod(4), [2, 4]).ring,
+                                    reference_trivial_extension(4, [2, 4])),
+        "Z/2 + F2^3": lambda: (trivial_extension(zmod(2), [2, 2, 2]).ring,
+                               reference_trivial_extension(2, [2, 2, 2])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_table_cases()))
+def test_tables_match_per_pair_reference(case):
+    ring, reference = _table_cases()[case]()
+    for field, expected in reference.items():
+        assert getattr(ring, field) == expected, field
