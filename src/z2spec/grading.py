@@ -29,6 +29,7 @@ from .rings import (
     additive_closure,
     as_code,
     _check_bound,
+    _tables_by_digits,
     ideal_from_members,
     ideal_members,
     is_ideal_set,
@@ -255,29 +256,23 @@ def _trivial_extension_cached(base: FiniteRing, orders: tuple) -> GradedRing:
     def pack(r, midx):
         return r + n * midx
 
-    add_rows = []
-    mul_rows = []
-    names = []
-    for xc in range(size):
-        xm, xr = divmod(xc, n)
-        xt = tuples[xm]
-        arow = []
-        mrow = []
-        for yc in range(size):
-            ym, yr = divmod(yc, n)
-            yt = tuples[ym]
-            asum = tuple((a + b) % m for a, b, m in zip(xt, yt, radix))
-            arow.append(pack((xr + yr) % n, mencode(asum)))
-            act = tuple((xr * b + yr * a) % m for a, b, m in zip(xt, yt, radix))
-            mrow.append(pack((xr * yr) % n, mencode(act)))
-        add_rows.append(tuple(arow))
-        mul_rows.append(tuple(mrow))
-        names.append(f"({base.names[xr]},{mname(xt)})")
+    def add_pair(x, y):
+        (xm, xr), (ym, yr) = divmod(x, n), divmod(y, n)
+        asum = tuple((a + b) % m for a, b, m in zip(tuples[xm], tuples[ym], radix))
+        return pack((xr + yr) % n, mencode(asum))
 
+    def mul_pair(x, y):
+        (xm, xr), (ym, yr) = divmod(x, n), divmod(y, n)
+        act = tuple((xr * b + yr * a) % m for a, b, m in zip(tuples[xm], tuples[ym], radix))
+        return pack((xr * yr) % n, mencode(act))
+
+    add, mul = _tables_by_digits((n,) + radix, add_pair, mul_pair)
+    names = tuple(
+        f"({base.names[xr]},{mname(tuples[xm])})"
+        for xm in range(msize) for xr in range(n))
     mdesc = "(+)".join(f"Z/{m}" for m in radix) if radix else "0"
-    ring = FiniteRing(size, tuple(add_rows), tuple(mul_rows), 0, 1,
-                      f"trivial_extension({base.provenance}; {mdesc})",
-                      tuple(names))
+    ring = FiniteRing(size, add, mul, 0, 1,
+                      f"trivial_extension({base.provenance}; {mdesc})", names)
     r0 = [pack(r, 0) for r in range(n)]
     r1 = [pack(0, m) for m in range(msize)]
     return grade_manual(ring, r0, r1, provenance=ring.provenance)
@@ -287,7 +282,9 @@ def trivial_extension(base: FiniteRing, module_orders: Sequence[int]) -> GradedR
     """The square-zero extension of Z/n by the module (+) Z/m_i, m_i | n.
 
     Elements are pairs (r, m) with (r,m)(r',m') = (rr', rm' + r'm); the odd
-    part is {(0, m)} and its square vanishes identically.
+    part is {(0, m)} and its square vanishes identically.  Codes have radix
+    ``(n, m_1, .., m_k)`` and (r, m) is the sum of its single-digit pairs, so
+    the tables are built by digit composition (see ``z2spec.rings``).
     """
     if base is not zmod(base.size):
         raise InvalidParameterError(

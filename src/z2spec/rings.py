@@ -6,10 +6,22 @@ over codes.  Constructors are interned: calling ``zmod(6)`` twice returns the
 identical object, and ring equality is object identity.  All values are
 immutable after construction; every operation here is a pure function, safe
 for concurrent reads.
+
+Tables by digit composition.  ``poly_quotient``, ``product_ring`` and
+``grading.trivial_extension`` encode elements as mixed-radix numbers: the
+code u has digits d_k (least significant first) and place values
+w_k = radix[0] * ... * radix[k-1].  Their tables rest on one precondition:
+code 0 is the zero element, and every element is the sum of its single-digit
+elements d_k * w_k.  Then only the sum(radix - 1) single-digit rows are
+computed with the ring's own arithmetic; every other code u = a + rest, with
+a its top digit term and rest < a, takes its rows from rows already built:
+add[u][v] = add[a][add[rest][v]] and mul[u][v] = add[mul[a][v]][mul[rest][v]]
+(``_tables_by_digits``).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -185,6 +197,44 @@ def _same_ring(a: FiniteRing, b: FiniteRing):
 # constructors
 
 
+def _tables_by_digits(radix: Sequence[int], add_pair, mul_pair) -> tuple[tuple, tuple]:
+    """The add and mul tables of a ring whose codes are mixed-radix numbers.
+
+    ``add_pair(u, v)`` and ``mul_pair(u, v)`` return the code of u + v and
+    u * v; they are called only for the single-digit codes u.  Requires the
+    precondition in the module docstring: code 0 is zero and each element is
+    the sum of its single-digit elements.  All add rows are built before the
+    mul rows, because composing a mul row reads the add table.
+    """
+    size = math.prod(radix)
+    codes = range(size)
+    splits = []  # (u, rest) for u = 1 .. size-1; rest = u minus its top digit term
+    place = 1
+    for r in radix:
+        splits.extend((u, u % place) for u in range(place, place * r))
+        place *= r
+    add = [tuple(codes)]
+    for u, rest in splits:
+        if rest:
+            add.append(tuple(map(add[u - rest].__getitem__, add[rest])))
+        else:
+            add.append(tuple([add_pair(u, v) for v in codes]))
+    mul = [(0,) * size]
+    for u, rest in splits:
+        if rest:
+            mul.append(tuple([add[x][y] for x, y in zip(mul[u - rest], mul[rest])]))
+        else:
+            mul.append(tuple([mul_pair(u, v) for v in codes]))
+    return tuple(add), tuple(mul)
+
+
+def _require_zero_code(*rings: FiniteRing) -> None:
+    for ring in rings:
+        if ring.zero != 0:
+            raise InvalidParameterError(
+                f"{ring.provenance}: tables are built by digits, so zero must be code 0")
+
+
 @lru_cache(maxsize=None)
 def zmod(n: int) -> FiniteRing:
     """The ring Z/nZ with codes equal to residues 0..n-1."""
@@ -267,18 +317,16 @@ def _poly_quotient_cached(base: FiniteRing, modulus: tuple, symbol: str) -> Fini
         return out
 
     vectors = [decode(code) for code in range(size)]
-    add = tuple(
-        tuple(encode([badd[a][b] for a, b in zip(u, v)]) for v in vectors)
-        for u in vectors
-    )
-    mul = tuple(tuple(encode(multiply(u, v)) for v in vectors) for u in vectors)
-    zero = encode([base.zero] * degree)
+    add, mul = _tables_by_digits(
+        (base.size,) * degree,
+        lambda u, v: encode([badd[a][b] for a, b in zip(vectors[u], vectors[v])]),
+        lambda u, v: encode(multiply(vectors[u], vectors[v])))
     one_vec = [base.zero] * degree
     one_vec[0] = base.one
     names = tuple(_poly_name(v, base, symbol) for v in vectors)
     modulus_name = _poly_name(modulus, base, symbol, descending=True)
     provenance = f"{base.provenance}[{symbol}]/({modulus_name})"
-    return FiniteRing(size, add, mul, zero, encode(one_vec), provenance, names)
+    return FiniteRing(size, add, mul, 0, encode(one_vec), provenance, names)
 
 
 def poly_quotient(base: FiniteRing, modulus: Sequence, symbol: str = "x") -> FiniteRing:
@@ -286,8 +334,11 @@ def poly_quotient(base: FiniteRing, modulus: Sequence, symbol: str = "x") -> Fin
 
     ``modulus[k]`` is the coefficient of X^k; the leading coefficient must be
     the unit of ``base``.  Elements are coefficient vectors of length
-    deg(modulus), encoded in base-``size`` positional notation.
+    deg(modulus), encoded in base-``size`` positional notation (radix
+    ``(|base|,) * deg``), so a vector is the sum of its monomials c*X^k and
+    the tables are built by digit composition; ``base`` must have zero code 0.
     """
+    _require_zero_code(base)
     coeffs = tuple(as_code(base, c) for c in modulus)
     if len(coeffs) < 2:
         raise InvalidParameterError("modulus must have degree >= 1")
@@ -299,20 +350,24 @@ def poly_quotient(base: FiniteRing, modulus: Sequence, symbol: str = "x") -> Fin
 
 @lru_cache(maxsize=None)
 def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
-    """Componentwise ring on the cartesian product; code = ca * |b| + cb."""
+    """Componentwise ring on the cartesian product; code = ca * |b| + cb.
+
+    Codes have radix ``(|b|, |a|)`` and (ca, cb) = (ca, 0) + (0, cb), so the
+    tables are built by digit composition; both factors must have zero code 0.
+    """
+    _require_zero_code(a, b)
     size = a.size * b.size
 
     def pack(ca, cb):
         return ca * b.size + cb
 
-    add = tuple(
-        tuple(pack(a.add[xa][ya], b.add[xb][yb]) for yc in range(size) for ya, yb in [divmod(yc, b.size)])
-        for xc in range(size) for xa, xb in [divmod(xc, b.size)]
-    )
-    mul = tuple(
-        tuple(pack(a.mul[xa][ya], b.mul[xb][yb]) for yc in range(size) for ya, yb in [divmod(yc, b.size)])
-        for xc in range(size) for xa, xb in [divmod(xc, b.size)]
-    )
+    def pair(a_table, b_table):
+        def op(x, y):
+            (xa, xb), (ya, yb) = divmod(x, b.size), divmod(y, b.size)
+            return pack(a_table[xa][ya], b_table[xb][yb])
+        return op
+
+    add, mul = _tables_by_digits((b.size, a.size), pair(a.add, b.add), pair(a.mul, b.mul))
     names = tuple(
         f"({a.names[xa]},{b.names[xb]})"
         for xc in range(size) for xa, xb in [divmod(xc, b.size)]

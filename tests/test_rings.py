@@ -110,6 +110,18 @@ def test_poly_quotient_rejects_nonmonic():
         poly_quotient(zmod(4), (1,))
 
 
+def test_table_builders_require_zero_code_zero():
+    from z2spec.rings import FiniteRing
+
+    # Z/2 with the codes swapped: code 1 is zero, code 0 is one
+    swapped = FiniteRing(2, ((1, 0), (0, 1)), ((0, 1), (1, 1)), 1, 0,
+                         "swapped Z/2", ("1", "0"))
+    with pytest.raises(InvalidParameterError):
+        product_ring(zmod(2), swapped)
+    with pytest.raises(InvalidParameterError):
+        poly_quotient(swapped, [1, 0])
+
+
 def test_product_crt_isomorphism():
     p = product_ring(zmod(2), zmod(3))
     assert p.size == 6
