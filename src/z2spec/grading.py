@@ -28,7 +28,9 @@ from .rings import (
     _same_ring,
     additive_closure,
     as_code,
+    _additive_generators,
     _check_bound,
+    _grow_subgroup,
     _tables_by_digits,
     ideal_from_members,
     ideal_members,
@@ -266,7 +268,10 @@ def _trivial_extension_cached(base: FiniteRing, orders: tuple) -> GradedRing:
         act = tuple((xr * b + yr * a) % m for a, b, m in zip(tuples[xm], tuples[ym], radix))
         return pack((xr * yr) % n, mencode(act))
 
-    add, mul = _tables_by_digits((n,) + radix, add_pair, mul_pair)
+    add, mul = _tables_by_digits(
+        (n,) + radix,
+        lambda x: tuple([add_pair(x, y) for y in range(size)]),
+        lambda x, *_: tuple([mul_pair(x, y) for y in range(size)]))
     names = tuple(
         f"({base.names[xr]},{mname(tuples[xm])})"
         for xm in range(msize) for xr in range(n))
@@ -379,16 +384,20 @@ def submodule_generators(g: GradedRing, members: frozenset) -> tuple:
 
 
 def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
-    """Check additive closure and R0-stability of a subset of R1."""
+    """Decide additive closure and R0-stability of a subset of R1, exactly.
+
+    Same test as ``rings.is_ideal_set``: the set must be the additive
+    subgroup it generates, and a * x must lie in it for the subgroup's
+    generators x and the additive generators a of R0.
+    """
     if g.ring.zero not in members or not members <= g.r1:
         return False
-    add, mul = g.ring.add, g.ring.mul
-    for x in members:
-        if any(add[x][y] not in members for y in members):
-            return False
-        if any(mul[a][x] not in members for a in g.r0):
-            return False
-    return True
+    grown = _grow_subgroup(g.ring.add, g.ring.zero, members, members)
+    if grown is None:
+        return False
+    mul = g.ring.mul
+    r0_gens = [g.from_r0(a) for a in _additive_generators(g.r0_ring)]
+    return all(mul[a][x] in members for x in grown[1] for a in r0_gens)
 
 
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:

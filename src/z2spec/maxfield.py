@@ -8,7 +8,6 @@ a graded domain and N vanishes only at 0.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, NotGradedFieldError
@@ -33,38 +32,54 @@ from .rings import (
     RingElement,
     as_code,
     classify_ideal,
+    enumerate_ideals,
     is_field,
     max_spec,
     prime_violation,
 )
 from .spectrum import is_prime_submodule
 
-_SAMPLE_SEED = 20260810
-_EXHAUSTIVE_LIMIT = 64
-_SAMPLE_PAIRS = 10_000
-
 
 def is_graded_maximal(g: GradedRing, j: GradedIdeal,
                       bound: int | None = None) -> bool:
-    """Proper, with no graded ideal strictly between it and the whole ring."""
+    """Proper, with no graded ideal strictly between it and the whole ring
+    (a lookup in the cached ``graded_max``)."""
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
-    if not j.is_proper:
-        return False
-    return not any(
-        j.flat_members < k.flat_members and k.is_proper
-        for k in enumerate_graded_ideals(g, bound)
-    )
+    return j in _graded_max_cached(g, "definitional", bound)
 
 
 def graded_max(g: GradedRing, method: str = "definitional",
                bound: int | None = None) -> list[GradedIdeal]:
     """Graded maximal ideals, definitionally or by the two-branch recipe:
     (p, R1) for maximal p containing R1^2, else (p, p*R1)."""
+    return list(_graded_max_cached(g, method, bound))
+
+
+def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
+    """``graded_max`` as a tuple, computed once per graded ring and method.
+
+    The definitional pass visits the proper graded ideals largest first and
+    keeps one when no maximal ideal kept so far strictly contains it: a larger
+    proper ideal lies in a maximal one, which was visited earlier.
+    """
+    if method not in ("definitional", "constructive"):
+        raise InvalidInputError(f"unknown method: {method!r}")
+    cached = g._cache.get(("graded_max", method))
+    if cached is not None:  # re-assert the bound contract of a first call
+        if method == "definitional":
+            enumerate_graded_ideals(g, bound)
+        else:
+            enumerate_ideals(g.r0_ring, bound)
+        return cached
     if method == "definitional":
-        result = [j for j in enumerate_graded_ideals(g, bound)
-                  if is_graded_maximal(g, j, bound)]
-    elif method == "constructive":
+        result = []
+        for j in sorted(enumerate_graded_ideals(g, bound),
+                        key=lambda j: len(j.flat_members), reverse=True):
+            if j.is_proper and not any(
+                    j.flat_members < m.flat_members for m in result):
+                result.append(j)
+    else:
         sq = r1_squared(g).members
         result = []
         for p in max_spec(g.r0_ring, bound):
@@ -72,10 +87,9 @@ def graded_max(g: GradedRing, method: str = "definitional",
                 result.append(GradedIdeal(g, p, Submodule(g, g.r1)))
             else:
                 result.append(graded_ideal_from_ideal(g, p))
-    else:
-        raise InvalidInputError(f"unknown method: {method!r}")
-    result.sort(key=GradedIdeal.key)
-    return result
+    cached = tuple(sorted(result, key=GradedIdeal.key))
+    g._cache[("graded_max", method)] = cached
+    return cached
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,9 @@ def graded_field_presentation(g: GradedRing,
     """Reconstruct a graded field with nonzero odd part in quadratic form.
 
     Picks the first odd b (in code order) with b^2 != 0; such b exists and
-    generates the odd part over R0.  The element map is verified to be a
+    generates the odd part over R0.  The new variable is the first of x, y,
+    z, t that occurs in no element name of R0, so it cannot be read as an
+    element of the even part.  The element map is verified to be a
     grading-preserving ring isomorphism.
     """
     if not is_graded_field(g):
@@ -194,7 +210,9 @@ def graded_field_presentation(g: GradedRing,
     b = next(x for x in sorted(g.r1) if x != zero and mul[x][x] != zero)
     _require(cyclic_span(g, b) == g.r1, "b must generate the odd part")
     alpha_code = g.to_r0(mul[b][b])
-    target = quadratic_extension(g.r0_ring, alpha_code)
+    names = g.r0_ring.names
+    symbol = next((s for s in "xyzt" if not any(s in name for name in names)), "x")
+    target = quadratic_extension(g.r0_ring, alpha_code, symbol)
     n = g.r0_ring.size
     table = [None] * g.ring.size
     for c0 in range(n):
@@ -244,7 +262,6 @@ class DomainEquivalenceReport:
     equivalence_holds: bool
     norm_multiplicative: bool
     pairs_checked: int
-    sampled: bool
     witness: str | None
 
 
@@ -258,19 +275,12 @@ def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
     norms = [_norm_code(g, c) for c in range(ring.size)]
     mul = ring.mul
     witness = None
-    if ring.size <= _EXHAUSTIVE_LIMIT:
-        pairs = ((x, y) for x in range(ring.size) for y in range(ring.size))
-        count = ring.size * ring.size
-        sampled = False
-    else:
-        rng = random.Random(_SAMPLE_SEED)
-        pairs = ((rng.randrange(ring.size), rng.randrange(ring.size))
-                 for _ in range(_SAMPLE_PAIRS))
-        count = _SAMPLE_PAIRS
-        sampled = True
     multiplicative = True
-    for x, y in pairs:
-        if norms[mul[x][y]] != mul[norms[x]][norms[y]]:
+    for x in range(ring.size):
+        row, norm_row = mul[x], mul[norms[x]]
+        y = next((y for y in range(ring.size)
+                  if norms[row[y]] != norm_row[norms[y]]), None)
+        if y is not None:
             multiplicative = False
             witness = f"N({ring.names[x]} * {ring.names[y]}) != N*N"
             break
@@ -279,7 +289,7 @@ def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
                    f" trivial norm kernel={kernel_trivial}")
     return DomainEquivalenceReport(
         flat_domain, graded_domain, kernel_trivial, equivalence,
-        multiplicative, count, sampled, witness)
+        multiplicative, ring.size * ring.size, witness)
 
 
 def strongly_graded_domain_matches_base(g: GradedRing) -> bool:

@@ -16,7 +16,25 @@ elements d_k * w_k.  Then only the sum(radix - 1) single-digit rows are
 computed with the ring's own arithmetic; every other code u = a + rest, with
 a its top digit term and rest < a, takes its rows from rows already built:
 add[u][v] = add[a][add[rest][v]] and mul[u][v] = add[mul[a][v]][mul[rest][v]]
-(``_tables_by_digits``).
+(``_tables_by_digits``).  ``poly_quotient`` computes directly only its
+constant rows (scalar multiples) and the row of X (a shift plus one
+reduction of X^d); the row of c*X^k is the row of X composed with the row of
+c*X^(k-1).
+
+Closure tests by subgroup growth.  ``_grow_subgroup`` builds the additive
+subgroup H generated by a sequence of codes, starting from H = {0} and
+adding one generator s at a time: it translates the newest coset of the old
+H by s until a translate falls back into H, so the old H + <s> is built coset
+by coset and each element is touched once.  In the test form each new element
+must lie in a candidate set S; if the loop ends with every member of S fed in
+as a generator, H lies inside S and contains S, so S = H is a subgroup, found
+in O(|S|) steps instead of O(|S|^2).  The same run yields generators g_j of
+H.  Stability under multiplication then needs only the products g_j * r_i
+with r_i additive generators of the multiplying ring: multiplication is
+biadditive, so x * r = sum n_j m_i g_j r_i for x = sum n_j g_j and
+r = sum m_i r_i, and that sum lies in S because S is an additive group.
+``is_ideal_set`` and ``grading.is_submodule_set`` are exact decisions this
+way, at O(|S| + #gens(S) * #gens(R)) table lookups.
 """
 
 from __future__ import annotations
@@ -197,14 +215,16 @@ def _same_ring(a: FiniteRing, b: FiniteRing):
 # constructors
 
 
-def _tables_by_digits(radix: Sequence[int], add_pair, mul_pair) -> tuple[tuple, tuple]:
+def _tables_by_digits(radix: Sequence[int], add_row, mul_row) -> tuple[tuple, tuple]:
     """The add and mul tables of a ring whose codes are mixed-radix numbers.
 
-    ``add_pair(u, v)`` and ``mul_pair(u, v)`` return the code of u + v and
-    u * v; they are called only for the single-digit codes u.  Requires the
-    precondition in the module docstring: code 0 is zero and each element is
-    the sum of its single-digit elements.  All add rows are built before the
-    mul rows, because composing a mul row reads the add table.
+    ``add_row(u)`` and ``mul_row(u, add, mul)`` return the rows of u + v and
+    u * v over all codes v; they are called only for the single-digit codes u.
+    ``mul_row`` may read the complete ``add`` table and the rows ``mul[w]`` of
+    every code w < u.  Requires the precondition in the module docstring: code
+    0 is zero and each element is the sum of its single-digit elements.  All
+    add rows are built before the mul rows, because composing a mul row reads
+    the add table.
     """
     size = math.prod(radix)
     codes = range(size)
@@ -218,13 +238,13 @@ def _tables_by_digits(radix: Sequence[int], add_pair, mul_pair) -> tuple[tuple, 
         if rest:
             add.append(tuple(map(add[u - rest].__getitem__, add[rest])))
         else:
-            add.append(tuple([add_pair(u, v) for v in codes]))
+            add.append(add_row(u))
     mul = [(0,) * size]
     for u, rest in splits:
         if rest:
             mul.append(tuple([add[x][y] for x, y in zip(mul[u - rest], mul[rest])]))
         else:
-            mul.append(tuple([mul_pair(u, v) for v in codes]))
+            mul.append(mul_row(u, add, mul))
     return tuple(add), tuple(mul)
 
 
@@ -270,57 +290,54 @@ def _poly_name(coeffs: Sequence[int], base: FiniteRing, symbol: str,
 @lru_cache(maxsize=None)
 def _poly_quotient_cached(base: FiniteRing, modulus: tuple, symbol: str) -> FiniteRing:
     degree = len(modulus) - 1
-    size = base.size ** degree
+    bsize = base.size
+    size = bsize ** degree
     badd, bmul, bneg = base.add, base.mul, base.neg
+    top = bsize ** (degree - 1)  # place value of the X^(degree-1) digit
 
     def decode(code):
         vec = []
         for _ in range(degree):
-            code, c = divmod(code, base.size)
+            code, c = divmod(code, bsize)
             vec.append(c)
         return vec
 
     def encode(vec):
         code = 0
         for c in reversed(vec):
-            code = code * base.size + c
+            code = code * bsize + c
         return code
 
-    # x^k for k in [degree, 2*degree-2], reduced to coefficient vectors
-    reduction = {}
-    lead = [bneg[c] for c in modulus[:degree]]  # x^degree = -(m_0 + .. + m_{d-1} x^{d-1})
-    vec = lead
-    for k in range(degree, 2 * degree - 1):
-        reduction[k] = vec
-        overflow = vec[degree - 1] if degree >= 1 else base.zero
-        nxt = [base.zero] + vec[:degree - 1]
-        if overflow != base.zero:
-            nxt = [badd[nc][bmul[overflow][lc]] for nc, lc in zip(nxt, lead)]
-        vec = nxt
+    def digitwise(op):
+        """The row v -> sum_k op[v_k] * bsize^k, in code order."""
+        row = [0]
+        place = 1
+        for _ in range(degree):
+            row = [op[d] * place + x for d in range(bsize) for x in row]
+            place *= bsize
+        return tuple(row)
 
-    def multiply(u, v):
-        prod = [base.zero] * (2 * degree - 1)
-        for i, ci in enumerate(u):
-            if ci == base.zero:
-                continue
-            row = bmul[ci]
-            for j, cj in enumerate(v):
-                if cj == base.zero:
-                    continue
-                prod[i + j] = badd[prod[i + j]][row[cj]]
-        out = prod[:degree]
-        for k in range(degree, 2 * degree - 1):
-            c = prod[k]
-            if c != base.zero:
-                row = bmul[c]
-                out = [badd[oc][row[rc]] for oc, rc in zip(out, reduction[k])]
-        return out
+    def add_row(u):  # u = c * place: add c to one digit
+        place = 1
+        while u >= place * bsize:
+            place *= bsize
+        crow = badd[u // place]
+        return tuple([v + (crow[d] - d) * place
+                      for v in range(size) for d in [v // place % bsize]])
+
+    lead = [bneg[c] for c in modulus[:degree]]  # X^degree = -(m_0 + .. + m_{d-1} X^{d-1})
+    # code of c * X^degree, reduced, for each coefficient c
+    overflow = [encode([bmul[c][lc] for lc in lead]) for c in range(bsize)]
+
+    def mul_row(u, add, mul):
+        if u < bsize:  # constant c: scale every coefficient
+            return digitwise(bmul[u])
+        if u == bsize:  # X: shift up one place, reduce the X^degree term
+            return tuple([add[(v % top) * bsize][overflow[v // top]] for v in range(size)])
+        return tuple(map(mul[bsize].__getitem__, mul[u // bsize]))  # X * (c X^(k-1))
 
     vectors = [decode(code) for code in range(size)]
-    add, mul = _tables_by_digits(
-        (base.size,) * degree,
-        lambda u, v: encode([badd[a][b] for a, b in zip(vectors[u], vectors[v])]),
-        lambda u, v: encode(multiply(vectors[u], vectors[v])))
+    add, mul = _tables_by_digits((bsize,) * degree, add_row, mul_row)
     one_vec = [base.zero] * degree
     one_vec[0] = base.one
     names = tuple(_poly_name(v, base, symbol) for v in vectors)
@@ -361,13 +378,14 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     def pack(ca, cb):
         return ca * b.size + cb
 
-    def pair(a_table, b_table):
-        def op(x, y):
-            (xa, xb), (ya, yb) = divmod(x, b.size), divmod(y, b.size)
-            return pack(a_table[xa][ya], b_table[xb][yb])
-        return op
+    def rows(a_table, b_table):
+        def row(x, *_):
+            xa, xb = divmod(x, b.size)
+            a_row, b_row = a_table[xa], b_table[xb]
+            return tuple([pack(pa, pb) for pa in a_row for pb in b_row])
+        return row
 
-    add, mul = _tables_by_digits((b.size, a.size), pair(a.add, b.add), pair(a.mul, b.mul))
+    add, mul = _tables_by_digits((b.size, a.size), rows(a.add, b.add), rows(a.mul, b.mul))
     names = tuple(
         f"({a.names[xa]},{b.names[xb]})"
         for xc in range(size) for xa, xb in [divmod(xc, b.size)]
@@ -380,22 +398,46 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
 # ideals
 
 
+def _grow_subgroup(add, zero: int, seeds: Iterable[int],
+                   inside: frozenset | None = None) -> tuple | None:
+    """The additive subgroup H generated by ``seeds``, with generators of H.
+
+    Grows H from {0} one seed s at a time: while k*s is outside the old H,
+    the coset (old H) + k*s is new and disjoint from H, and the next coset is
+    the last one translated by s (see the module docstring).  Returns
+    (H as a set, the seeds that enlarged H), or None as soon as an element of
+    H falls outside ``inside`` when that set is given.
+    """
+    members = {zero}
+    elements = [zero]
+    gens = []
+    for s in seeds:
+        if s in members:
+            continue
+        gens.append(s)
+        row = add[s]
+        coset = [row[x] for x in elements]
+        while coset[0] not in members:  # coset[0] = k*s, since elements[0] = 0
+            if inside is not None and not inside.issuperset(coset):
+                return None
+            members.update(coset)
+            elements.extend(coset)
+            coset = [row[x] for x in coset]
+    return members, gens
+
+
+def _additive_generators(ring: FiniteRing) -> tuple:
+    """Additive generators of the whole ring (cached)."""
+    cached = ring._cache.get("additive_generators")
+    if cached is None:
+        cached = tuple(_grow_subgroup(ring.add, ring.zero, range(ring.size))[1])
+        ring._cache["additive_generators"] = cached
+    return cached
+
+
 def additive_closure(ring: FiniteRing, codes: Iterable[int]) -> frozenset:
-    """Smallest additive subgroup containing ``codes`` (finite, so closure
-    under + suffices; inverses come for free from element orders)."""
-    add = ring.add
-    members = {ring.zero}
-    members.update(codes)
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        row = add[x]
-        for y in tuple(members):
-            s = row[y]
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-    return frozenset(members)
+    """Smallest additive subgroup containing ``codes``."""
+    return frozenset(_grow_subgroup(ring.add, ring.zero, codes)[0])
 
 
 def principal_members(ring: FiniteRing, x: int) -> frozenset:
@@ -446,18 +488,22 @@ def ideal_from_members(ring: FiniteRing, members: Iterable) -> Ideal:
 
 
 def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
-    """Exhaustively check the ideal axioms for a member set."""
+    """Decide the ideal axioms for a member set, exactly.
+
+    The set is an additive subgroup when growing the subgroup generated by
+    its members never leaves it (``_grow_subgroup``).  It is then R-stable
+    when g * r lies in it for the subgroup's generators g and the additive
+    generators r of R: multiplication is biadditive, so every product x * r
+    is a sum of those products.
+    """
     if ring.zero not in members:
         return False
-    add, mul = ring.add, ring.mul
-    for x in members:
-        row = add[x]
-        if any(row[y] not in members for y in members):
-            return False
-        mrow = mul[x]
-        if any(mrow[r] not in members for r in range(ring.size)):
-            return False
-    return True
+    grown = _grow_subgroup(ring.add, ring.zero, members, members)
+    if grown is None:
+        return False
+    mul = ring.mul
+    return all(mul[g][r] in members
+               for g in grown[1] for r in _additive_generators(ring))
 
 
 def _check_bound(ring: FiniteRing, bound, what: str) -> None:

@@ -486,9 +486,7 @@ def _suite_norm(g: GradedRing, bound) -> list:
     def multiplicative():
         if not report.norm_multiplicative:
             return FAIL, report.witness
-        note = (f"{report.pairs_checked} sampled pairs" if report.sampled
-                else None)
-        return PASS, note
+        return PASS, None
     _run(records, "norm.multiplicative", multiplicative)
 
     def equivalence():

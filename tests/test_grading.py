@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from naive_closure import naive_is_submodule_set
 from z2spec.errors import (
     GradingAxiomError,
     GradingDecompositionError,
@@ -217,15 +218,18 @@ def test_submodules_gaussian():
 
 
 def test_submodules_are_brute_force_complete():
-    # oracle: filter all subsets of R1 for closure (|R1| <= 4)
+    # oracles: filter all subsets of R1 for closure (|R1| <= 4), by the
+    # library's closure test and by the all-pairs reference
     for g in (GAUSSIAN4, trivial_extension(zmod(4), [2]), truncated_poly(zmod(2), 3)):
         odd = sorted(g.r1 - {0})
-        expected = set()
+        expected, naive = set(), set()
         for bits in range(2 ** len(odd)):
             members = frozenset({0} | {c for k, c in enumerate(odd) if bits >> k & 1})
             if is_submodule_set(g, members):
                 expected.add(members)
-        assert {s.members for s in submodules(g)} == expected
+            if naive_is_submodule_set(g, members):
+                naive.add(members)
+        assert {s.members for s in submodules(g)} == expected == naive
 
 
 def test_residual():
