@@ -3,6 +3,11 @@
 An ideal J of the ambient ring is graded exactly when it splits as
 (J intersect R0) + (J intersect R1); the pair form is the canonical
 representation and the flat member set is derived from it.
+
+Both compatibility conditions are decided on additive generators: I0, R1
+and R' are additive groups and multiplication is biadditive, so I0*R1 <= R'
+iff gens(I0)*gens(R1) <= R', and R1*R' <= I0 iff gens(R1)*gens(R') <= I0.
+A violation found this way is a genuine product escaping its target.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from .errors import InvalidInputError, NotStronglyGradedError
 from .grading import (
     GradedRing,
     Submodule,
+    _r1_generators,
     _require,
     is_strongly_graded,
     is_submodule_set,
@@ -22,6 +28,7 @@ from .grading import (
 from .rings import (
     Ideal,
     _same_ring,
+    _subgroup_generators,
     additive_closure,
     as_code,
     enumerate_ideals,
@@ -32,8 +39,7 @@ from .rings import (
 class GradedIdeal:
     """A compatible pair (even-part ideal, odd-part submodule)."""
 
-    def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule,
-                 validate: bool = True):
+    def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
         _same_ring(graded_ring.r0_ring, i0.ring)
         if r_part.graded_ring is not graded_ring:
             raise InvalidInputError("submodule belongs to a different graded ring")
@@ -41,28 +47,26 @@ class GradedIdeal:
         self.i0 = i0
         self.r_part = r_part
         g = graded_ring
-        add = g.ring.add
+        add, mul, names = g.ring.add, g.ring.mul, g.ring.names
         i0_ambient = g.embed_ideal(i0)
-        self.flat_members = frozenset(
-            add[a][m] for a in i0_ambient for m in r_part.members)
-        if validate:
-            mul = g.ring.mul
-            for a in i0_ambient:
-                row = mul[a]
-                for x in g.r1:
-                    if row[x] not in r_part.members:
-                        raise InvalidInputError(
-                            f"I0*R1 escapes the odd part: {g.ring.names[a]} *"
-                            f" {g.ring.names[x]} = {g.ring.names[row[x]]}")
-            for x in g.r1:
-                row = mul[x]
-                for y in r_part.members:
-                    if row[y] not in i0_ambient:
-                        raise InvalidInputError(
-                            f"R1*R' escapes the even part: {g.ring.names[x]} *"
-                            f" {g.ring.names[y]} = {g.ring.names[row[y]]}")
-            _require(is_ideal_set(g.ring, self.flat_members),
-                     "compatible pair does not give an ideal of the ambient ring")
+        odd = frozenset(r_part.members)
+        self.flat_members = odd.union(*[map(add[a].__getitem__, odd) for a in i0_ambient])
+        r1_gens = _r1_generators(g)
+        for a in _subgroup_generators(add, g.ring.zero, i0_ambient):
+            row = mul[a]
+            for x in r1_gens:
+                if row[x] not in odd:
+                    raise InvalidInputError(
+                        f"I0*R1 escapes the odd part: {names[a]} *"
+                        f" {names[x]} = {names[row[x]]}")
+        for y in _subgroup_generators(add, g.ring.zero, odd):
+            for x in r1_gens:
+                if mul[x][y] not in i0_ambient:
+                    raise InvalidInputError(
+                        f"R1*R' escapes the even part: {names[x]} *"
+                        f" {names[y]} = {names[mul[x][y]]}")
+        _require(is_ideal_set(g.ring, self.flat_members),
+                 "compatible pair does not give an ideal of the ambient ring")
 
     def __eq__(self, other):
         if not isinstance(other, GradedIdeal):
@@ -129,7 +133,9 @@ def graded_ideal_from_ideal(g: GradedRing, i: Ideal) -> GradedIdeal:
     """The graded ideal (I, I*R1) attached to an even-part ideal."""
     _same_ring(g.r0_ring, i.ring)
     mul = g.ring.mul
-    products = {mul[a][x] for a in g.embed_ideal(i) for x in g.r1}
+    products = {mul[a][x]
+                for a in _subgroup_generators(g.ring.add, g.ring.zero, g.embed_ideal(i))
+                for x in _r1_generators(g)}
     r_part = Submodule(g, additive_closure(g.ring, products))
     return GradedIdeal(g, i, r_part)
 
@@ -144,24 +150,28 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
 
     The compatibility conditions make the pair scan complete; the definitional
     filter over flat ideals is kept separately as the oracle
-    (see ``is_graded_ideal``).
+    (see ``is_graded_ideal``).  Each side's generator products are formed
+    once, so a pair costs two subset tests (module docstring).
     """
     cached = g._cache.get("graded_ideals")
     if cached is not None:
         enumerate_ideals(g.r0_ring, bound)  # re-assert the bound contract
         submodules(g, bound)
         return cached
-    mul = g.ring.mul
-    result = []
+    add, mul, zero = g.ring.add, g.ring.mul, g.ring.zero
+    r1_gens = _r1_generators(g)
+    evens = []
     for i0 in enumerate_ideals(g.r0_ring, bound):
         i0_ambient = g.embed_ideal(i0)
-        for rp in submodules(g, bound):
-            ok = all(
-                mul[a][x] in rp.members for a in i0_ambient for x in g.r1
-            ) and all(
-                mul[x][y] in i0_ambient for x in g.r1 for y in rp.members
-            )
-            if ok:
+        products = {mul[a][x]  # I0*R1 as gens(I0) x gens(R1)
+                    for a in _subgroup_generators(add, zero, i0_ambient) for x in r1_gens}
+        evens.append((i0, i0_ambient, products))
+    result = []
+    for rp in submodules(g, bound):
+        products = {mul[x][y]  # R1*R' as gens(R1) x gens(R')
+                    for y in _subgroup_generators(add, zero, rp.members) for x in r1_gens}
+        for i0, i0_ambient, needed in evens:
+            if needed <= rp.members and products <= i0_ambient:
                 result.append(GradedIdeal(g, i0, rp))
     result = tuple(sorted(result, key=GradedIdeal.key))
     g._cache["graded_ideals"] = result

@@ -10,7 +10,7 @@ classical ideal machinery applies to it directly; when the grading is trivial
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,11 +31,14 @@ from .rings import (
     _additive_generators,
     _check_bound,
     _grow_subgroup,
+    _subgroup_generators,
+    _subgroup_lattice,
     _tables_by_digits,
     ideal_from_members,
     ideal_members,
     is_ideal_set,
     poly_quotient,
+    reduce_generators,
     zmod,
 )
 
@@ -334,7 +337,9 @@ class Submodule:
         return (len(self.members), tuple(sorted(self.members)))
 
     def label(self) -> str:
-        gens = submodule_generators(self.graded_ring, self.members)
+        g = self.graded_ring
+        gens = reduce_generators(g.ring.add, g.ring.zero, self.members,
+                                 partial(cyclic_seeds, g))
         if not gens:
             return "(0)"
         names = self.graded_ring.ring.names
@@ -346,17 +351,35 @@ class Submodule:
 
 def cyclic_span(g: GradedRing, x: int) -> frozenset:
     """R0*x, already closed under addition by distributivity."""
-    mul = g.ring.mul
-    return frozenset(mul[a][x] for a in g.r0)
+    return frozenset(map(g.ring.mul[x].__getitem__, g.r0))
+
+
+def _r0_generators(g: GradedRing) -> tuple:
+    """Additive generators of R0 as ambient codes (cached)."""
+    cached = g._cache.get("r0_generators")
+    if cached is None:
+        cached = tuple(map(g.from_r0, _additive_generators(g.r0_ring)))
+        g._cache["r0_generators"] = cached
+    return cached
+
+
+def _r1_generators(g: GradedRing) -> tuple:
+    """Additive generators of R1, picked in code order (cached)."""
+    cached = g._cache.get("r1_generators")
+    if cached is None:
+        cached = tuple(_subgroup_generators(g.ring.add, g.ring.zero, sorted(g.r1)))
+        g._cache["r1_generators"] = cached
+    return cached
+
+
+def cyclic_seeds(g: GradedRing, x: int) -> tuple:
+    """Additive generators of R0*x: x times the additive generators of R0."""
+    return tuple(map(g.ring.mul[x].__getitem__, _r0_generators(g)))
 
 
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
-    seeds = set()
-    for x in gen_codes:
-        seeds.update(cyclic_span(g, x))
-    if not seeds:
-        return frozenset({g.ring.zero})
-    return additive_closure(g.ring, seeds)
+    return additive_closure(
+        g.ring, (s for x in gen_codes for s in cyclic_seeds(g, x)))
 
 
 def submodule_generate(g: GradedRing, gens: Iterable) -> Submodule:
@@ -370,19 +393,6 @@ def submodule_generate(g: GradedRing, gens: Iterable) -> Submodule:
     return Submodule(g, submodule_members(g, codes))
 
 
-def submodule_generators(g: GradedRing, members: frozenset) -> tuple:
-    """Small deterministic generating set for a submodule member set."""
-    gens: tuple = ()
-    span = frozenset({g.ring.zero})
-    for x in sorted(members):
-        if x not in span:
-            gens = gens + (x,)
-            span = submodule_members(g, gens)
-            if span == members:
-                break
-    return gens
-
-
 def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
     """Decide additive closure and R0-stability of a subset of R1, exactly.
 
@@ -392,50 +402,47 @@ def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
     """
     if g.ring.zero not in members or not members <= g.r1:
         return False
-    grown = _grow_subgroup(g.ring.add, g.ring.zero, members, members)
+    grown = _grow_subgroup(g.ring.add, (g.ring.zero,), members, members)
     if grown is None:
         return False
     mul = g.ring.mul
-    r0_gens = [g.from_r0(a) for a in _additive_generators(g.r0_ring)]
-    return all(mul[a][x] in members for x in grown[1] for a in r0_gens)
+    return all(mul[a][x] in members for x in grown[1] for a in _r0_generators(g))
 
 
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
-    """All R0-submodules of R1, canonically ordered (same BFS as ideals)."""
+    """All R0-submodules of R1, canonically ordered.
+
+    The lattice of sums of cyclic spans R0x (``rings._subgroup_lattice``,
+    the same kernel as ``enumerate_ideals``).
+    """
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
     cached = g._cache.get("submodules")
     if cached is not None:
         return cached
-    add = g.ring.add
     spans = {}
     for x in sorted(g.r1):
         spans.setdefault(cyclic_span(g, x), x)
     extensions = sorted(spans.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    zero_members = frozenset({g.ring.zero})
-    found = {zero_members}
-    queue = [zero_members]
-    while queue:
-        current = queue.pop()
-        for span, x in extensions:
-            if x in current:
-                continue
-            bigger = frozenset(add[a][b] for a in current for b in span)
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
+    found = _subgroup_lattice(g.ring.add, g.ring.zero, [
+        (x, members, cyclic_seeds(g, x)) for members, x in extensions])
     result = tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
     g._cache["submodules"] = result
     return result
 
 
 def residual(g: GradedRing, rp: Submodule) -> Ideal:
-    """(R' : R1) = {a in R0 : a*R1 <= R'}, as an ideal of the even ring."""
+    """(R' : R1) = {a in R0 : a*R1 <= R'}, as an ideal of the even ring.
+
+    a*R1 <= R' is tested on the additive generators of R1 only: a*x is
+    additive in x and R' is an additive group.
+    """
     if rp.graded_ring is not g:
         raise InvalidParameterError("submodule belongs to a different graded ring")
     mul = g.ring.mul
+    r1_gens = _r1_generators(g)
     members = [
         a for a in g.r0
-        if all(mul[a][x] in rp.members for x in g.r1)
+        if all(mul[a][x] in rp.members for x in r1_gens)
     ]
     ideal = g.restrict_ideal(members)
     _require(is_ideal_set(g.r0_ring, ideal.members),

@@ -22,19 +22,38 @@ reduction of X^d); the row of c*X^k is the row of X composed with the row of
 c*X^(k-1).
 
 Closure tests by subgroup growth.  ``_grow_subgroup`` builds the additive
-subgroup H generated by a sequence of codes, starting from H = {0} and
-adding one generator s at a time: it translates the newest coset of the old
-H by s until a translate falls back into H, so the old H + <s> is built coset
-by coset and each element is touched once.  In the test form each new element
-must lie in a candidate set S; if the loop ends with every member of S fed in
-as a generator, H lies inside S and contains S, so S = H is a subgroup, found
-in O(|S|) steps instead of O(|S|^2).  The same run yields generators g_j of
-H.  Stability under multiplication then needs only the products g_j * r_i
-with r_i additive generators of the multiplying ring: multiplication is
-biadditive, so x * r = sum n_j m_i g_j r_i for x = sum n_j g_j and
-r = sum m_i r_i, and that sum lies in S because S is an additive group.
-``is_ideal_set`` and ``grading.is_submodule_set`` are exact decisions this
-way, at O(|S| + #gens(S) * #gens(R)) table lookups.
+subgroup H generated by a subgroup and a sequence of codes, adding one
+generator s at a time: it walks the multiples k*s until one falls back into
+the old H, and H + <s> is the union of the cosets (old H) + k*s before it,
+which are new and pairwise disjoint, each translated from the old H in one
+pass over the table row of k*s, so H + <s> costs O(|H + <s>|).  In the test
+form the grown H must stay inside a candidate set S; if the loop ends with
+every member of S fed in as a generator, H lies inside S and contains S, so
+S = H is a subgroup, found in O(|S|) steps instead of O(|S|^2).  The same run
+yields generators g_j of H.  Stability under multiplication then needs only
+the products g_j * r_i with r_i additive generators of the multiplying ring:
+multiplication is biadditive, so x * r = sum n_j m_i g_j r_i for
+x = sum n_j g_j and r = sum m_i r_i, and that sum lies in S because S is an
+additive group.  ``is_ideal_set`` and ``grading.is_submodule_set`` are exact
+decisions this way, at O(|S| + #gens(S) * #gens(R)) table lookups.
+
+Lattice enumeration.  ``enumerate_ideals`` and ``grading.submodules`` share
+one kernel, ``_subgroup_lattice``: the ideals of R (the R0-submodules of R1)
+are exactly the sums of cyclic spans Rx (R0x), and the kernel walks them
+breadth-first from {0}.  A node H is extended by each span S = Rx in a fixed
+order; the child H + S is S itself when S contains H, and otherwise H grown
+by the additive generators of S (x times the additive generators of R or
+R0), which costs O(|H + S|) instead of the |H| * |S| pairwise sums.  Exact
+coset skip: within one node, a label y in x + H for an x already tried there
+is not tried, because y - x = h lies in H, so Ry <= Rx + Rh <= H + Rx and
+symmetrically Rx <= H + Ry, that is H + Ry = H + Rx, a child already known.
+This needs only that H is stable under the multipliers and that x lies in
+Rx (the multipliers contain 1), so it holds for ideals and submodules alike.
+The labels of the tried spans cover one coset of H each, so the skip set of
+a node never exceeds |R| elements.  The breadth-first order is kept on
+purpose: an ideal's generator witness (``Ideal.generators``, hence every
+label and report) is the label path by which the FIFO queue, taking spans in
+order of size and then members, first reaches it.
 """
 
 from __future__ import annotations
@@ -42,7 +61,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -398,31 +417,32 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
 # ideals
 
 
-def _grow_subgroup(add, zero: int, seeds: Iterable[int],
+def _grow_subgroup(add, base: Iterable[int], seeds: Iterable[int],
                    inside: frozenset | None = None) -> tuple | None:
-    """The additive subgroup H generated by ``seeds``, with generators of H.
+    """The additive subgroup H generated by the subgroup ``base`` and ``seeds``.
 
-    Grows H from {0} one seed s at a time: while k*s is outside the old H,
-    the coset (old H) + k*s is new and disjoint from H, and the next coset is
-    the last one translated by s (see the module docstring).  Returns
-    (H as a set, the seeds that enlarged H), or None as soon as an element of
-    H falls outside ``inside`` when that set is given.
+    Grows H from ``base`` (the codes of an additive subgroup, such as
+    ``(zero,)``) one seed s at a time: the multiples k*s before the first one
+    inside the old H pick the cosets (old H) + k*s, which are new and pairwise
+    disjoint, and H + <s> is their union (see the module docstring).  Returns
+    (H as a frozenset, the seeds that enlarged H), or None as soon as H leaves
+    ``inside`` when that set is given.
     """
-    members = {zero}
-    elements = [zero]
+    members = frozenset(base)
     gens = []
     for s in seeds:
         if s in members:
             continue
         gens.append(s)
         row = add[s]
-        coset = [row[x] for x in elements]
-        while coset[0] not in members:  # coset[0] = k*s, since elements[0] = 0
-            if inside is not None and not inside.issuperset(coset):
-                return None
-            members.update(coset)
-            elements.extend(coset)
-            coset = [row[x] for x in coset]
+        multiples = [s]
+        t = row[s]
+        while t not in members:
+            multiples.append(t)
+            t = row[t]
+        members = members.union(*[map(add[t].__getitem__, members) for t in multiples])
+        if inside is not None and not members <= inside:
+            return None
     return members, gens
 
 
@@ -430,46 +450,51 @@ def _additive_generators(ring: FiniteRing) -> tuple:
     """Additive generators of the whole ring (cached)."""
     cached = ring._cache.get("additive_generators")
     if cached is None:
-        cached = tuple(_grow_subgroup(ring.add, ring.zero, range(ring.size))[1])
+        cached = tuple(_grow_subgroup(ring.add, (ring.zero,), range(ring.size))[1])
         ring._cache["additive_generators"] = cached
     return cached
 
 
 def additive_closure(ring: FiniteRing, codes: Iterable[int]) -> frozenset:
     """Smallest additive subgroup containing ``codes``."""
-    return frozenset(_grow_subgroup(ring.add, ring.zero, codes)[0])
+    return _grow_subgroup(ring.add, (ring.zero,), codes)[0]
+
+
+def _subgroup_generators(add, zero: int, members: Iterable[int]) -> list:
+    """Additive generators of the subgroup generated by ``members``."""
+    return _grow_subgroup(add, (zero,), members)[1]
 
 
 def principal_members(ring: FiniteRing, x: int) -> frozenset:
-    """Member set of the principal ideal Rx (already additively closed)."""
-    mul = ring.mul
-    return frozenset(mul[r][x] for r in range(ring.size))
+    """Member set of the principal ideal Rx: the row of x, R being commutative."""
+    return frozenset(ring.mul[x])
 
 
-def _ideal_sum(ring: FiniteRing, a: frozenset, b: frozenset) -> frozenset:
-    """Member set of I + J for two ideals (the set of pairwise sums)."""
-    add = ring.add
-    return frozenset(add[x][y] for x in a for y in b)
+def principal_seeds(ring: FiniteRing, x: int) -> tuple:
+    """Additive generators of Rx: x times the additive generators of R."""
+    return tuple(map(ring.mul[x].__getitem__, _additive_generators(ring)))
 
 
 def ideal_members(ring: FiniteRing, gen_codes: Iterable[int]) -> frozenset:
     """Member set of the ideal generated by ``gen_codes``."""
-    products = set()
-    for g in gen_codes:
-        products.update(principal_members(ring, g))
-    if not products:
-        return frozenset({ring.zero})
-    return additive_closure(ring, products)
+    return additive_closure(
+        ring, (s for x in gen_codes for s in principal_seeds(ring, x)))
 
 
-def reduce_generators(ring: FiniteRing, members: frozenset) -> tuple:
-    """A small deterministic generator witness for a closed member set."""
+def reduce_generators(add, zero: int, members: frozenset, span_seeds) -> tuple:
+    """A small deterministic generator witness for a closed member set.
+
+    Greedy in code order: keep x when it lies outside the span of the codes
+    kept so far, and stop once that span is the whole set.  ``span_seeds(x)``
+    gives additive generators of the span of x alone (Rx for ideals, R0x for
+    submodules), so each kept x grows the span by its cyclic span.
+    """
     gens: tuple = ()
-    span = frozenset({ring.zero})
+    span = frozenset({zero})
     for x in sorted(members):
         if x not in span:
             gens = gens + (x,)
-            span = ideal_members(ring, gens)
+            span = _grow_subgroup(add, span, span_seeds(x))[0]
             if span == members:
                 break
     return gens
@@ -484,7 +509,8 @@ def ideal_generate(ring: FiniteRing, gens: Iterable) -> Ideal:
 def ideal_from_members(ring: FiniteRing, members: Iterable) -> Ideal:
     """Wrap an already-closed member set as an Ideal with reduced generators."""
     mset = frozenset(as_code(ring, m) for m in members)
-    return Ideal(ring, mset, reduce_generators(ring, mset))
+    return Ideal(ring, mset, reduce_generators(
+        ring.add, ring.zero, mset, partial(principal_seeds, ring)))
 
 
 def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
@@ -498,7 +524,7 @@ def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
     """
     if ring.zero not in members:
         return False
-    grown = _grow_subgroup(ring.add, ring.zero, members, members)
+    grown = _grow_subgroup(ring.add, (ring.zero,), members, members)
     if grown is None:
         return False
     mul = ring.mul
@@ -512,12 +538,45 @@ def _check_bound(ring: FiniteRing, bound, what: str) -> None:
         raise EnumerationLimitError(what, ring.size, limit)
 
 
+def _subgroup_lattice(add, zero: int, spans: Sequence[tuple]) -> dict:
+    """Every sum of cyclic spans, as member set -> first-found label path.
+
+    ``spans`` lists (x, members, seeds) in extension order, one per distinct
+    cyclic span: x is the span's label, ``members`` its member set and
+    ``seeds`` generate it additively.  Breadth-first from {0}: a node H is
+    extended by each span S not already inside it, the child H + S being S
+    itself when S contains H and H grown by the seeds otherwise; a child new
+    to the lattice gets the node's path plus x and joins the FIFO queue.
+    Within a node, a label in x + H for an x already tried there is skipped
+    (see the module docstring).  Requires every node and span to be stable
+    under one ring of multipliers containing 1 (R for ideals, R0 for
+    submodules).
+    """
+    bottom = frozenset({zero})
+    found = {bottom: ()}
+    queue = deque([bottom])
+    while queue:
+        node = queue.popleft()
+        path = found[node]
+        tried = set(node)
+        for x, members, seeds in spans:
+            if x in tried:
+                continue
+            child = members if node <= members else _grow_subgroup(add, node, seeds)[0]
+            if child not in found:
+                found[child] = path + (x,)
+                queue.append(child)
+            tried.update(map(add[x].__getitem__, node))
+    return found
+
+
 def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     """Every ideal of the ring, canonically ordered.
 
-    Breadth-first closure: start from (0) and repeatedly extend a known ideal
-    by one absent element, re-closing via the ideal sum I + Rx; dedupe on the
-    member set.  Ordered by cardinality then member encoding.
+    The lattice of sums of principal ideals Rx (``_subgroup_lattice``),
+    extended in order of (|Rx|, sorted members), each Rx labelled by its
+    smallest code; the first path that reaches an ideal is its generator
+    witness.  Ordered by cardinality then member encoding.
     """
     _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
     cached = ring._cache.get("ideals")
@@ -528,20 +587,8 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     for x in range(ring.size):
         principals.setdefault(principal_members(ring, x), x)
     extensions = sorted(principals.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-    zero_members = frozenset({ring.zero})
-    found: dict[frozenset, tuple] = {zero_members: ()}
-    queue = deque([zero_members])
-    while queue:
-        current = queue.popleft()
-        gens = found[current]
-        for pmembers, x in extensions:
-            if x in current:  # Rx <= current, nothing new
-                continue
-            bigger = _ideal_sum(ring, current, pmembers)
-            if bigger not in found:
-                found[bigger] = gens + (x,)
-                queue.append(bigger)
+    spans = [(x, members, principal_seeds(ring, x)) for members, x in extensions]
+    found = _subgroup_lattice(ring.add, ring.zero, spans)
 
     ideals = tuple(sorted(
         (Ideal(ring, members, gens) for members, gens in found.items()),

@@ -48,7 +48,7 @@ from .maxfield import (
     _norm_code,
 )
 from .rings import (
-    _ideal_sum,
+    additive_closure,
     enumerate_ideals,
     ideal_from_members,
     max_spec,
@@ -240,7 +240,7 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
         whole = frozenset(range(g.r0_ring.size))
         sq = r1_squared(g).members
         for gp in graded_spec(g, "definitional", bound).graded_points:
-            if _ideal_sum(g.r0_ring, sq, gp.p.members) != whole:
+            if additive_closure(g.r0_ring, sq | gp.p.members) != whole:
                 continue
             expected = graded_ideal_from_ideal(g, gp.p)
             if gp.ideal != expected:
