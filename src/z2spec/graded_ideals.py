@@ -50,7 +50,8 @@ class GradedIdeal:
         add, mul, names = g.ring.add, g.ring.mul, g.ring.names
         i0_ambient = g.embed_ideal(i0)
         odd = frozenset(r_part.members)
-        self.flat_members = odd.union(*[map(add[a].__getitem__, odd) for a in i0_ambient])
+        cosets = [map(add[a].__getitem__, odd) for a in i0_ambient if a != g.ring.zero]
+        self.flat_members = odd.union(*cosets) if cosets else odd  # I0 = 0 shares R'
         r1_gens = _r1_generators(g)
         for a in _subgroup_generators(add, g.ring.zero, i0_ambient):
             row = mul[a]
