@@ -4,8 +4,9 @@ verification suites and the golden reports.
 Families: Z/n[i] for n in {2,3,4,5,9,10,12}; quadratic extensions of Z/2..Z/5
 with every alpha; square-zero extensions of Z/2, Z/3, Z/4 by each nontrivial
 cyclic module; truncated polynomial rings over Z/2 and Z/4 with k in {1,2,3};
-Z/4, Z/6, Z/12 and the product Z/4 x F4 with the trivial grading; and F4[i]
-over F4 = Z/2[x]/(x^2+x+1).  36 instances in all.
+Z/4, Z/6, Z/12 and the product Z/4 x F4 with the trivial grading; F4[i]
+over F4 = Z/2[x]/(x^2+x+1); and (Z/2 x Z/3)[i], a quadratic extension of a
+product whose unit is not code 1.  37 instances in all.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ def _entries() -> list[CatalogEntry]:
         "product-4-f4", {"kind": "product", "a": {"kind": "zmod", "n": 4}, "b": f4}))
     out.append(CatalogEntry(
         "quadratic-f4-i", {"kind": "quadratic", "base": f4, "alpha": 1, "symbol": "i"}))
+    z2_x_z3 = {"kind": "product", "a": {"kind": "zmod", "n": 2}, "b": {"kind": "zmod", "n": 3}}
+    out.append(CatalogEntry(  # alpha = (1,2) = -1: the CRT twin of Z/6[i]
+        "quadratic-2x3-i", {"kind": "quadratic", "base": z2_x_z3, "alpha": 5, "symbol": "i"}))
     return out
 
 

@@ -30,15 +30,16 @@ from .rings import (
     as_code,
     _additive_generators,
     _check_bound,
-    _grow_subgroup,
     _subgroup_generators,
     _subgroup_lattice,
     _tables_by_digits,
-    ideal_from_members,
+    ideal_from_codes,
     ideal_members,
     is_ideal_set,
+    is_stable_set,
     poly_quotient,
     reduce_generators,
+    span_seeds,
     zmod,
 )
 
@@ -97,8 +98,8 @@ class GradedRing:
 
     def restrict_ideal(self, ambient_members: Iterable[int]) -> Ideal:
         """Even-part ideal from a set of ambient codes (must lie in R0)."""
-        return ideal_from_members(
-            self.r0_ring, (self._r0_index[c] for c in ambient_members))
+        return ideal_from_codes(
+            self.r0_ring, frozenset(map(self._r0_index.__getitem__, ambient_members)))
 
     def homogeneous_codes(self) -> tuple:
         cached = self._cache.get("homogeneous")
@@ -338,8 +339,7 @@ class Submodule:
 
     def label(self) -> str:
         g = self.graded_ring
-        gens = reduce_generators(g.ring.add, g.ring.zero, self.members,
-                                 partial(cyclic_seeds, g))
+        gens = reduce_generators(g.ring, _r0_generators(g), self.members)
         if not gens:
             return "(0)"
         names = self.graded_ring.ring.names
@@ -372,14 +372,10 @@ def _r1_generators(g: GradedRing) -> tuple:
     return cached
 
 
-def cyclic_seeds(g: GradedRing, x: int) -> tuple:
-    """Additive generators of R0*x: x times the additive generators of R0."""
-    return tuple(map(g.ring.mul[x].__getitem__, _r0_generators(g)))
-
-
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
+    gens = _r0_generators(g)
     return additive_closure(
-        g.ring, (s for x in gen_codes for s in cyclic_seeds(g, x)))
+        g.ring, (s for x in gen_codes for s in span_seeds(g.ring, gens, x)))
 
 
 def submodule_generate(g: GradedRing, gens: Iterable) -> Submodule:
@@ -394,19 +390,8 @@ def submodule_generate(g: GradedRing, gens: Iterable) -> Submodule:
 
 
 def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
-    """Decide additive closure and R0-stability of a subset of R1, exactly.
-
-    Same test as ``rings.is_ideal_set``: the set must be the additive
-    subgroup it generates, and a * x must lie in it for the subgroup's
-    generators x and the additive generators a of R0.
-    """
-    if g.ring.zero not in members or not members <= g.r1:
-        return False
-    grown = _grow_subgroup(g.ring.add, (g.ring.zero,), members, members)
-    if grown is None:
-        return False
-    mul = g.ring.mul
-    return all(mul[a][x] in members for x in grown[1] for a in _r0_generators(g))
+    """Decide whether a set of ambient codes is an R0-submodule of R1, exactly."""
+    return members <= g.r1 and is_stable_set(g.ring, _r0_generators(g), members)
 
 
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
@@ -419,12 +404,8 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     cached = g._cache.get("submodules")
     if cached is not None:
         return cached
-    spans = {}
-    for x in sorted(g.r1):
-        spans.setdefault(cyclic_span(g, x), x)
-    extensions = sorted(spans.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    found = _subgroup_lattice(g.ring.add, g.ring.zero, [
-        (x, members, cyclic_seeds(g, x)) for members, x in extensions])
+    found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
+                              _r0_generators(g))
     result = tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
     g._cache["submodules"] = result
     return result
@@ -462,7 +443,7 @@ def r1_squared(g: GradedRing) -> Ideal:
         products = {mul[x][y] for x in g.r1 for y in g.r1}
         members = ideal_members(
             g.r0_ring, (g.to_r0(p) for p in products))
-        cached = ideal_from_members(g.r0_ring, members)
+        cached = ideal_from_codes(g.r0_ring, members)
         g._cache["r1_squared"] = cached
     return cached
 

@@ -35,6 +35,7 @@ from .rings import (
     enumerate_ideals,
     is_field,
     max_spec,
+    maximal_sets,
     prime_violation,
 )
 from .spectrum import is_prime_submodule
@@ -57,12 +58,7 @@ def graded_max(g: GradedRing, method: str = "definitional",
 
 
 def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
-    """``graded_max`` as a tuple, computed once per graded ring and method.
-
-    The definitional pass visits the proper graded ideals largest first and
-    keeps one when no maximal ideal kept so far strictly contains it: a larger
-    proper ideal lies in a maximal one, which was visited earlier.
-    """
+    """``graded_max`` as a tuple, computed once per graded ring and method."""
     if method not in ("definitional", "constructive"):
         raise InvalidInputError(f"unknown method: {method!r}")
     cached = g._cache.get(("graded_max", method))
@@ -73,12 +69,9 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
             enumerate_ideals(g.r0_ring, bound)
         return cached
     if method == "definitional":
-        result = []
-        for j in sorted(enumerate_graded_ideals(g, bound),
-                        key=lambda j: len(j.flat_members), reverse=True):
-            if j.is_proper and not any(
-                    j.flat_members < m.flat_members for m in result):
-                result.append(j)
+        graded = enumerate_graded_ideals(g, bound)
+        top = maximal_sets(j.flat_members for j in graded if j.is_proper)
+        result = [j for j in graded if j.flat_members in top]
     else:
         sq = r1_squared(g).members
         result = []
@@ -109,10 +102,9 @@ def maximal_submodule_check(g: GradedRing,
     applicable = [rp for rp in subs if not cube <= rp.members]
     if not applicable:
         return MaximalSubmoduleReport(0, True, "no applicable submodules")
-    proper = [rp for rp in subs if rp.is_proper]
+    top = maximal_sets(rp.members for rp in subs if rp.is_proper)
     for rp in applicable:
-        is_max_sub = rp.is_proper and not any(
-            rp.members < other.members for other in proper)
+        is_max_sub = rp.members in top
         res = residual(g, rp)
         res_max = classify_ideal(g.r0_ring, res, bound).is_maximal
         if is_max_sub != res_max:

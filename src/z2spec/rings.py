@@ -17,9 +17,17 @@ computed with the ring's own arithmetic; every other code u = a + rest, with
 a its top digit term and rest < a, takes its rows from rows already built:
 add[u][v] = add[a][add[rest][v]] and mul[u][v] = add[mul[a][v]][mul[rest][v]]
 (``_tables_by_digits``).  ``poly_quotient`` computes directly only its
-constant rows (scalar multiples) and the row of X (a shift plus one
-reduction of X^d); the row of c*X^k is the row of X composed with the row of
-c*X^(k-1).
+constant rows (scalar multiples) and the row of X, which is code
+one*|base| (a shift plus one reduction of X^d); the row of c*X^k is the row
+of X composed with the row of c*X^(k-1).
+
+Stable subgroups.  For a subring M of R, an M-stable subgroup is an
+additive subgroup S of R with M * S <= S.  The ideals of R are its R-stable
+subgroups and the submodules of a grading's odd part R1 are the R0-stable
+subgroups inside R1, so both are handled here, once.  M is passed as its
+additive generators, the multipliers (R's for ideals, R0's as ambient codes
+for submodules); x times the multipliers generate the span Mx additively
+(``span_seeds``).
 
 Closure tests by subgroup growth.  ``_grow_subgroup`` builds the additive
 subgroup H generated by a subgroup and a sequence of codes, adding one
@@ -31,29 +39,26 @@ form the grown H must stay inside a candidate set S; if the loop ends with
 every member of S fed in as a generator, H lies inside S and contains S, so
 S = H is a subgroup, found in O(|S|) steps instead of O(|S|^2).  The same run
 yields generators g_j of H.  Stability under multiplication then needs only
-the products g_j * r_i with r_i additive generators of the multiplying ring:
-multiplication is biadditive, so x * r = sum n_j m_i g_j r_i for
-x = sum n_j g_j and r = sum m_i r_i, and that sum lies in S because S is an
-additive group.  ``is_ideal_set`` and ``grading.is_submodule_set`` are exact
-decisions this way, at O(|S| + #gens(S) * #gens(R)) table lookups.
+the products g_j * r_i with r_i the multipliers: multiplication is
+biadditive, so x * r = sum n_j m_i g_j r_i for x = sum n_j g_j and
+r = sum m_i r_i, and that sum lies in S because S is an additive group.
+``is_stable_set`` is an exact decision this way, at
+O(|S| + #gens(S) * #multipliers) table lookups.
 
-Lattice enumeration.  ``enumerate_ideals`` and ``grading.submodules`` share
-one kernel, ``_subgroup_lattice``: the ideals of R (the R0-submodules of R1)
-are exactly the sums of cyclic spans Rx (R0x), and the kernel walks them
-breadth-first from {0}.  A node H is extended by each span S = Rx in a fixed
-order; the child H + S is S itself when S contains H, and otherwise H grown
-by the additive generators of S (x times the additive generators of R or
-R0), which costs O(|H + S|) instead of the |H| * |S| pairwise sums.  Exact
+Lattice enumeration.  The M-stable subgroups are exactly the sums of spans
+Mx, and ``_subgroup_lattice`` walks them breadth-first from {0}.  A node H
+is extended by each span S = Mx in a fixed order; the child H + S is S
+itself when S contains H, and otherwise H grown by the additive generators
+of S, which costs O(|H + S|) instead of the |H| * |S| pairwise sums.  Exact
 coset skip: within one node, a label y in x + H for an x already tried there
-is not tried, because y - x = h lies in H, so Ry <= Rx + Rh <= H + Rx and
-symmetrically Rx <= H + Ry, that is H + Ry = H + Rx, a child already known.
-This needs only that H is stable under the multipliers and that x lies in
-Rx (the multipliers contain 1), so it holds for ideals and submodules alike.
-The labels of the tried spans cover one coset of H each, so the skip set of
-a node never exceeds |R| elements.  The breadth-first order is kept on
-purpose: an ideal's generator witness (``Ideal.generators``, hence every
-label and report) is the label path by which the FIFO queue, taking spans in
-order of size and then members, first reaches it.
+is not tried, because y - x = h lies in H, so My <= Mx + Mh <= H + Mx and
+symmetrically Mx <= H + My, that is H + My = H + Mx, a child already known.
+This needs only that x lies in Mx (M contains 1).  The labels of the tried
+spans cover one coset of H each, so the skip set of a node never exceeds |R|
+elements.  The breadth-first order is kept on purpose: an ideal's generator
+witness (``Ideal.generators``, hence every label and report) is the label
+path by which the FIFO queue, taking spans in order of size and then
+members, first reaches it.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -348,12 +353,14 @@ def _poly_quotient_cached(base: FiniteRing, modulus: tuple, symbol: str) -> Fini
     # code of c * X^degree, reduced, for each coefficient c
     overflow = [encode([bmul[c][lc] for lc in lead]) for c in range(bsize)]
 
+    x_row = []  # X: shift up one place, reduce the X^degree term
+
     def mul_row(u, add, mul):
         if u < bsize:  # constant c: scale every coefficient
             return digitwise(bmul[u])
-        if u == bsize:  # X: shift up one place, reduce the X^degree term
-            return tuple([add[(v % top) * bsize][overflow[v // top]] for v in range(size)])
-        return tuple(map(mul[bsize].__getitem__, mul[u // bsize]))  # X * (c X^(k-1))
+        if not x_row:
+            x_row.extend(add[(v % top) * bsize][overflow[v // top]] for v in range(size))
+        return tuple(map(x_row.__getitem__, mul[u // bsize]))  # X * (c X^(k-1))
 
     vectors = [decode(code) for code in range(size)]
     add, mul = _tables_by_digits((bsize,) * degree, add_row, mul_row)
@@ -465,36 +472,31 @@ def _subgroup_generators(add, zero: int, members: Iterable[int]) -> list:
     return _grow_subgroup(add, (zero,), members)[1]
 
 
-def principal_members(ring: FiniteRing, x: int) -> frozenset:
-    """Member set of the principal ideal Rx: the row of x, R being commutative."""
-    return frozenset(ring.mul[x])
-
-
-def principal_seeds(ring: FiniteRing, x: int) -> tuple:
-    """Additive generators of Rx: x times the additive generators of R."""
-    return tuple(map(ring.mul[x].__getitem__, _additive_generators(ring)))
+def span_seeds(ring: FiniteRing, multipliers: tuple, x: int) -> tuple:
+    """Additive generators of the span Mx: x times the multipliers."""
+    return tuple(map(ring.mul[x].__getitem__, multipliers))
 
 
 def ideal_members(ring: FiniteRing, gen_codes: Iterable[int]) -> frozenset:
     """Member set of the ideal generated by ``gen_codes``."""
+    gens = _additive_generators(ring)
     return additive_closure(
-        ring, (s for x in gen_codes for s in principal_seeds(ring, x)))
+        ring, (s for x in gen_codes for s in span_seeds(ring, gens, x)))
 
 
-def reduce_generators(add, zero: int, members: frozenset, span_seeds) -> tuple:
-    """A small deterministic generator witness for a closed member set.
+def reduce_generators(ring: FiniteRing, multipliers: tuple, members: frozenset) -> tuple:
+    """A small deterministic generator witness for an M-stable member set.
 
     Greedy in code order: keep x when it lies outside the span of the codes
-    kept so far, and stop once that span is the whole set.  ``span_seeds(x)``
-    gives additive generators of the span of x alone (Rx for ideals, R0x for
-    submodules), so each kept x grows the span by its cyclic span.
+    kept so far, and stop once that span is the whole set; each kept x grows
+    the span by Mx (``span_seeds``).
     """
     gens: tuple = ()
-    span = frozenset({zero})
+    span = frozenset({ring.zero})
     for x in sorted(members):
         if x not in span:
             gens = gens + (x,)
-            span = _grow_subgroup(add, span, span_seeds(x))[0]
+            span = _grow_subgroup(ring.add, span, span_seeds(ring, multipliers, x))[0]
             if span == members:
                 break
     return gens
@@ -508,28 +510,31 @@ def ideal_generate(ring: FiniteRing, gens: Iterable) -> Ideal:
 
 def ideal_from_members(ring: FiniteRing, members: Iterable) -> Ideal:
     """Wrap an already-closed member set as an Ideal with reduced generators."""
-    mset = frozenset(as_code(ring, m) for m in members)
-    return Ideal(ring, mset, reduce_generators(
-        ring.add, ring.zero, mset, partial(principal_seeds, ring)))
+    return ideal_from_codes(ring, frozenset(as_code(ring, m) for m in members))
 
 
-def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
-    """Decide the ideal axioms for a member set, exactly.
+def ideal_from_codes(ring: FiniteRing, members: frozenset) -> Ideal:
+    """``ideal_from_members`` for a frozenset of codes of this ring."""
+    return Ideal(ring, members,
+                 reduce_generators(ring, _additive_generators(ring), members))
 
-    The set is an additive subgroup when growing the subgroup generated by
-    its members never leaves it (``_grow_subgroup``).  It is then R-stable
-    when g * r lies in it for the subgroup's generators g and the additive
-    generators r of R: multiplication is biadditive, so every product x * r
-    is a sum of those products.
-    """
+
+def is_stable_set(ring: FiniteRing, multipliers: tuple, members: frozenset) -> bool:
+    """Decide whether a member set is an M-stable subgroup, exactly: grow
+    its subgroup inside it, then test its generators times the multipliers
+    (module docstring)."""
     if ring.zero not in members:
         return False
     grown = _grow_subgroup(ring.add, (ring.zero,), members, members)
     if grown is None:
         return False
     mul = ring.mul
-    return all(mul[g][r] in members
-               for g in grown[1] for r in _additive_generators(ring))
+    return all(mul[g][m] in members for g in grown[1] for m in multipliers)
+
+
+def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
+    """Decide the ideal axioms for a member set, exactly."""
+    return is_stable_set(ring, _additive_generators(ring), members)
 
 
 def _check_bound(ring: FiniteRing, bound, what: str) -> None:
@@ -538,21 +543,23 @@ def _check_bound(ring: FiniteRing, bound, what: str) -> None:
         raise EnumerationLimitError(what, ring.size, limit)
 
 
-def _subgroup_lattice(add, zero: int, spans: Sequence[tuple]) -> dict:
-    """Every sum of cyclic spans, as member set -> first-found label path.
+def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
+                      multipliers: tuple) -> dict:
+    """Every sum of spans Mx, as member set -> first-found label path.
 
-    ``spans`` lists (x, members, seeds) in extension order, one per distinct
-    cyclic span: x is the span's label, ``members`` its member set and
-    ``seeds`` generate it additively.  Breadth-first from {0}: a node H is
-    extended by each span S not already inside it, the child H + S being S
-    itself when S contains H and H grown by the seeds otherwise; a child new
-    to the lattice gets the node's path plus x and joins the FIFO queue.
-    Within a node, a label in x + H for an x already tried there is skipped
-    (see the module docstring).  Requires every node and span to be stable
-    under one ring of multipliers containing 1 (R for ideals, R0 for
-    submodules).
+    Each distinct span ``span(x)`` is labelled by the first x of ``labels``
+    giving it, and the spans are taken in order of (size, sorted members).
+    Breadth-first from {0} (module docstring): a child new to the lattice
+    gets its node's path plus the span's label and joins the FIFO queue.
     """
-    bottom = frozenset({zero})
+    first = {}
+    for x in labels:
+        first.setdefault(span(x), x)
+    spans = [(x, members, span_seeds(ring, multipliers, x))
+             for members, x in sorted(first.items(),
+                                      key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+    add = ring.add
+    bottom = frozenset({ring.zero})
     found = {bottom: ()}
     queue = deque([bottom])
     while queue:
@@ -583,12 +590,8 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     if cached is not None:
         return cached
 
-    principals = {}
-    for x in range(ring.size):
-        principals.setdefault(principal_members(ring, x), x)
-    extensions = sorted(principals.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    spans = [(x, members, principal_seeds(ring, x)) for members, x in extensions]
-    found = _subgroup_lattice(ring.add, ring.zero, spans)
+    found = _subgroup_lattice(ring, range(ring.size), lambda x: frozenset(ring.mul[x]),
+                              _additive_generators(ring))  # Rx: the row of x
 
     ideals = tuple(sorted(
         (Ideal(ring, members, gens) for members, gens in found.items()),
@@ -626,12 +629,7 @@ def classify_ideal(ring: FiniteRing, ideal: Ideal,
     proper = ideal.is_proper
     witness = prime_violation(ring, ideal.members) if proper else None
     prime = proper and witness is None
-    maximal = False
-    if proper:
-        maximal = not any(
-            ideal.members < other.members and other.is_proper
-            for other in enumerate_ideals(ring, bound)
-        )
+    maximal = proper and ideal in max_spec(ring, bound)
     is_rad = radical(ring, ideal).members == ideal.members
     return IdealClassification(proper, prime, maximal, is_rad, witness)
 
@@ -655,7 +653,7 @@ def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
                 break
             seen.add(power)
             power = mul[power][x]
-    return ideal_from_members(ring, out)
+    return ideal_from_codes(ring, frozenset(out))
 
 
 def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
@@ -672,14 +670,24 @@ def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     return cached
 
 
+def maximal_sets(sets: Iterable[frozenset]) -> frozenset:
+    """The sets that no other of the given sets strictly contains.
+
+    Largest first, a set is kept when no kept set strictly contains it: a
+    strictly larger set lies in a maximal one, visited and kept earlier.
+    """
+    kept = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s < k for k in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
 def max_spec(ring: FiniteRing, bound: int | None = None) -> list[Ideal]:
     """All maximal ideals, in canonical order."""
     ideals = enumerate_ideals(ring, bound)
-    proper = [i for i in ideals if i.is_proper]
-    return [
-        i for i in proper
-        if not any(i.members < j.members for j in proper)
-    ]
+    top = maximal_sets(i.members for i in ideals if i.is_proper)
+    return [i for i in ideals if i.members in top]
 
 
 def is_field(ring: FiniteRing) -> bool:

@@ -33,6 +33,7 @@ from .grading import (
 from .rings import (
     Ideal,
     _same_ring,
+    ideal_from_codes,
     ideal_from_members,
     prime_violation,
     radical,
@@ -347,11 +348,10 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
     if method == "definitional":
-        flat = ideal_from_members(g.ring, j.flat_members)
-        rad = radical(g.ring, flat).members
+        rad = radical(g.ring, ideal_from_codes(g.ring, j.flat_members)).members
         members = frozenset(
-            x for x in range(g.ring.size)
-            if g.parts(x)[0] in rad and g.parts(x)[1] in rad
+            x for x, (even, odd) in g._decomposition.items()
+            if even in rad and odd in rad
         )
         return decompose_graded(g, members)
     if method == "intersection":

@@ -129,3 +129,16 @@ def naive_reduce_generators(members, zero, span):
             if spanned == members:
                 break
     return gens
+
+
+def naive_is_graded_ideal(g, members):
+    """An ideal's member set equals the set of all sums of its even and odd
+    parts, formed over all pairs."""
+    add = g.ring.add
+    return {add[a][m] for a in members & g.r0 for m in members & g.r1} == members
+
+
+def naive_maximal_sets(sets):
+    """The sets not strictly inside another, by comparing every pair."""
+    sets = list(sets)
+    return {s for s in sets if not any(s < t for t in sets)}

@@ -3,6 +3,8 @@ enumeration, and the strongly graded bijection."""
 
 import pytest
 
+from naive_closure import naive_is_graded_ideal
+from z2spec.catalog import CATALOG
 from z2spec.errors import InvalidInputError, NotStronglyGradedError
 from z2spec.graded_ideals import (
     GradedIdeal,
@@ -65,6 +67,35 @@ def test_trivial_grading_makes_every_ideal_graded():
 def test_is_graded_ideal_rejects_non_ideal():
     with pytest.raises(InvalidInputError):
         is_graded_ideal(GAUSSIAN4, [0, 1])
+
+
+def test_decompose_graded_rejects_non_ideal_and_non_graded_sets():
+    with pytest.raises(InvalidInputError):
+        decompose_graded(GAUSSIAN4, [0, 1])
+    one_plus_i = ideal_generate(GAUSSIAN4.ring, [5])
+    for members in (one_plus_i, one_plus_i.members):
+        with pytest.raises(InvalidInputError):
+            decompose_graded(GAUSSIAN4, members)
+
+
+def test_counting_test_agrees_with_all_pairs_sums_on_the_catalog():
+    total = not_graded = 0
+    for entry in CATALOG:
+        g = entry.build()
+        for ideal in enumerate_ideals(g.ring):
+            expected = naive_is_graded_ideal(g, ideal.members)
+            assert is_graded_ideal(g, ideal) == expected, (entry.instance_id, ideal)
+            total += 1
+            not_graded += not expected
+    assert (total, not_graded) == (172, 39)
+
+
+def test_counting_test_agrees_with_all_pairs_sums_on_a_deep_lattice():
+    g = trivial_extension(zmod(2), [2] * 5)
+    ideals = enumerate_ideals(g.ring)
+    assert len(ideals) == 375
+    assert all(is_graded_ideal(g, i) == naive_is_graded_ideal(g, i.members)
+               for i in ideals)
 
 
 def test_from_ideal():

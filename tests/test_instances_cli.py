@@ -145,6 +145,13 @@ def test_reports_match_goldens(instance_id):
     assert produced == golden
 
 
+def test_crt_twin_of_gaussian_6_has_its_counts():
+    twin = run_verify(catalog_entry("quadratic-2x3-i").spec())
+    z6i = run_verify(InstanceSpec({"kind": "gaussian", "n": 6}))
+    assert twin.status == z6i.status == "pass"
+    assert twin.counts == z6i.counts
+
+
 def test_verify_reports_resource_limit_as_status():
     spec = InstanceSpec({"kind": "gaussian", "n": 10}, bound=16)
     report = run_verify(spec)
@@ -241,6 +248,16 @@ def test_cli_spec_listing(tmp_path, capsys):
     assert not payload["graded"] and len(payload["points"]) == 3
     assert main(["spec", path, "--graded", "--method", "constructive"]) == 0
     capsys.readouterr()
+
+
+def test_cli_spec_over_a_product_base(tmp_path, capsys):
+    z2_x_z3 = {"kind": "product", "a": {"kind": "zmod", "n": 2},
+               "b": {"kind": "zmod", "n": 3}}
+    path = write_instance(tmp_path, {"ring": {
+        "kind": "poly_quotient", "base": z2_x_z3, "modulus": [0, 0, 4]}})
+    assert main(["spec", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["  ((1,0)+(0,1)x)", "  ((0,1)+(1,0)x)"]
 
 
 def test_cli_spec_and_dot_honour_instance_bound(tmp_path, capsys):

@@ -11,6 +11,7 @@ from naive_closure import (
     naive_compatible,
     naive_enumerate_ideals,
     naive_graded_pairs,
+    naive_maximal_sets,
     naive_odd_part,
     naive_reduce_generators,
     naive_residual,
@@ -30,11 +31,15 @@ from z2spec.grading import (
     submodules,
     trivial_extension,
 )
+from z2spec.maxfield import graded_max
 from z2spec.rings import (
     Ideal,
     _grow_subgroup,
+    classify_ideal,
     enumerate_ideals,
     ideal_from_members,
+    max_spec,
+    maximal_sets,
     product_ring,
     zmod,
 )
@@ -104,6 +109,21 @@ def test_generator_witnesses_match_greedy_reference(case):
     for m in submodules(g):
         gens = naive_reduce_generators(m.members, ring.zero, submodule_span)
         assert m.label() == ("(" + ", ".join(names[x] for x in gens) + ")" if gens else "(0)")
+
+
+@pytest.mark.parametrize("case", CATALOG_IDS)
+def test_maximal_elements_match_all_pairs_reference(case):
+    g = RINGS[case]()
+    for ring in (g.ring, g.r0_ring):
+        ideals = enumerate_ideals(ring)
+        expected = naive_maximal_sets(i.members for i in ideals if i.is_proper)
+        assert max_spec(ring) == [i for i in ideals if i.members in expected]
+        assert ([classify_ideal(ring, i).is_maximal for i in ideals]
+                == [i.members in expected for i in ideals])
+    proper = [m.members for m in submodules(g) if m.is_proper]
+    assert maximal_sets(proper) == naive_maximal_sets(proper)
+    graded = [j.flat_members for j in enumerate_graded_ideals(g) if j.is_proper]
+    assert {j.flat_members for j in graded_max(g)} == naive_maximal_sets(graded)
 
 
 _WITNESS = re.compile(r"^(I0\*R1|R1\*R') escapes the (?:odd|even) part: (.+) \* (.+) = (.+)$")

@@ -151,6 +151,13 @@ def test_ideal_generate_rejects_foreign_elements():
         ideal_generate(z6, [z4(2)])
 
 
+def test_ideal_from_members_rejects_foreign_elements_and_bad_codes():
+    with pytest.raises(RingMismatchError):
+        ideal_from_members(zmod(6), [zmod(4)(2)])
+    with pytest.raises(InvalidParameterError):
+        ideal_from_members(_f4(), [0, 4])  # F4 has codes 0..3
+
+
 def test_ideal_members_close_generators():
     z12 = zmod(12)
     for ideal in enumerate_ideals(z12):
@@ -428,6 +435,13 @@ def _table_cases():
                                     reference_trivial_extension(4, [2, 4])),
         "Z/2 + F2^3": lambda: (trivial_extension(zmod(2), [2, 2, 2]).ring,
                                reference_trivial_extension(2, [2, 2, 2])),
+        # product bases, whose unit is not code 1, so X is not code |base|
+        "(Z/2 x Z/3)[x]/(x^2-1)": lambda: (
+            quadratic_extension(product_ring(zmod(2), zmod(3)), 4).ring,
+            reference_poly_quotient(product_ring(zmod(2), zmod(3)), (5, 0, 4), "x")),
+        "(F4 x Z/2)[x]/(x^2-1)": lambda: (
+            quadratic_extension(product_ring(f4, zmod(2)), 3).ring,
+            reference_poly_quotient(product_ring(f4, zmod(2)), (3, 0, 3), "x")),
     }
 
 
@@ -436,3 +450,14 @@ def test_tables_match_per_pair_reference(case):
     ring, reference = _table_cases()[case]()
     for field, expected in reference.items():
         assert getattr(ring, field) == expected, field
+
+
+def test_catalog_mul_tables_are_symmetric():
+    from z2spec.catalog import CATALOG
+
+    for entry in CATALOG:
+        g = entry.build()
+        for ring in (g.ring, g.r0_ring):
+            mul = ring.mul
+            assert all(mul[x][y] == mul[y][x]
+                       for x in range(ring.size) for y in range(x)), entry.instance_id
