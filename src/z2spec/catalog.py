@@ -3,10 +3,11 @@ verification suites and the golden reports.
 
 Families: Z/n[i] for n in {2,3,4,5,9,10,12}; quadratic extensions of Z/2..Z/5
 with every alpha; square-zero extensions of Z/2, Z/3, Z/4 by each nontrivial
-cyclic module; truncated polynomial rings over Z/2 and Z/4 with k in {1,2,3};
-Z/4, Z/6, Z/12 and the product Z/4 x F4 with the trivial grading; F4[i]
-over F4 = Z/2[x]/(x^2+x+1); and (Z/2 x Z/3)[i], a quadratic extension of a
-product whose unit is not code 1.  37 instances in all.
+cyclic module, and of Z/4 by Z/2 (+) Z/4; truncated polynomial rings over Z/2
+and Z/4 with k in {1,2,3}; Z/4, Z/6, Z/12 and the product Z/4 x F4 with the
+trivial grading; F4[i] over F4 = Z/2[x]/(x^2+x+1); (Z/2 x Z/3)[i], a
+quadratic extension of a product whose unit is not code 1; and Z/2[x]/(x^2+1)
+with the manual grading R1 = {0, 1+x}.  39 instances in all.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _entries() -> list[CatalogEntry]:
                 out.append(CatalogEntry(
                     f"trivext-{n}-m{m}",
                     {"kind": "trivial_extension", "n": n, "orders": [m]}))
+    out.append(CatalogEntry(  # a mixed-order odd part
+        "trivext-4-m2m4", {"kind": "trivial_extension", "n": 4, "orders": [2, 4]}))
     for n in (2, 4):
         for k in (1, 2, 3):
             out.append(CatalogEntry(
@@ -62,6 +65,11 @@ def _entries() -> list[CatalogEntry]:
     z2_x_z3 = {"kind": "product", "a": {"kind": "zmod", "n": 2}, "b": {"kind": "zmod", "n": 3}}
     out.append(CatalogEntry(  # alpha = (1,2) = -1: the CRT twin of Z/6[i]
         "quadratic-2x3-i", {"kind": "quadratic", "base": z2_x_z3, "alpha": 5, "symbol": "i"}))
+    z2_x = {"kind": "poly_quotient", "base": {"kind": "zmod", "n": 2},
+            "modulus": [1, 0, 1]}
+    out.append(CatalogEntry(  # odd part {0, 1+x} (code 3), not the root x
+        "manual-2-x2p1", {"kind": "graded_manual", "base": z2_x,
+                          "r0": [0, 1], "r1": [0, 3]}))
     return out
 
 

@@ -59,7 +59,7 @@ def test_closure_tests_agree_with_all_pairs_on_every_subset(case):
     # R0 = F4 x Z/2 needs several additive generators, so R0-stability is
     # not implied by additive closure as it is for the two rings above
     quadratic_extension(product_ring(poly_quotient(zmod(2), (1, 1, 1)), zmod(2)), 1),
-], ids=["Z/2 (+) F2^3", "Z/4[i]", "(F4 x Z/2)[x]/(x^2-1)"])
+], ids=["Z/2 (+) F2^3", "Z/4[i]", "(F4 x Z/2)[x]/(x^2-(0,1))"])
 def test_submodule_test_agrees_with_all_pairs_on_every_odd_subset(g):
     found = 0
     for members in _subsets(g.r1):
