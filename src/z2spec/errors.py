@@ -52,7 +52,9 @@ class NotGradedFieldError(InvalidInputError):
 class TheoremViolationError(AlgebraError, RuntimeError):
     """A structural fact that holds for every valid input failed to hold.
 
-    Signals an implementation bug, never an expected condition.
+    Signals an implementation bug, never an expected condition.  Raised only
+    by ``strong_grading_certificate``, ``graded_field_presentation`` and
+    ``norm``, which check the object they return or the value they look up.
     """
 
 

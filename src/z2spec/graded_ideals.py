@@ -24,9 +24,7 @@ from .grading import (
     GradedRing,
     Submodule,
     _r1_generators,
-    _require,
     is_strongly_graded,
-    is_submodule_set,
     residual,
     submodules,
 )
@@ -42,7 +40,10 @@ from .rings import (
 
 
 class GradedIdeal:
-    """A compatible pair (even-part ideal, odd-part submodule)."""
+    """A compatible pair (even-part ideal, odd-part submodule).
+
+    Only compatibility is checked here; that I0 + R' is then an ideal is
+    checked by the verify record ``ideals.pair-enumeration-oracle``."""
 
     def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
         _same_ring(graded_ring.r0_ring, i0.ring)
@@ -71,8 +72,6 @@ class GradedIdeal:
                     raise InvalidInputError(
                         f"R1*R' escapes the even part: {names[x]} *"
                         f" {names[y]} = {names[mul[x][y]]}")
-        _require(is_ideal_set(g.ring, self.flat_members),
-                 "compatible pair does not give an ideal of the ambient ring")
 
     def __eq__(self, other):
         if not isinstance(other, GradedIdeal):
@@ -111,16 +110,14 @@ def _splits(g: GradedRing, mset: frozenset) -> bool:
 
 
 def decompose_graded(g: GradedRing, members) -> GradedIdeal:
-    """Split a graded ideal of the ambient ring into its canonical pair."""
+    """Split a graded ideal of the ambient ring into its canonical pair; that
+    its odd part is a submodule is checked by
+    ``ideals.pair-decomposition-roundtrip``."""
     mset = _as_ideal_members(g, members)
     if not _splits(g, mset):
         raise InvalidInputError(
             "ideal is not graded: it does not split along the decomposition")
-    i0 = g.restrict_ideal(mset & g.r0)
-    odd = mset & g.r1
-    _require(is_submodule_set(g, odd),
-             "odd part of a graded ideal must be a submodule")
-    return GradedIdeal(g, i0, Submodule(g, odd))
+    return GradedIdeal(g, g.restrict_ideal(mset & g.r0), Submodule(g, mset & g.r1))
 
 
 def _as_ideal_members(g: GradedRing, members) -> frozenset:

@@ -122,12 +122,9 @@ def maximal_submodule_check(g: GradedRing,
 
 
 def is_graded_local(g: GradedRing, bound: int | None = None) -> bool:
-    """Exactly one graded maximal ideal; agrees with R0 being local."""
-    local = len(graded_max(g, "definitional", bound)) == 1
-    base_local = len(max_spec(g.r0_ring, bound)) == 1
-    _require(local == base_local,
-             "graded-local must agree with the even part being local")
-    return local
+    """Exactly one graded maximal ideal; agrees with R0 being local, which
+    ``maximal.local-iff-base-local`` checks."""
+    return len(graded_max(g, "definitional", bound)) == 1
 
 
 def is_graded_domain(g: GradedRing, method: str = "definitional") -> bool:

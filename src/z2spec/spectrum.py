@@ -5,17 +5,18 @@ Every graded prime P is one of two shapes: either it contains the whole odd
 part (then P = p + R1 with p a prime of R0 containing R1^2), or its odd part
 is a prime submodule R' not containing R1^3 and its even part is the residual
 (R' : R1).  The contraction P -> P intersect R0 is a bijection onto Spec R0,
-and a homeomorphism for the Zariski topologies; both facts are checked here
-exhaustively rather than assumed.
+and a homeomorphism for the Zariski topologies.  Each fact is checked
+exhaustively, once, by a named record of ``z2spec.verify``, not here.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import InvalidInputError, TheoremViolationError
+from .errors import InvalidInputError
 from .graded_ideals import (
     GradedIdeal,
     decompose_graded,
@@ -24,9 +25,6 @@ from .graded_ideals import (
 from .grading import (
     GradedRing,
     Submodule,
-    _require,
-    is_submodule_set,
-    r1_cubed,
     r1_squared,
     residual,
 )
@@ -116,60 +114,33 @@ def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
 
 
 def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
-    """Tag a graded prime with its structural shape, verifying the shape."""
+    """Tag a graded prime with its structural shape: full odd part when
+    R1 <= q, prime submodule otherwise.  The conditions of each shape
+    (module docstring) are checked by ``spectrum.classification-valid``."""
     if not is_graded_prime(g, q):
         raise InvalidInputError(f"{q.label()} is not a graded prime ideal")
-    p = q.i0
-    _require(prime_violation(g.r0_ring, p.members) is None and p.is_proper,
-             "contraction of a graded prime must be prime")
-    if g.r1 <= q.flat_members:
-        _require(q.r_part.members == g.r1,
-                 "odd part of a full-odd-part prime must be all of R1")
-        _require(r1_squared(g).members <= p.members,
-                 "even part must contain the square of the odd part")
-        return GradedPrime(q, PrimeKind.FULL_ODD_PART, p)
-    _require(q.i0.members == residual(g, q.r_part).members,
-             "even part must be the residual of the odd part")
-    _require(is_prime_submodule(g, q.r_part),
-             "odd part must be a prime submodule")
-    _require(not r1_cubed(g).members <= q.r_part.members,
-             "cube of the odd part must not lie inside the odd part")
-    return GradedPrime(q, PrimeKind.PRIME_SUBMODULE, p)
+    kind = (PrimeKind.FULL_ODD_PART if g.r1 <= q.flat_members
+            else PrimeKind.PRIME_SUBMODULE)
+    return GradedPrime(q, kind, q.i0)
 
 
 def phi(g: GradedRing, gp: GradedPrime) -> Ideal:
     """Contraction to the even part; always a prime ideal of it."""
     if gp.ideal.graded_ring is not g:
         raise InvalidInputError("graded prime belongs to a different graded ring")
-    _require(prime_violation(g.r0_ring, gp.p.members) is None,
-             "contraction must be prime")
     return gp.p
 
 
 def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
-    """The unique graded prime contracting to p.
-
-    If R1^2 <= p the result is (p, R1); otherwise the odd part is
-    {x in R1 : x*R1 <= p}.
-    """
+    """The unique graded prime contracting to p: its odd part is
+    {x in R1 : x*R1 <= p}, all of R1 when R1^2 <= p."""
     _same_ring(g.r0_ring, p.ring)
     if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
     p_ambient = g.embed_ideal(p)
-    if r1_squared(g).members <= p.members:
-        q = GradedIdeal(g, p, Submodule(g, g.r1))
-    else:
-        mul = g.ring.mul
-        odd = frozenset(
-            x for x in g.r1
-            if all(mul[x][y] in p_ambient for y in g.r1)
-        )
-        _require(is_submodule_set(g, odd),
-                 "odd fiber of a prime must be a submodule")
-        q = GradedIdeal(g, p, Submodule(g, odd))
-    result = classify_graded_prime(g, q)
-    _require(result.p.members == p.members, "contraction must recover p")
-    return result
+    mul = g.ring.mul
+    odd = frozenset(x for x in g.r1 if all(mul[x][y] in p_ambient for y in g.r1))
+    return classify_graded_prime(g, GradedIdeal(g, p, Submodule(g, odd)))
 
 
 @dataclass(frozen=True)
@@ -177,6 +148,7 @@ class TopologyCheck:
     name: str
     passed: bool
     witness: str | None
+    elapsed: float  # seconds spent on this check alone
 
 
 @dataclass(frozen=True)
@@ -228,29 +200,40 @@ def check_homeomorphism(g: GradedRing, bound: int | None = None) -> SpectrumRepo
     a, the graded primes containing a must be exactly the pullbacks of the
     base primes containing a; for every homogeneous r, the contractions of
     the graded primes containing r must be the base primes containing r^2.
+
+    Each check is timed on its own; the two spectrum computations are billed
+    to ``methods-agree``, the check that compares them.
     """
+    start = time.perf_counter()
     rep_def = graded_spec(g, "definitional", bound)
     rep_con = graded_spec(g, "constructive", bound)
     checks = []
 
+    def record(name: str, witness: str | None) -> None:
+        nonlocal start
+        now = time.perf_counter()
+        checks.append(TopologyCheck(name, witness is None, witness, now - start))
+        start = now
+
     def_flats = {gp.flat_members for gp in rep_def.graded_points}
     con_flats = {gp.flat_members for gp in rep_con.graded_points}
     diff = def_flats ^ con_flats
-    checks.append(TopologyCheck(
-        "methods-agree", not diff,
-        None if not diff else f"{len(diff)} points differ between methods"))
+    record("methods-agree",
+           None if not diff else f"{len(diff)} points differ between methods")
 
     images = [gp.p.members for gp in rep_def.graded_points]
     base_sets = {p.members for p in rep_def.base_points}
     bijective = len(set(images)) == len(images) and set(images) == base_sets
-    checks.append(TopologyCheck(
-        "contraction-bijective", bijective,
-        None if bijective else "contraction is not a bijection onto the base spectrum"))
+    record("contraction-bijective",
+           None if bijective else "contraction is not a bijection onto the base spectrum")
 
     roundtrip_witness = None
     for gp in rep_def.graded_points:
-        back = phi_inverse(g, phi(g, gp))
-        if back.flat_members != gp.flat_members:
+        p = phi(g, gp)
+        if p.members not in base_sets:  # phi_inverse would reject it
+            roundtrip_witness = f"phi({gp.label()}) is not a prime of the even part"
+            break
+        if phi_inverse(g, p).flat_members != gp.flat_members:
             roundtrip_witness = f"phi_inverse(phi({gp.label()})) differs"
             break
     if roundtrip_witness is None:
@@ -258,8 +241,7 @@ def check_homeomorphism(g: GradedRing, bound: int | None = None) -> SpectrumRepo
             if phi(g, phi_inverse(g, p)).members != p.members:
                 roundtrip_witness = f"phi(phi_inverse({p.label()})) differs"
                 break
-    checks.append(TopologyCheck(
-        "contraction-roundtrip", roundtrip_witness is None, roundtrip_witness))
+    record("contraction-roundtrip", roundtrip_witness)
 
     pullback_witness = None
     for a in sorted(g.r0):
@@ -270,8 +252,7 @@ def check_homeomorphism(g: GradedRing, bound: int | None = None) -> SpectrumRepo
         if direct != via_base:
             pullback_witness = f"closed set of {g.ring.names[a]} does not pull back"
             break
-    checks.append(TopologyCheck(
-        "even-variety-pullback", pullback_witness is None, pullback_witness))
+    record("even-variety-pullback", pullback_witness)
 
     image_witness = None
     mul = g.ring.mul
@@ -284,8 +265,7 @@ def check_homeomorphism(g: GradedRing, bound: int | None = None) -> SpectrumRepo
             image_witness = (f"image of the closed set of {g.ring.names[r]}"
                              f" is not the closed set of its square")
             break
-    checks.append(TopologyCheck(
-        "homogeneous-variety-image", image_witness is None, image_witness))
+    record("homogeneous-variety-image", image_witness)
 
     return SpectrumReport(rep_def.method, rep_def.graded_points,
                           rep_def.base_points, rep_def.phi_pairs, tuple(checks))
@@ -322,17 +302,15 @@ def check_nil_case(g: GradedRing, bound: int | None = None) -> NilCaseReport:
 def r1_bracket(g: GradedRing, i0: Ideal) -> Submodule:
     """{x in R1 : x^2 in I0}.
 
-    Validated as a submodule only when I0 is radical; for general I0 the raw
-    set is returned and closure is a measured observation, not a promise.
+    A submodule when I0 is radical, which ``radical.three-way-agreement`` and
+    ``spectrum.prime-odd-part-bracket`` check; for general I0 it is the raw
+    set, and its closure is a measured observation
+    (``radical.bracket-closure-observation``), not a promise.
     """
     _same_ring(g.r0_ring, i0.ring)
     i0_ambient = g.embed_ideal(i0)
     mul = g.ring.mul
-    members = frozenset(x for x in g.r1 if mul[x][x] in i0_ambient)
-    if radical(g.r0_ring, i0).members == i0.members:
-        _require(is_submodule_set(g, members),
-                 "bracket of a radical ideal must be a submodule")
-    return Submodule(g, members)
+    return Submodule(g, frozenset(x for x in g.r1 if mul[x][x] in i0_ambient))
 
 
 def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
@@ -385,12 +363,9 @@ def _longest_chain(sets) -> int:
 
 
 def homogeneous_dim(g: GradedRing, bound: int | None = None) -> tuple[int, int]:
-    """(longest graded-prime chain, longest base-prime chain); always equal."""
+    """(longest graded-prime chain, longest base-prime chain); always equal,
+    which ``spectrum.dimension-matches-base`` checks."""
     graded = [gp.flat_members for gp in
               graded_spec(g, "definitional", bound).graded_points]
     base = [p.members for p in spec(g.r0_ring, bound)]
-    hdim = _longest_chain(graded)
-    basedim = _longest_chain(base)
-    _require(hdim == basedim,
-             "homogeneous dimension must match the base dimension")
-    return hdim, basedim
+    return _longest_chain(graded), _longest_chain(base)

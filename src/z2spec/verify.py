@@ -1,11 +1,13 @@
 """Verification suites: every structural theorem as a named pass/fail check.
 
 A suite maps to a list of CheckRecords; ``run_verify`` assembles them into a
-VerificationReport.  Hitting the enumeration bound inside a check is recorded
-as a distinguished ``resource-limit`` status, never raised out of the run.
-Reports serialize deterministically; timings are kept in memory and in the
-text rendering but omitted from JSON so reports are byte-identical across
-runs.
+VerificationReport.  Each structural theorem is checked here, in its named
+record, and not again by the library, whose constructors validate only their
+inputs.  Hitting the enumeration bound inside a check is recorded as a
+distinguished ``resource-limit`` status, any other library error as ``fail``
+with the error as witness; neither is raised out of the run.  Reports
+serialize deterministically; timings are kept in memory and in the text
+rendering but omitted from JSON so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .errors import EnumerationLimitError
+from .errors import AlgebraError, EnumerationLimitError
 from .graded_ideals import (
     GradedIdeal,
     enumerate_graded_ideals,
@@ -29,6 +31,7 @@ from .grading import (
     Submodule,
     is_strongly_graded,
     is_submodule_set,
+    r1_cubed,
     r1_squared,
     residual,
     strong_grading_certificate,
@@ -41,6 +44,7 @@ from .maxfield import (
     graded_max,
     is_graded_domain,
     is_graded_field,
+    is_graded_local,
     is_graded_maximal,
     maximal_submodule_check,
     norm_set,
@@ -62,6 +66,7 @@ from .spectrum import (
     graded_spec,
     homogeneous_dim,
     is_graded_prime,
+    is_prime_submodule,
     r1_bracket,
 )
 
@@ -97,6 +102,8 @@ def _run(records: list, name: str, body) -> None:
         status, witness = body()
     except EnumerationLimitError as exc:
         status, witness = RESOURCE_LIMIT, str(exc)
+    except AlgebraError as exc:
+        status, witness = FAIL, str(exc)
     records.append(CheckRecord(name, status, witness, time.perf_counter() - start))
 
 
@@ -134,18 +141,24 @@ def _suite_ideals(g: GradedRing, bound) -> list:
     _run(records, "ideals.pair-decomposition-roundtrip", roundtrip)
 
     def even_closure():
+        graded = set(enumerate_graded_ideals(g, bound))
         for i in enumerate_ideals(g.r0_ring, bound):
             j = graded_ideal_from_ideal(g, i)
             if j.i0 != i:
                 return FAIL, f"(I, I*R1) does not contract to I for I={i.label()}"
+            if j not in graded:
+                return FAIL, f"(I, I*R1) is not a graded ideal for I={i.label()}"
         return PASS, None
     _run(records, "ideals.even-ideal-closure", even_closure)
 
     def submodule_closure():
+        graded = set(enumerate_graded_ideals(g, bound))
         for rp in submodules(g, bound):
             j = graded_ideal_from_submodule(g, rp)
             if j.r_part != rp:
                 return FAIL, f"((R':R1), R') loses the odd part for R'={rp.label()}"
+            if j not in graded:
+                return FAIL, f"((R':R1), R') is not a graded ideal for R'={rp.label()}"
         return PASS, None
     _run(records, "ideals.submodule-closure", submodule_closure)
 
@@ -204,12 +217,21 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
     _run(records, "spectrum.methods-agree", methods_agree)
 
     def classification():
+        primes = set(spec(g.r0_ring, bound))
+        square, cube = r1_squared(g).members, r1_cubed(g).members
         for gp in graded_spec(g, "definitional", bound).graded_points:
             full_odd = g.r1 <= gp.flat_members
             if (gp.kind is PrimeKind.FULL_ODD_PART) != full_odd:
                 return FAIL, f"{gp.label()} has the wrong case tag"
             if gp.p != gp.ideal.i0:
                 return FAIL, f"{gp.label()} has an inconsistent contraction"
+            if gp.p not in primes:
+                return FAIL, f"{gp.label()} contracts to a non-prime"
+            rp = gp.ideal.r_part
+            if not (square <= gp.p.members if full_odd else
+                    residual(g, rp) == gp.p and is_prime_submodule(g, rp)
+                    and not cube <= rp.members):
+                return FAIL, f"{gp.label()} does not have the shape of its case"
         return PASS, None
     _run(records, "spectrum.classification-valid", classification)
 
@@ -266,23 +288,19 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
 
 
 def _suite_homeo(g: GradedRing, bound) -> list:
-    records: list = []
     start = time.perf_counter()
     try:
         report = check_homeomorphism(g, bound)
     except EnumerationLimitError as exc:
-        records.append(CheckRecord("homeo.contraction-homeomorphism",
-                                   RESOURCE_LIMIT, str(exc),
-                                   time.perf_counter() - start))
-        return records
-    elapsed = time.perf_counter() - start
-    for check in report.topology_checks:
-        records.append(CheckRecord(
-            f"homeo.{check.name}",
-            PASS if check.passed else FAIL,
-            check.witness,
-            elapsed / len(report.topology_checks)))
-    return records
+        status, witness = RESOURCE_LIMIT, str(exc)
+    except AlgebraError as exc:
+        status, witness = FAIL, str(exc)
+    else:
+        return [CheckRecord(f"homeo.{check.name}", PASS if check.passed else FAIL,
+                            check.witness, check.elapsed)
+                for check in report.topology_checks]
+    return [CheckRecord("homeo.contraction-homeomorphism", status, witness,
+                        time.perf_counter() - start)]
 
 
 def _suite_radical(g: GradedRing, bound) -> list:
@@ -359,7 +377,7 @@ def _suite_maximal(g: GradedRing, bound) -> list:
     _run(records, "maximal.submodule-residual-equivalence", submodule_residual)
 
     def local():
-        graded_local = len(graded_max(g, "definitional", bound)) == 1
+        graded_local = is_graded_local(g, bound)
         base_local = len(max_spec(g.r0_ring, bound)) == 1
         if graded_local != base_local:
             return FAIL, (f"graded-local={graded_local} but"
