@@ -150,6 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.bound is not None and args.bound < 1:  # as limits.bound requires
+        parser.error(f"argument --bound: must be >= 1, got {args.bound}")
     handlers = {
         "build": _cmd_build,
         "verify": _cmd_verify,

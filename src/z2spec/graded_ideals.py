@@ -113,7 +113,23 @@ def decompose_graded(g: GradedRing, members) -> GradedIdeal:
     """Split a graded ideal of the ambient ring into its canonical pair; that
     its odd part is a submodule is checked by
     ``ideals.pair-decomposition-roundtrip``."""
-    mset = _as_ideal_members(g, members)
+    return _split_pair(g, _as_ideal_members(g, members))
+
+
+def decompose_codes(g: GradedRing, mset: frozenset) -> GradedIdeal:
+    """``decompose_graded`` for a frozenset of ambient codes: the same ideal
+    and split tests without the ``as_code`` pass.  The pair is a pure
+    function of the set, so it is memoized per graded ring."""
+    memo = g._cache.setdefault("decompositions", {})
+    pair = memo.get(mset)
+    if pair is None:
+        if not is_ideal_set(g.ring, mset):
+            raise InvalidInputError("member set is not an ideal of the ambient ring")
+        pair = memo[mset] = _split_pair(g, mset)
+    return pair
+
+
+def _split_pair(g: GradedRing, mset: frozenset) -> GradedIdeal:
     if not _splits(g, mset):
         raise InvalidInputError(
             "ideal is not graded: it does not split along the decomposition")

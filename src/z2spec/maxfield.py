@@ -31,7 +31,6 @@ from .grading import (
 from .rings import (
     RingElement,
     as_code,
-    classify_ideal,
     enumerate_ideals,
     is_field,
     max_spec,
@@ -103,10 +102,11 @@ def maximal_submodule_check(g: GradedRing,
     if not applicable:
         return MaximalSubmoduleReport(0, True, "no applicable submodules")
     top = maximal_sets(rp.members for rp in subs if rp.is_proper)
+    base_max = {m.members for m in max_spec(g.r0_ring, bound)}
     for rp in applicable:
         is_max_sub = rp.members in top
         res = residual(g, rp)
-        res_max = classify_ideal(g.r0_ring, res, bound).is_maximal
+        res_max = res.members in base_max
         if is_max_sub != res_max:
             return MaximalSubmoduleReport(
                 len(applicable), False,

@@ -59,6 +59,15 @@ elements.  The breadth-first order is kept on purpose: an ideal's generator
 witness (``Ideal.generators``, hence every label and report) is the label
 path by which the FIFO queue, taking spans in order of size and then
 members, first reaches it.
+
+Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
+The powers x, x^2, ... of an element of a finite ring are eventually
+periodic, so walking them to the first repeat yields the whole power orbit
+{x^n : n >= 1}, and x lies in the radical exactly when its orbit meets I.
+``_power_orbits`` walks every orbit once per ring and caches the tuple of
+orbits in ``ring._cache`` (a pure function of the tables); the radical of
+each ideal is then one disjointness test per code (``radical_members``), not
+one power walk per code and ideal.
 """
 
 from __future__ import annotations
@@ -630,30 +639,42 @@ def classify_ideal(ring: FiniteRing, ideal: Ideal,
     witness = prime_violation(ring, ideal.members) if proper else None
     prime = proper and witness is None
     maximal = proper and ideal in max_spec(ring, bound)
-    is_rad = radical(ring, ideal).members == ideal.members
+    is_rad = radical_members(ring, ideal.members) == ideal.members
     return IdealClassification(proper, prime, maximal, is_rad, witness)
 
 
-def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
-    """{x : some power of x lies in the ideal}.
+def _power_orbits(ring: FiniteRing) -> tuple:
+    """orbit[x] = {x, x^2, x^3, ...} for every code x (cached per ring).
 
-    Power sequences in a finite ring are eventually periodic, so walking
-    x, x^2, ... until a repeat is an exact test (exponents <= |R| suffice).
+    Power sequences in a finite ring are eventually periodic, so each orbit
+    is walked until its first repeat, once per ring.
     """
+    cached = ring._cache.get("power_orbits")
+    if cached is None:
+        mul = ring.mul
+        orbits = []
+        for x in range(ring.size):
+            row = mul[x]
+            power, seen = x, set()
+            while power not in seen:
+                seen.add(power)
+                power = row[power]
+            orbits.append(frozenset(seen))
+        cached = ring._cache["power_orbits"] = tuple(orbits)
+    return cached
+
+
+def radical_members(ring: FiniteRing, members: frozenset) -> frozenset:
+    """{x : some power of x lies in ``members``}: the codes whose power
+    orbit meets the set."""
+    return frozenset(x for x, orbit in enumerate(_power_orbits(ring))
+                     if not orbit.isdisjoint(members))
+
+
+def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
+    """{x : x^n lies in the ideal for some n >= 1} (``radical_members``)."""
     _same_ring(ring, ideal.ring)
-    mul = ring.mul
-    members = ideal.members
-    out = set()
-    for x in range(ring.size):
-        power = x
-        seen = set()
-        while power not in seen:
-            if power in members:
-                out.add(x)
-                break
-            seen.add(power)
-            power = mul[power][x]
-    return ideal_from_codes(ring, frozenset(out))
+    return ideal_from_codes(ring, radical_members(ring, ideal.members))
 
 
 def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:

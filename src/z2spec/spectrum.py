@@ -19,7 +19,7 @@ from functools import reduce
 from .errors import InvalidInputError
 from .graded_ideals import (
     GradedIdeal,
-    decompose_graded,
+    decompose_codes,
     enumerate_graded_ideals,
 )
 from .grading import (
@@ -31,10 +31,9 @@ from .grading import (
 from .rings import (
     Ideal,
     _same_ring,
-    ideal_from_codes,
-    ideal_from_members,
     prime_violation,
     radical,
+    radical_members,
     spec,
 )
 
@@ -282,9 +281,8 @@ class NilCaseReport:
 
 
 def check_nil_case(g: GradedRing, bound: int | None = None) -> NilCaseReport:
-    zero = ideal_from_members(g.r0_ring, [g.r0_ring.zero])
-    nilradical = radical(g.r0_ring, zero)
-    if not r1_squared(g).members <= nilradical.members:
+    nilradical = radical_members(g.r0_ring, frozenset({g.r0_ring.zero}))
+    if not r1_squared(g).members <= nilradical:
         return NilCaseReport(False, True, "odd part squared is not nilpotent")
     graded = graded_spec(g, "definitional", bound)
     graded_flats = {gp.flat_members for gp in graded.graded_points}
@@ -322,16 +320,20 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     closed form sqrt(J0) + {x in R1 : x^2 in sqrt(J0)} (the bracket is taken
     against the radical of J0; taking it against J0 itself is not sound for
     non-radical J0).
+
+    The formula reads only ``j.i0`` and is memoized by it per graded ring;
+    the other two split their member sets through ``decompose_codes``, which
+    is memoized per set.  Each method still computes its member set itself.
     """
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
     if method == "definitional":
-        rad = radical(g.ring, ideal_from_codes(g.ring, j.flat_members)).members
+        rad = radical_members(g.ring, j.flat_members)
         members = frozenset(
             x for x, (even, odd) in g._decomposition.items()
             if even in rad and odd in rad
         )
-        return decompose_graded(g, members)
+        return decompose_codes(g, members)
     if method == "intersection":
         containing = [
             gp.flat_members
@@ -342,10 +344,14 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
             members = frozenset(range(g.ring.size))
         else:
             members = reduce(frozenset.__and__, containing)
-        return decompose_graded(g, members)
+        return decompose_codes(g, members)
     if method == "formula":
-        sqrt_j0 = radical(g.r0_ring, j.i0)
-        return GradedIdeal(g, sqrt_j0, r1_bracket(g, sqrt_j0))
+        memo = g._cache.setdefault("formula_radicals", {})
+        result = memo.get(j.i0.members)
+        if result is None:
+            sqrt_j0 = radical(g.r0_ring, j.i0)
+            result = memo[j.i0.members] = GradedIdeal(g, sqrt_j0, r1_bracket(g, sqrt_j0))
+        return result
     raise InvalidInputError(f"unknown radical method: {method!r}")
 
 

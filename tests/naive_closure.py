@@ -142,3 +142,28 @@ def naive_maximal_sets(sets):
     """The sets not strictly inside another, by comparing every pair."""
     sets = list(sets)
     return {s for s in sets if not any(s < t for t in sets)}
+
+
+def naive_radical(ring, members):
+    """{x : some power of x lies in the set}, walking x, x^2, ... for each
+    element until a power repeats, anew for every set."""
+    mul = ring.mul
+    out = set()
+    for x in range(ring.size):
+        power = x
+        seen = set()
+        while power not in seen:
+            if power in members:
+                out.add(x)
+                break
+            seen.add(power)
+            power = mul[power][x]
+    return frozenset(out)
+
+
+def naive_graded_radical(g, flat):
+    """The sums a + b of an even a and an odd b that both lie in the flat
+    radical of the graded ideal with member set ``flat``."""
+    rad = naive_radical(g.ring, flat)
+    add = g.ring.add
+    return frozenset(add[a][b] for a in g.r0 & rad for b in g.r1 & rad)

@@ -198,6 +198,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "spec", "export-dot"])
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_cli_rejects_a_bound_below_one(tmp_path, capsys, command, bound):
+    # an input error (exit 2), as limits.bound below 1 is, not a resource limit
+    path = write_instance(tmp_path, {"ring": {"kind": "zmod", "n": 6}})
+    with pytest.raises(SystemExit) as exited:
+        main([command, path, "--bound", bound])
+    assert exited.value.code == 2
+    assert f"must be >= 1, got {bound}" in capsys.readouterr().err
+
+
 def test_cli_build_rejects_invalid_grading(tmp_path, capsys):
     path = write_instance(tmp_path, {
         "ring": {"kind": "graded_manual", "base": {"kind": "zmod", "n": 6},

@@ -2,6 +2,8 @@
 
 import pytest
 
+from naive_closure import naive_graded_radical, naive_radical
+from z2spec.catalog import CATALOG
 from z2spec.errors import InvalidInputError
 from z2spec.graded_ideals import (
     decompose_graded,
@@ -19,8 +21,10 @@ from z2spec.grading import (
 )
 from z2spec.rings import (
     classify_ideal,
+    enumerate_ideals,
     ideal_from_members,
     ideal_generate,
+    radical,
     spec,
     zmod,
 )
@@ -234,6 +238,29 @@ def test_graded_radical_three_way_and_laws(g):
         assert by_def == by_int == by_formula
         assert j.flat_members <= by_def.flat_members
         assert graded_radical(g, by_def, "formula") == by_def
+
+
+@pytest.mark.parametrize("g", [entry.build() for entry in CATALOG]
+                         + [trivial_extension(zmod(2), [2] * 5)],
+                         ids=[entry.instance_id for entry in CATALOG] + ["trivext-2-f2x5"])
+def test_radicals_match_the_power_walk_cold_and_warm(g, monkeypatch):
+    # empty caches: the first call of each radical computes it, the second
+    # one may read the power orbits and memos the first call left behind
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    for ring in dict.fromkeys((g.ring, g.r0_ring)):
+        for ideal in enumerate_ideals(ring):
+            first = radical(ring, ideal)
+            assert first.members == naive_radical(ring, ideal.members), ideal
+            again = radical(ring, ideal)
+            assert again == first and again.generators == first.generators
+    for j in enumerate_graded_ideals(g):
+        expected = naive_graded_radical(g, j.flat_members)
+        for method in ("definitional", "intersection", "formula"):
+            first = graded_radical(g, j, method)
+            assert first.flat_members == expected, (j.label(), method)
+            again = graded_radical(g, j, method)
+            assert again == first and again.label() == first.label()
 
 
 def test_homogeneous_dim():

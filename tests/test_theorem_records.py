@@ -74,6 +74,17 @@ def bracket_missing_an_element(monkeypatch):
     monkeypatch.setattr(verify, "r1_bracket", broken)
 
 
+def flat_radical_missing_an_element(monkeypatch):
+    original = spectrum.radical_members
+
+    def broken(ring, members):
+        # the smallest nonzero code: in Z/4[i] a homogeneous one, which the
+        # split of the radical along the grading cannot step over
+        rad = original(ring, members)
+        return rad - {min(rad - {ring.zero})} if len(rad) > 1 else rad
+    monkeypatch.setattr(spectrum, "radical_members", broken)
+
+
 def wrong_prime_tag(monkeypatch):
     original = spectrum.classify_graded_prime
     flipped = {PrimeKind.FULL_ODD_PART: PrimeKind.PRIME_SUBMODULE,
@@ -138,6 +149,8 @@ CASES = [
     pytest.param(bracket_missing_an_element, TRIVEXT2, ["radical", "spectrum"],
                  ["radical.three-way-agreement", "spectrum.prime-odd-part-bracket"],
                  id="r1_bracket"),
+    pytest.param(flat_radical_missing_an_element, GAUSSIAN4, ["radical"],
+                 ["radical.three-way-agreement"], id="radical"),
     pytest.param(wrong_prime_tag, GAUSSIAN4, ["spectrum"],
                  ["spectrum.classification-valid"], id="classify-tag"),
     pytest.param(non_prime_accepted, TRIVEXT2, ["spectrum"],
@@ -162,8 +175,11 @@ def test_broken_theorem_fails_its_named_record(breakage, recipe, suites, records
                                                monkeypatch, tmp_path, capsys):
     spec_ = InstanceSpec(dict(recipe))
     assert run_verify(spec_, suites).status == "pass"
-    # the graded ring is interned: give the broken run its own caches
-    monkeypatch.setattr(build_instance(spec_), "_cache", {})
+    # the rings are interned: give the broken run its own caches, including
+    # the power orbits and ideal lattices cached on the ambient and even rings
+    g = build_instance(spec_)
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
     breakage(monkeypatch)
 
     report = run_verify(spec_, suites)
