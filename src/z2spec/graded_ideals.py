@@ -30,6 +30,7 @@ from .grading import (
 )
 from .rings import (
     Ideal,
+    _memo,
     _same_ring,
     _subgroup_generators,
     additive_closure,
@@ -120,13 +121,11 @@ def decompose_codes(g: GradedRing, mset: frozenset) -> GradedIdeal:
     """``decompose_graded`` for a frozenset of ambient codes: the same ideal
     and split tests without the ``as_code`` pass.  The pair is a pure
     function of the set, so it is memoized per graded ring."""
-    memo = g._cache.setdefault("decompositions", {})
-    pair = memo.get(mset)
-    if pair is None:
+    def compute():
         if not is_ideal_set(g.ring, mset):
             raise InvalidInputError("member set is not an ideal of the ambient ring")
-        pair = memo[mset] = _split_pair(g, mset)
-    return pair
+        return _split_pair(g, mset)
+    return _memo(g, ("decomposition", mset), compute)
 
 
 def _split_pair(g: GradedRing, mset: frozenset) -> GradedIdeal:
@@ -172,29 +171,27 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
     (see ``is_graded_ideal``).  Each side's generator products are formed
     once, so a pair costs two subset tests (module docstring).
     """
-    cached = g._cache.get("graded_ideals")
-    if cached is not None:
-        enumerate_ideals(g.r0_ring, bound)  # re-assert the bound contract
-        submodules(g, bound)
-        return cached
-    add, mul, zero = g.ring.add, g.ring.mul, g.ring.zero
-    r1_gens = _r1_generators(g)
-    evens = []
-    for i0 in enumerate_ideals(g.r0_ring, bound):
-        i0_ambient = g.embed_ideal(i0)
-        products = {mul[a][x]  # I0*R1 as gens(I0) x gens(R1)
-                    for a in _subgroup_generators(add, zero, i0_ambient) for x in r1_gens}
-        evens.append((i0, i0_ambient, products))
-    result = []
-    for rp in submodules(g, bound):
-        products = {mul[x][y]  # R1*R' as gens(R1) x gens(R')
-                    for y in _subgroup_generators(add, zero, rp.members) for x in r1_gens}
-        for i0, i0_ambient, needed in evens:
-            if needed <= rp.members and products <= i0_ambient:
-                result.append(GradedIdeal(g, i0, rp))
-    result = tuple(sorted(result, key=GradedIdeal.key))
-    g._cache["graded_ideals"] = result
-    return result
+    even_ideals = enumerate_ideals(g.r0_ring, bound)
+    subs = submodules(g, bound)
+
+    def compute():
+        add, mul, zero = g.ring.add, g.ring.mul, g.ring.zero
+        r1_gens = _r1_generators(g)
+        evens = []
+        for i0 in even_ideals:
+            i0_ambient = g.embed_ideal(i0)
+            products = {mul[a][x]  # I0*R1 as gens(I0) x gens(R1)
+                        for a in _subgroup_generators(add, zero, i0_ambient) for x in r1_gens}
+            evens.append((i0, i0_ambient, products))
+        result = []
+        for rp in subs:
+            products = {mul[x][y]  # R1*R' as gens(R1) x gens(R')
+                        for y in _subgroup_generators(add, zero, rp.members) for x in r1_gens}
+            for i0, i0_ambient, needed in evens:
+                if needed <= rp.members and products <= i0_ambient:
+                    result.append(GradedIdeal(g, i0, rp))
+        return tuple(sorted(result, key=GradedIdeal.key))
+    return _memo(g, "graded_ideals", compute)
 
 
 @dataclass(frozen=True)

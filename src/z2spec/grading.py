@@ -30,6 +30,7 @@ from .rings import (
     as_code,
     _additive_generators,
     _check_bound,
+    _memo,
     _subgroup_generators,
     _subgroup_lattice,
     _tables_by_digits,
@@ -101,11 +102,7 @@ class GradedRing:
             self.r0_ring, frozenset(map(self._r0_index.__getitem__, ambient_members)))
 
     def homogeneous_codes(self) -> tuple:
-        cached = self._cache.get("homogeneous")
-        if cached is None:
-            cached = tuple(sorted(self.r0 | self.r1))
-            self._cache["homogeneous"] = cached
-        return cached
+        return _memo(self, "homogeneous", lambda: tuple(sorted(self.r0 | self.r1)))
 
 
 def homogeneous_parts(g: GradedRing, x) -> tuple[RingElement, RingElement]:
@@ -355,20 +352,14 @@ def cyclic_span(g: GradedRing, x: int) -> frozenset:
 
 def _r0_generators(g: GradedRing) -> tuple:
     """Additive generators of R0 as ambient codes (cached)."""
-    cached = g._cache.get("r0_generators")
-    if cached is None:
-        cached = tuple(map(g.from_r0, _additive_generators(g.r0_ring)))
-        g._cache["r0_generators"] = cached
-    return cached
+    return _memo(g, "r0_generators", lambda: tuple(
+        map(g.from_r0, _additive_generators(g.r0_ring))))
 
 
 def _r1_generators(g: GradedRing) -> tuple:
     """Additive generators of R1, picked in code order (cached)."""
-    cached = g._cache.get("r1_generators")
-    if cached is None:
-        cached = tuple(_subgroup_generators(g.ring.add, g.ring.zero, sorted(g.r1)))
-        g._cache["r1_generators"] = cached
-    return cached
+    return _memo(g, "r1_generators", lambda: tuple(
+        _subgroup_generators(g.ring.add, g.ring.zero, sorted(g.r1))))
 
 
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
@@ -400,14 +391,12 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     the same kernel as ``enumerate_ideals``).
     """
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
-    cached = g._cache.get("submodules")
-    if cached is not None:
-        return cached
-    found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
-                              _r0_generators(g))
-    result = tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
-    g._cache["submodules"] = result
-    return result
+
+    def compute():
+        found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
+                                  _r0_generators(g))
+        return tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
+    return _memo(g, "submodules", compute)
 
 
 def residual(g: GradedRing, rp: Submodule) -> Ideal:
@@ -431,27 +420,23 @@ def residual(g: GradedRing, rp: Submodule) -> Ideal:
 
 def r1_squared(g: GradedRing) -> Ideal:
     """The ideal of R0 generated by all products of two odd elements."""
-    cached = g._cache.get("r1_squared")
-    if cached is None:
+    def compute():
         mul = g.ring.mul
         products = {mul[x][y] for x in g.r1 for y in g.r1}
         members = ideal_members(
             g.r0_ring, (g.to_r0(p) for p in products))
-        cached = ideal_from_codes(g.r0_ring, members)
-        g._cache["r1_squared"] = cached
-    return cached
+        return ideal_from_codes(g.r0_ring, members)
+    return _memo(g, "r1_squared", compute)
 
 
 def r1_cubed(g: GradedRing) -> Submodule:
     """The submodule (R1^2) * R1 of the odd part."""
-    cached = g._cache.get("r1_cubed")
-    if cached is None:
+    def compute():
         mul = g.ring.mul
         sq = g.embed_ideal(r1_squared(g))
         products = {mul[a][x] for a in sq for x in g.r1}
-        cached = Submodule(g, additive_closure(g.ring, products))
-        g._cache["r1_cubed"] = cached
-    return cached
+        return Submodule(g, additive_closure(g.ring, products))
+    return _memo(g, "r1_cubed", compute)
 
 
 def is_strongly_graded(g: GradedRing) -> bool:

@@ -30,8 +30,8 @@ from .grading import (
 )
 from .rings import (
     RingElement,
+    _memo,
     as_code,
-    enumerate_ideals,
     is_field,
     max_spec,
     maximal_sets,
@@ -58,30 +58,23 @@ def graded_max(g: GradedRing, method: str = "definitional",
 
 def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
     """``graded_max`` as a tuple, computed once per graded ring and method."""
-    if method not in ("definitional", "constructive"):
-        raise InvalidInputError(f"unknown method: {method!r}")
-    cached = g._cache.get(("graded_max", method))
-    if cached is not None:  # re-assert the bound contract of a first call
-        if method == "definitional":
-            enumerate_graded_ideals(g, bound)
-        else:
-            enumerate_ideals(g.r0_ring, bound)
-        return cached
     if method == "definitional":
         graded = enumerate_graded_ideals(g, bound)
-        top = maximal_sets(j.flat_members for j in graded if j.is_proper)
-        result = [j for j in graded if j.flat_members in top]
+
+        def compute():
+            top = maximal_sets(j.flat_members for j in graded if j.is_proper)
+            return [j for j in graded if j.flat_members in top]
+    elif method == "constructive":
+        base_max = max_spec(g.r0_ring, bound)
+
+        def compute():
+            sq = r1_squared(g).members
+            return [GradedIdeal(g, p, Submodule(g, g.r1)) if sq <= p.members
+                    else graded_ideal_from_ideal(g, p) for p in base_max]
     else:
-        sq = r1_squared(g).members
-        result = []
-        for p in max_spec(g.r0_ring, bound):
-            if sq <= p.members:
-                result.append(GradedIdeal(g, p, Submodule(g, g.r1)))
-            else:
-                result.append(graded_ideal_from_ideal(g, p))
-    cached = tuple(sorted(result, key=GradedIdeal.key))
-    g._cache[("graded_max", method)] = cached
-    return cached
+        raise InvalidInputError(f"unknown method: {method!r}")
+    return _memo(g, ("graded_max", method),
+                 lambda: tuple(sorted(compute(), key=GradedIdeal.key)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +172,7 @@ class GradedFieldPresentation:
     iso_table: tuple          # ambient code -> target code
 
 
-def graded_field_presentation(g: GradedRing,
-                              bound: int | None = None) -> GradedFieldPresentation:
+def graded_field_presentation(g: GradedRing) -> GradedFieldPresentation:
     """Reconstruct a graded field with nonzero odd part in quadratic form.
 
     Picks the first odd b (in code order) with b^2 != 0; such b exists and

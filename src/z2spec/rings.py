@@ -65,9 +65,21 @@ The powers x, x^2, ... of an element of a finite ring are eventually
 periodic, so walking them to the first repeat yields the whole power orbit
 {x^n : n >= 1}, and x lies in the radical exactly when its orbit meets I.
 ``_power_orbits`` walks every orbit once per ring and caches the tuple of
-orbits in ``ring._cache`` (a pure function of the tables); the radical of
-each ideal is then one disjointness test per code (``radical_members``), not
-one power walk per code and ideal.
+orbits (a pure function of the tables); the radical of each ideal is then
+one disjointness test per code (``radical_members``), not one power walk per
+code and ideal.
+
+Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
+``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
+(and of a key), stored in that owner's ``_cache`` by ``_memo``: the first
+call computes it, and every later call returns the identical object.  The
+interning ``lru_cache`` constructors are the only other caches.  Bound
+rule: a function that takes a ``bound`` first fetches its bounded inputs
+(``enumerate_ideals`` and ``submodules`` check the bound at entry; ``spec``,
+``max_spec`` and ``enumerate_graded_ideals`` fetch from them) and only then
+reads its own memo.  So a call raises ``EnumerationLimitError`` exactly when
+the same call on empty caches would, and no cache hit checks the bound
+another way.
 """
 
 from __future__ import annotations
@@ -462,13 +474,19 @@ def _grow_subgroup(add, base: Iterable[int], seeds: Iterable[int],
     return members, gens
 
 
+def _memo(owner, key, compute):
+    """``owner._cache[key]``, set to ``compute()`` on first use (module
+    docstring, "Caches")."""
+    cache = owner._cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
 def _additive_generators(ring: FiniteRing) -> tuple:
     """Additive generators of the whole ring (cached)."""
-    cached = ring._cache.get("additive_generators")
-    if cached is None:
-        cached = tuple(_grow_subgroup(ring.add, (ring.zero,), range(ring.size))[1])
-        ring._cache["additive_generators"] = cached
-    return cached
+    return _memo(ring, "additive_generators", lambda: tuple(
+        _grow_subgroup(ring.add, (ring.zero,), range(ring.size))[1]))
 
 
 def additive_closure(ring: FiniteRing, codes: Iterable[int]) -> frozenset:
@@ -595,19 +613,15 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     witness.  Ordered by cardinality then member encoding.
     """
     _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
-    cached = ring._cache.get("ideals")
-    if cached is not None:
-        return cached
 
-    found = _subgroup_lattice(ring, range(ring.size), lambda x: frozenset(ring.mul[x]),
-                              _additive_generators(ring))  # Rx: the row of x
-
-    ideals = tuple(sorted(
-        (Ideal(ring, members, gens) for members, gens in found.items()),
-        key=Ideal.key,
-    ))
-    ring._cache["ideals"] = ideals
-    return ideals
+    def compute():
+        found = _subgroup_lattice(ring, range(ring.size), lambda x: frozenset(ring.mul[x]),
+                                  _additive_generators(ring))  # Rx: the row of x
+        return tuple(sorted(
+            (Ideal(ring, members, gens) for members, gens in found.items()),
+            key=Ideal.key,
+        ))
+    return _memo(ring, "ideals", compute)
 
 
 @dataclass(frozen=True)
@@ -649,19 +663,16 @@ def _power_orbits(ring: FiniteRing) -> tuple:
     Power sequences in a finite ring are eventually periodic, so each orbit
     is walked until its first repeat, once per ring.
     """
-    cached = ring._cache.get("power_orbits")
-    if cached is None:
-        mul = ring.mul
+    def compute():
         orbits = []
-        for x in range(ring.size):
-            row = mul[x]
+        for x, row in enumerate(ring.mul):
             power, seen = x, set()
             while power not in seen:
                 seen.add(power)
                 power = row[power]
             orbits.append(frozenset(seen))
-        cached = ring._cache["power_orbits"] = tuple(orbits)
-    return cached
+        return tuple(orbits)
+    return _memo(ring, "power_orbits", compute)
 
 
 def radical_members(ring: FiniteRing, members: frozenset) -> frozenset:
@@ -679,16 +690,9 @@ def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
 
 def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     """All prime ideals, in canonical order."""
-    cached = ring._cache.get("spec")
-    if cached is None:
-        cached = tuple(
-            i for i in enumerate_ideals(ring, bound)
-            if i.is_proper and prime_violation(ring, i.members) is None
-        )
-        ring._cache["spec"] = cached
-    else:
-        _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
-    return cached
+    ideals = enumerate_ideals(ring, bound)
+    return _memo(ring, "spec", lambda: tuple(
+        i for i in ideals if i.is_proper and prime_violation(ring, i.members) is None))
 
 
 def maximal_sets(sets: Iterable[frozenset]) -> frozenset:
@@ -713,8 +717,5 @@ def max_spec(ring: FiniteRing, bound: int | None = None) -> list[Ideal]:
 
 def is_field(ring: FiniteRing) -> bool:
     """True when every nonzero element has a multiplicative inverse."""
-    cached = ring._cache.get("is_field")
-    if cached is None:
-        cached = all(ring.is_unit(c) for c in range(ring.size) if c != ring.zero)
-        ring._cache["is_field"] = cached
-    return cached
+    return _memo(ring, "is_field", lambda: all(
+        ring.is_unit(c) for c in range(ring.size) if c != ring.zero))

@@ -30,6 +30,7 @@ from .grading import (
 )
 from .rings import (
     Ideal,
+    _memo,
     _same_ring,
     prime_violation,
     radical,
@@ -172,24 +173,17 @@ def graded_spec(g: GradedRing, method: str = "definitional",
     even part back through the contraction)."""
     if method not in ("definitional", "constructive"):
         raise InvalidInputError(f"unknown spectrum method: {method!r}")
-    cached = g._cache.get(("graded_spec", method))
-    if cached is None:
-        if method == "definitional":
-            points = [
-                classify_graded_prime(g, j)
-                for j in enumerate_graded_ideals(g, bound)
-                if is_graded_prime(g, j)
-            ]
-        else:
-            points = [phi_inverse(g, p) for p in spec(g.r0_ring, bound)]
-        points.sort(key=GradedPrime.key)
-        cached = tuple(points)
-        g._cache[("graded_spec", method)] = cached
-    else:
-        enumerate_graded_ideals(g, bound)  # re-assert the bound contract
+    graded = enumerate_graded_ideals(g, bound) if method == "definitional" else ()
     base = spec(g.r0_ring, bound)
-    pairs = tuple((gp, gp.p) for gp in cached)
-    return SpectrumReport(method, cached, base, pairs)
+
+    def compute():
+        if method == "definitional":
+            points = [classify_graded_prime(g, j) for j in graded if is_graded_prime(g, j)]
+        else:
+            points = [phi_inverse(g, p) for p in base]
+        return tuple(sorted(points, key=GradedPrime.key))
+    points = _memo(g, ("graded_spec", method), compute)
+    return SpectrumReport(method, points, base, tuple((gp, gp.p) for gp in points))
 
 
 def check_homeomorphism(g: GradedRing, bound: int | None = None) -> SpectrumReport:
@@ -346,12 +340,10 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
             members = reduce(frozenset.__and__, containing)
         return decompose_codes(g, members)
     if method == "formula":
-        memo = g._cache.setdefault("formula_radicals", {})
-        result = memo.get(j.i0.members)
-        if result is None:
+        def compute():
             sqrt_j0 = radical(g.r0_ring, j.i0)
-            result = memo[j.i0.members] = GradedIdeal(g, sqrt_j0, r1_bracket(g, sqrt_j0))
-        return result
+            return GradedIdeal(g, sqrt_j0, r1_bracket(g, sqrt_j0))
+        return _memo(g, ("formula_radical", j.i0.members), compute)
     raise InvalidInputError(f"unknown radical method: {method!r}")
 
 

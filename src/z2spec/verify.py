@@ -335,18 +335,14 @@ def _suite_radical(g: GradedRing, bound) -> list:
     _run(records, "radical.contains-ideal", contains)
 
     def bracket_observation():
-        mul = g.ring.mul
-        total, closed = 0, 0
-        example = None
-        for j in enumerate_graded_ideals(g, bound):
-            ambient = g.embed_ideal(j.i0)
-            literal = frozenset(x for x in g.r1 if mul[x][x] in ambient)
-            total += 1
-            if is_submodule_set(g, literal):
-                closed += 1
-            elif example is None:
-                example = j.i0.label()
-        note = f"literal bracket closed for {closed}/{total} even parts"
+        graded = enumerate_graded_ideals(g, bound)
+        closed = {}  # the literal bracket depends on J0 alone: test it once per J0
+        for j in graded:
+            if j.i0.members not in closed:
+                closed[j.i0.members] = is_submodule_set(g, r1_bracket(g, j.i0).members)
+        flags = [closed[j.i0.members] for j in graded]
+        example = next((j.i0.label() for j, flag in zip(graded, flags) if not flag), None)
+        note = f"literal bracket closed for {sum(flags)}/{len(graded)} even parts"
         if example is not None:
             note += f"; first open case at I0={example}"
         return PASS, note
@@ -464,7 +460,7 @@ def _suite_field(g: GradedRing, bound) -> list:
             return NOT_APPLICABLE, "not a graded field"
         if g.r1 == {g.ring.zero}:
             return NOT_APPLICABLE, "odd part is zero; nothing to present"
-        pres = graded_field_presentation(g, bound)
+        pres = graded_field_presentation(g)
         return PASS, (f"b={pres.b!r}, alpha={pres.alpha!r};"
                       f" isomorphic to {pres.target.provenance}")
     _run(records, "field.quadratic-presentation", presentation)

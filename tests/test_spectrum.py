@@ -4,7 +4,7 @@ import pytest
 
 from naive_closure import naive_graded_radical, naive_radical
 from z2spec.catalog import CATALOG
-from z2spec.errors import InvalidInputError
+from z2spec.errors import EnumerationLimitError, InvalidInputError
 from z2spec.graded_ideals import (
     decompose_graded,
     enumerate_graded_ideals,
@@ -24,10 +24,12 @@ from z2spec.rings import (
     enumerate_ideals,
     ideal_from_members,
     ideal_generate,
+    max_spec,
     radical,
     spec,
     zmod,
 )
+from z2spec.maxfield import graded_max
 from z2spec.spectrum import (
     PrimeKind,
     check_homeomorphism,
@@ -261,6 +263,48 @@ def test_radicals_match_the_power_walk_cold_and_warm(g, monkeypatch):
             assert first.flat_members == expected, (j.label(), method)
             again = graded_radical(g, j, method)
             assert again == first and again.label() == first.label()
+
+
+BOUNDED_CALLS = {
+    "enumerate_ideals(R)": lambda g, b: enumerate_ideals(g.ring, b),
+    "enumerate_ideals(R0)": lambda g, b: enumerate_ideals(g.r0_ring, b),
+    "spec(R)": lambda g, b: spec(g.ring, b),
+    "spec(R0)": lambda g, b: spec(g.r0_ring, b),
+    "max_spec(R)": lambda g, b: max_spec(g.ring, b),
+    "max_spec(R0)": lambda g, b: max_spec(g.r0_ring, b),
+    "submodules": submodules,
+    "enumerate_graded_ideals": enumerate_graded_ideals,
+    "graded_spec definitional": lambda g, b: graded_spec(g, "definitional", b).graded_points,
+    "graded_spec constructive": lambda g, b: graded_spec(g, "constructive", b).graded_points,
+    "graded_max definitional": lambda g, b: graded_max(g, "definitional", b),
+    "graded_max constructive": lambda g, b: graded_max(g, "constructive", b),
+}
+
+
+@pytest.mark.parametrize("bound", [4, 8, 16])
+def test_bound_gives_the_same_outcome_on_warm_and_cold_caches(bound, monkeypatch):
+    # |R0| = 4 and |R| = 16: bound 8 admits the even ring but not the ambient one
+    g = GAUSSIAN4
+
+    def outcome(call):
+        try:
+            return call(g, bound)
+        except EnumerationLimitError as exc:
+            return str(exc)
+
+    cold = {}
+    for name, call in BOUNDED_CALLS.items():
+        for owner in (g, g.ring, g.r0_ring):
+            monkeypatch.setattr(owner, "_cache", {})
+        cold[name] = outcome(call)
+    for call in BOUNDED_CALLS.values():
+        call(g, None)
+    for name, call in BOUNDED_CALLS.items():
+        warm = outcome(call)
+        assert warm == cold[name], name
+        if not isinstance(warm, str):  # a hit hands back the cached objects
+            again = outcome(call)
+            assert again is warm or list(map(id, again)) == list(map(id, warm)), name
 
 
 def test_homogeneous_dim():
