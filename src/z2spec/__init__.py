@@ -60,22 +60,17 @@ from .grading import (
     truncated_poly,
 )
 from .graded_ideals import (
-    CorrespondenceReport,
     GradedIdeal,
     decompose_graded,
     enumerate_graded_ideals,
     graded_ideal_from_ideal,
     graded_ideal_from_submodule,
     is_graded_ideal,
-    strongly_graded_correspondence,
 )
 from .spectrum import (
     GradedPrime,
-    NilCaseReport,
     PrimeKind,
     SpectrumReport,
-    check_homeomorphism,
-    check_nil_case,
     classify_graded_prime,
     graded_radical,
     graded_spec,
@@ -89,7 +84,6 @@ from .spectrum import (
 from .maxfield import (
     DomainEquivalenceReport,
     GradedFieldPresentation,
-    MaximalSubmoduleReport,
     domain_equivalence_check,
     graded_field_presentation,
     graded_max,
@@ -97,7 +91,6 @@ from .maxfield import (
     is_graded_field,
     is_graded_local,
     is_graded_maximal,
-    maximal_submodule_check,
     norm,
     norm_set,
 )

@@ -17,14 +17,11 @@ J = A + B, iff |A| * |B| = |J|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidInputError, NotStronglyGradedError
+from .errors import InvalidInputError
 from .grading import (
     GradedRing,
     Submodule,
     _r1_generators,
-    is_strongly_graded,
     residual,
     submodules,
 )
@@ -193,37 +190,3 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
         return tuple(sorted(result, key=GradedIdeal.key))
     return _memo(g, "graded_ideals", compute)
 
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Outcome of the strongly graded ideal bijection check."""
-
-    is_bijection: bool
-    ideal_count: int
-    graded_ideal_count: int
-    counterexample: str | None
-
-
-def strongly_graded_correspondence(g: GradedRing,
-                                   bound: int | None = None) -> CorrespondenceReport:
-    """Verify I -> (I, I*R1) is a bijection onto the graded ideals, with
-    inverse J -> J intersect R0.  Requires a strong grading."""
-    if not is_strongly_graded(g):
-        raise NotStronglyGradedError(
-            f"{g.provenance}: odd part squared is a proper ideal")
-    ideals = enumerate_ideals(g.r0_ring, bound)
-    graded = enumerate_graded_ideals(g, bound)
-    forward = [graded_ideal_from_ideal(g, i) for i in ideals]
-    counterexample = None
-    if len(set(forward)) != len(forward):
-        counterexample = "two even-part ideals map to the same graded ideal"
-    elif set(forward) != set(graded):
-        missing = sorted(set(graded) - set(forward), key=GradedIdeal.key)
-        counterexample = f"graded ideal not hit: {missing[0].label()}"
-    else:
-        for i, j in zip(ideals, forward):
-            if j.i0 != i:
-                counterexample = f"contraction does not invert on {i.label()}"
-                break
-    return CorrespondenceReport(counterexample is None, len(ideals),
-                                len(graded), counterexample)

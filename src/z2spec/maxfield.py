@@ -21,12 +21,10 @@ from .grading import (
     Submodule,
     _require,
     cyclic_span,
-    is_strongly_graded,
     quadratic_extension,
     r1_cubed,
     r1_squared,
     residual,
-    submodules,
 )
 from .rings import (
     RingElement,
@@ -37,7 +35,7 @@ from .rings import (
     maximal_sets,
     prime_violation,
 )
-from .spectrum import is_prime_submodule
+from .spectrum import homogeneous_prime_violation, is_prime_submodule
 
 
 def is_graded_maximal(g: GradedRing, j: GradedIdeal,
@@ -77,43 +75,6 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
                  lambda: tuple(sorted(compute(), key=GradedIdeal.key)))
 
 
-@dataclass(frozen=True)
-class MaximalSubmoduleReport:
-    """Maximal submodules vs maximal residuals, over every submodule not
-    containing R1^3."""
-
-    applicable_count: int
-    passed: bool
-    witness: str | None
-
-
-def maximal_submodule_check(g: GradedRing,
-                            bound: int | None = None) -> MaximalSubmoduleReport:
-    subs = submodules(g, bound)
-    cube = r1_cubed(g).members
-    applicable = [rp for rp in subs if not cube <= rp.members]
-    if not applicable:
-        return MaximalSubmoduleReport(0, True, "no applicable submodules")
-    top = maximal_sets(rp.members for rp in subs if rp.is_proper)
-    base_max = {m.members for m in max_spec(g.r0_ring, bound)}
-    for rp in applicable:
-        is_max_sub = rp.members in top
-        res = residual(g, rp)
-        res_max = res.members in base_max
-        if is_max_sub != res_max:
-            return MaximalSubmoduleReport(
-                len(applicable), False,
-                f"{rp.label()}: maximal-submodule={is_max_sub},"
-                f" residual-maximal={res_max}")
-        if is_max_sub:
-            span = graded_ideal_from_ideal(g, res).r_part
-            if span.members != rp.members:
-                return MaximalSubmoduleReport(
-                    len(applicable), False,
-                    f"{rp.label()} is not residual*R1")
-    return MaximalSubmoduleReport(len(applicable), True, None)
-
-
 def is_graded_local(g: GradedRing, bound: int | None = None) -> bool:
     """Exactly one graded maximal ideal; agrees with R0 being local, which
     ``maximal.local-iff-base-local`` checks."""
@@ -128,10 +89,7 @@ def is_graded_domain(g: GradedRing, method: str = "definitional") -> bool:
     """
     zero = g.ring.zero
     if method == "definitional":
-        mul = g.ring.mul
-        homogeneous = [c for c in g.homogeneous_codes() if c != zero]
-        return all(mul[r][s] != zero
-                   for i, r in enumerate(homogeneous) for s in homogeneous[i:])
+        return homogeneous_prime_violation(g, frozenset({zero})) is None
     if method == "structural":
         if g.r1 == {zero}:
             return prime_violation(g.r0_ring, frozenset({g.r0_ring.zero})) is None
@@ -272,11 +230,3 @@ def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
         flat_domain, graded_domain, kernel_trivial, equivalence,
         multiplicative, ring.size * ring.size, witness)
 
-
-def strongly_graded_domain_matches_base(g: GradedRing) -> bool:
-    """For strong gradings: graded domain iff the even part is a domain."""
-    if not is_strongly_graded(g):
-        raise InvalidInputError(
-            f"{g.provenance} is not strongly graded")
-    base_domain = prime_violation(g.r0_ring, frozenset({g.r0_ring.zero})) is None
-    return is_graded_domain(g) == base_domain

@@ -635,8 +635,12 @@ class IdealClassification:
 
 def prime_violation(ring: FiniteRing, members: frozenset) -> tuple | None:
     """First pair (r, s) in code order with rs in the set but r, s outside."""
-    mul = ring.mul
-    outside = [c for c in range(ring.size) if c not in members]
+    return _pair_inside(ring.mul, [c for c in range(ring.size) if c not in members],
+                        members)
+
+
+def _pair_inside(mul, outside: list, members: frozenset) -> tuple | None:
+    """First pair (r, s) of ``outside``, r not after s, with rs in ``members``."""
     for i, r in enumerate(outside):
         row = mul[r]
         for s in outside[i:]:

@@ -1,5 +1,5 @@
 """Graded prime ideals, the contraction map onto the spectrum of the even
-part, Zariski-topology checks, the graded radical, and homogeneous dimension.
+part, the graded radical, and homogeneous dimension.
 
 Every graded prime P is one of two shapes: either it contains the whole odd
 part (then P = p + R1 with p a prime of R0 containing R1^2), or its odd part
@@ -12,7 +12,6 @@ exhaustively, once, by a named record of ``z2spec.verify``, not here.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from functools import reduce
 
@@ -25,12 +24,12 @@ from .graded_ideals import (
 from .grading import (
     GradedRing,
     Submodule,
-    r1_squared,
     residual,
 )
 from .rings import (
     Ideal,
     _memo,
+    _pair_inside,
     _same_ring,
     prime_violation,
     radical,
@@ -78,14 +77,8 @@ class GradedPrime:
 
 def homogeneous_prime_violation(g: GradedRing, flat: frozenset) -> tuple | None:
     """First homogeneous pair (r, s) with rs inside but r, s outside."""
-    mul = g.ring.mul
     outside = [c for c in g.homogeneous_codes() if c not in flat]
-    for i, r in enumerate(outside):
-        row = mul[r]
-        for s in outside[i:]:
-            if row[s] in flat:
-                return (r, s)
-    return None
+    return _pair_inside(g.ring.mul, outside, flat)
 
 
 def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
@@ -144,26 +137,11 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
 
 
 @dataclass(frozen=True)
-class TopologyCheck:
-    name: str
-    passed: bool
-    witness: str | None
-    elapsed: float  # seconds spent on this check alone
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
-    """Graded spectrum with its pairing onto the even-part spectrum."""
+    """The graded spectrum with the spectrum of the even part."""
 
-    method: str
     graded_points: tuple
     base_points: tuple
-    phi_pairs: tuple  # (GradedPrime, Ideal) pairs
-    topology_checks: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.topology_checks)
 
 
 def graded_spec(g: GradedRing, method: str = "definitional",
@@ -182,113 +160,7 @@ def graded_spec(g: GradedRing, method: str = "definitional",
         else:
             points = [phi_inverse(g, p) for p in base]
         return tuple(sorted(points, key=GradedPrime.key))
-    points = _memo(g, ("graded_spec", method), compute)
-    return SpectrumReport(method, points, base, tuple((gp, gp.p) for gp in points))
-
-
-def check_homeomorphism(g: GradedRing, bound: int | None = None) -> SpectrumReport:
-    """Verify the contraction is a bijection and bicontinuous, exhaustively.
-
-    Closed sets are compared through their defining elements: for every even
-    a, the graded primes containing a must be exactly the pullbacks of the
-    base primes containing a; for every homogeneous r, the contractions of
-    the graded primes containing r must be the base primes containing r^2.
-
-    Each check is timed on its own; the two spectrum computations are billed
-    to ``methods-agree``, the check that compares them.
-    """
-    start = time.perf_counter()
-    rep_def = graded_spec(g, "definitional", bound)
-    rep_con = graded_spec(g, "constructive", bound)
-    checks = []
-
-    def record(name: str, witness: str | None) -> None:
-        nonlocal start
-        now = time.perf_counter()
-        checks.append(TopologyCheck(name, witness is None, witness, now - start))
-        start = now
-
-    def_flats = {gp.flat_members for gp in rep_def.graded_points}
-    con_flats = {gp.flat_members for gp in rep_con.graded_points}
-    diff = def_flats ^ con_flats
-    record("methods-agree",
-           None if not diff else f"{len(diff)} points differ between methods")
-
-    images = [gp.p.members for gp in rep_def.graded_points]
-    base_sets = {p.members for p in rep_def.base_points}
-    bijective = len(set(images)) == len(images) and set(images) == base_sets
-    record("contraction-bijective",
-           None if bijective else "contraction is not a bijection onto the base spectrum")
-
-    roundtrip_witness = None
-    for gp in rep_def.graded_points:
-        p = phi(g, gp)
-        if p.members not in base_sets:  # phi_inverse would reject it
-            roundtrip_witness = f"phi({gp.label()}) is not a prime of the even part"
-            break
-        if phi_inverse(g, p).flat_members != gp.flat_members:
-            roundtrip_witness = f"phi_inverse(phi({gp.label()})) differs"
-            break
-    if roundtrip_witness is None:
-        for p in rep_def.base_points:
-            if phi(g, phi_inverse(g, p)).members != p.members:
-                roundtrip_witness = f"phi(phi_inverse({p.label()})) differs"
-                break
-    record("contraction-roundtrip", roundtrip_witness)
-
-    pullback_witness = None
-    for a in sorted(g.r0):
-        direct = {gp.flat_members for gp in rep_def.graded_points
-                  if a in gp.flat_members}
-        via_base = {gp.flat_members for gp in rep_def.graded_points
-                    if g.to_r0(a) in gp.p.members}
-        if direct != via_base:
-            pullback_witness = f"closed set of {g.ring.names[a]} does not pull back"
-            break
-    record("even-variety-pullback", pullback_witness)
-
-    image_witness = None
-    mul = g.ring.mul
-    for r in g.homogeneous_codes():
-        image = {gp.p.members for gp in rep_def.graded_points
-                 if r in gp.flat_members}
-        square = g.to_r0(mul[r][r])
-        target = {p.members for p in rep_def.base_points if square in p.members}
-        if image != target:
-            image_witness = (f"image of the closed set of {g.ring.names[r]}"
-                             f" is not the closed set of its square")
-            break
-    record("homogeneous-variety-image", image_witness)
-
-    return SpectrumReport(rep_def.method, rep_def.graded_points,
-                          rep_def.base_points, rep_def.phi_pairs, tuple(checks))
-
-
-@dataclass(frozen=True)
-class NilCaseReport:
-    """Outcome of the nilpotent-square collapse check (graded primes = primes
-    when R1^2 is contained in the nilradical of R0)."""
-
-    applicable: bool
-    passed: bool
-    witness: str | None
-
-
-def check_nil_case(g: GradedRing, bound: int | None = None) -> NilCaseReport:
-    nilradical = radical_members(g.r0_ring, frozenset({g.r0_ring.zero}))
-    if not r1_squared(g).members <= nilradical:
-        return NilCaseReport(False, True, "odd part squared is not nilpotent")
-    graded = graded_spec(g, "definitional", bound)
-    graded_flats = {gp.flat_members for gp in graded.graded_points}
-    flat_primes = {i.members for i in spec(g.ring, bound)}
-    if graded_flats != flat_primes:
-        return NilCaseReport(True, False,
-                             "graded primes and flat primes differ as sets")
-    stray = [gp for gp in graded.graded_points if gp.ideal.r_part.members != g.r1]
-    if stray:
-        return NilCaseReport(True, False,
-                             f"{stray[0].label()} does not contain the odd part")
-    return NilCaseReport(True, True, None)
+    return SpectrumReport(_memo(g, ("graded_spec", method), compute), base)
 
 
 def r1_bracket(g: GradedRing, i0: Ideal) -> Submodule:

@@ -3,11 +3,13 @@
 A suite maps to a list of CheckRecords; ``run_verify`` assembles them into a
 VerificationReport.  Each structural theorem is checked here, in its named
 record, and not again by the library, whose constructors validate only their
-inputs.  Hitting the enumeration bound inside a check is recorded as a
-distinguished ``resource-limit`` status, any other library error as ``fail``
-with the error as witness; neither is raised out of the run.  Reports
-serialize deterministically; timings are kept in memory and in the text
-rendering but omitted from JSON so reports are byte-identical across runs.
+inputs.  ``run_verify`` enumerates every lattice before the first record
+starts, so a record's time is its check alone.  Hitting the enumeration bound
+inside a check is recorded as a distinguished ``resource-limit`` status, any
+other library error as ``fail`` with the error as witness; neither is raised
+out of the run.  Reports serialize deterministically; timings are kept in
+memory and in the text rendering but omitted from JSON so reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .graded_ideals import (
     graded_ideal_from_submodule,
     decompose_graded,
     is_graded_ideal,
-    strongly_graded_correspondence,
 )
 from .grading import (
     GradedRing,
@@ -46,9 +47,7 @@ from .maxfield import (
     is_graded_field,
     is_graded_local,
     is_graded_maximal,
-    maximal_submodule_check,
     norm_set,
-    strongly_graded_domain_matches_base,
     _norm_code,
 )
 from .rings import (
@@ -56,17 +55,20 @@ from .rings import (
     enumerate_ideals,
     ideal_from_members,
     max_spec,
+    maximal_sets,
+    prime_violation,
+    radical_members,
     spec,
 )
 from .spectrum import (
     PrimeKind,
-    check_homeomorphism,
-    check_nil_case,
     graded_radical,
     graded_spec,
     homogeneous_dim,
     is_graded_prime,
     is_prime_submodule,
+    phi,
+    phi_inverse,
     r1_bracket,
 )
 
@@ -165,11 +167,23 @@ def _suite_ideals(g: GradedRing, bound) -> list:
     def correspondence():
         if not strong:
             return NOT_APPLICABLE, "not strongly graded"
-        report = strongly_graded_correspondence(g, bound)
-        if not report.is_bijection:
-            return FAIL, report.counterexample
-        return PASS, (f"{report.ideal_count} even ideals <->"
-                      f" {report.graded_ideal_count} graded ideals")
+        # I -> (I, I*R1) is a bijection onto the graded ideals, with inverse
+        # J -> J intersect R0
+        ideals = enumerate_ideals(g.r0_ring, bound)
+        graded = enumerate_graded_ideals(g, bound)
+        forward = [graded_ideal_from_ideal(g, i) for i in ideals]
+        hit = set(forward)
+        if len(hit) != len(forward):
+            return FAIL, "two even-part ideals map to the same graded ideal"
+        missing = [j for j in graded if j not in hit]
+        if missing:
+            return FAIL, f"graded ideal not hit: {missing[0].label()}"
+        if len(hit) != len(graded):
+            return FAIL, "an even-part ideal maps outside the graded ideals"
+        for i, j in zip(ideals, forward):
+            if j.i0 != i:
+                return FAIL, f"contraction does not invert on {i.label()}"
+        return PASS, f"{len(ideals)} even ideals <-> {len(graded)} graded ideals"
     _run(records, "ideals.strong-correspondence", correspondence)
 
     def multiplication_module():
@@ -271,10 +285,19 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
     _run(records, "spectrum.unit-sum-prime-form", unit_sum_form)
 
     def nil_case():
-        report = check_nil_case(g, bound)
-        if not report.applicable:
-            return NOT_APPLICABLE, report.witness
-        return (PASS, None) if report.passed else (FAIL, report.witness)
+        # R1^2 inside the nilradical of R0: the graded primes are the primes
+        # of R, and each contains the whole odd part
+        nilradical = radical_members(g.r0_ring, frozenset({g.r0_ring.zero}))
+        if not r1_squared(g).members <= nilradical:
+            return NOT_APPLICABLE, "odd part squared is not nilpotent"
+        points = graded_spec(g, "definitional", bound).graded_points
+        if ({gp.flat_members for gp in points}
+                != {i.members for i in spec(g.ring, bound)}):
+            return FAIL, "graded primes and flat primes differ as sets"
+        for gp in points:
+            if gp.ideal.r_part.members != g.r1:
+                return FAIL, f"{gp.label()} does not contain the odd part"
+        return PASS, None
     _run(records, "spectrum.nil-square-collapse", nil_case)
 
     def dimension():
@@ -288,19 +311,74 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
 
 
 def _suite_homeo(g: GradedRing, bound) -> list:
-    start = time.perf_counter()
-    try:
-        report = check_homeomorphism(g, bound)
-    except EnumerationLimitError as exc:
-        status, witness = RESOURCE_LIMIT, str(exc)
-    except AlgebraError as exc:
-        status, witness = FAIL, str(exc)
-    else:
-        return [CheckRecord(f"homeo.{check.name}", PASS if check.passed else FAIL,
-                            check.witness, check.elapsed)
-                for check in report.topology_checks]
-    return [CheckRecord("homeo.contraction-homeomorphism", status, witness,
-                        time.perf_counter() - start)]
+    """The contraction P -> P intersect R0 onto Spec R0: a bijection with the
+    explicit inverse ``phi_inverse``, and a homeomorphism.
+
+    Closed sets are compared through their defining elements: for every even
+    a, the graded primes containing a must be exactly the pullbacks of the
+    base primes containing a; for every homogeneous r, the contractions of
+    the graded primes containing r must be the base primes containing r^2.
+    """
+    records: list = []
+
+    def points():
+        return graded_spec(g, "definitional", bound).graded_points
+
+    def methods_agree():
+        d = {gp.flat_members for gp in points()}
+        c = {gp.flat_members
+             for gp in graded_spec(g, "constructive", bound).graded_points}
+        if d != c:
+            return FAIL, f"{len(d ^ c)} points differ between methods"
+        return PASS, None
+    _run(records, "homeo.methods-agree", methods_agree)
+
+    def bijective():
+        images = [gp.p.members for gp in points()]
+        if (len(set(images)) != len(images)
+                or set(images) != {p.members for p in spec(g.r0_ring, bound)}):
+            return FAIL, "contraction is not a bijection onto the base spectrum"
+        return PASS, None
+    _run(records, "homeo.contraction-bijective", bijective)
+
+    def roundtrip():
+        base = spec(g.r0_ring, bound)
+        base_sets = {p.members for p in base}
+        for gp in points():
+            p = phi(g, gp)
+            if p.members not in base_sets:  # phi_inverse would reject it
+                return FAIL, f"phi({gp.label()}) is not a prime of the even part"
+            if phi_inverse(g, p).flat_members != gp.flat_members:
+                return FAIL, f"phi_inverse(phi({gp.label()})) differs"
+        for p in base:
+            if phi(g, phi_inverse(g, p)).members != p.members:
+                return FAIL, f"phi(phi_inverse({p.label()})) differs"
+        return PASS, None
+    _run(records, "homeo.contraction-roundtrip", roundtrip)
+
+    def even_pullback():
+        graded = points()
+        for a in sorted(g.r0):
+            direct = {gp.flat_members for gp in graded if a in gp.flat_members}
+            via_base = {gp.flat_members for gp in graded
+                        if g.to_r0(a) in gp.p.members}
+            if direct != via_base:
+                return FAIL, f"closed set of {g.ring.names[a]} does not pull back"
+        return PASS, None
+    _run(records, "homeo.even-variety-pullback", even_pullback)
+
+    def homogeneous_image():
+        graded, base, mul = points(), spec(g.r0_ring, bound), g.ring.mul
+        for r in g.homogeneous_codes():
+            image = {gp.p.members for gp in graded if r in gp.flat_members}
+            square = g.to_r0(mul[r][r])
+            if image != {p.members for p in base if square in p.members}:
+                return FAIL, (f"image of the closed set of {g.ring.names[r]}"
+                              f" is not the closed set of its square")
+        return PASS, None
+    _run(records, "homeo.homogeneous-variety-image", homogeneous_image)
+
+    return records
 
 
 def _suite_radical(g: GradedRing, bound) -> list:
@@ -364,12 +442,25 @@ def _suite_maximal(g: GradedRing, bound) -> list:
     _run(records, "maximal.methods-agree", methods_agree)
 
     def submodule_residual():
-        report = maximal_submodule_check(g, bound)
-        if report.applicable_count == 0:
-            return NOT_APPLICABLE, report.witness
-        if not report.passed:
-            return FAIL, report.witness
-        return PASS, f"{report.applicable_count} applicable submodule(s)"
+        # over the submodules not containing R1^3: maximal exactly when the
+        # residual is maximal, and then equal to residual*R1
+        subs = submodules(g, bound)
+        cube = r1_cubed(g).members
+        applicable = [rp for rp in subs if not cube <= rp.members]
+        if not applicable:
+            return NOT_APPLICABLE, "no applicable submodules"
+        top = maximal_sets(rp.members for rp in subs if rp.is_proper)
+        base_max = {m.members for m in max_spec(g.r0_ring, bound)}
+        for rp in applicable:
+            res = residual(g, rp)
+            is_max_sub, res_max = rp.members in top, res.members in base_max
+            if is_max_sub != res_max:
+                return FAIL, (f"{rp.label()}: maximal-submodule={is_max_sub},"
+                              f" residual-maximal={res_max}")
+            if is_max_sub and (graded_ideal_from_ideal(g, res).r_part.members
+                               != rp.members):
+                return FAIL, f"{rp.label()} is not residual*R1"
+        return PASS, f"{len(applicable)} applicable submodule(s)"
     _run(records, "maximal.submodule-residual-equivalence", submodule_residual)
 
     def local():
@@ -468,7 +559,8 @@ def _suite_field(g: GradedRing, bound) -> list:
     def strong_domain():
         if not is_strongly_graded(g):
             return NOT_APPLICABLE, "not strongly graded"
-        if not strongly_graded_domain_matches_base(g):
+        base_domain = prime_violation(g.r0_ring, frozenset({g.r0_ring.zero})) is None
+        if is_graded_domain(g) != base_domain:
             return FAIL, "graded domain flag disagrees with the even part"
         return PASS, None
     _run(records, "field.strong-domain-iff-base", strong_domain)
@@ -585,6 +677,7 @@ def run_verify(spec: InstanceSpec, suites=("all",),
             {key: None for key in ("ideals", "primes", "graded_ideals",
                                    "graded_primes", "graded_maximals")},
             chosen, [record], RESOURCE_LIMIT)
+    counts = _counts(g, limit)  # every lattice, so no record is billed for one
     checks: list = []
     for name in chosen:
         checks.extend(_SUITES[name](g, limit))
@@ -595,7 +688,7 @@ def run_verify(spec: InstanceSpec, suites=("all",),
         status = RESOURCE_LIMIT
     else:
         status = PASS
-    return VerificationReport(_instance_summary(spec, g), _counts(g, limit),
+    return VerificationReport(_instance_summary(spec, g), counts,
                               chosen, checks, status)
 
 

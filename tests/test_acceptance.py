@@ -15,7 +15,6 @@ from z2spec.dot import render_dot
 from z2spec.graded_ideals import (
     enumerate_graded_ideals,
     graded_ideal_from_ideal,
-    strongly_graded_correspondence,
 )
 from z2spec.grading import gaussian_integers, is_strongly_graded, quadratic_extension
 from z2spec.maxfield import (
@@ -24,7 +23,6 @@ from z2spec.maxfield import (
     graded_max,
     is_graded_domain,
     is_graded_field,
-    maximal_submodule_check,
     norm_set,
 )
 from z2spec.rings import (
@@ -37,7 +35,6 @@ from z2spec.rings import (
     zmod,
 )
 from z2spec.spectrum import (
-    check_homeomorphism,
     graded_radical,
     graded_spec,
     homogeneous_dim,
@@ -47,6 +44,11 @@ from z2spec.verify import report_to_json, run_verify
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 INSTANCES = [(entry, entry.build()) for entry in CATALOG]
+
+
+def _records(entry, suite):
+    """Record name -> CheckRecord of one suite run on a catalog entry."""
+    return {r.name: r for r in run_verify(entry.spec(), [suite]).checks}
 
 
 def _report(number, title, ok, detail=""):
@@ -83,9 +85,9 @@ def test_criterion_2_homeomorphism_suite():
     assert len(INSTANCES) >= 25
     start = time.perf_counter()
     failures = []
-    for entry, g in INSTANCES:
-        report = check_homeomorphism(g)
-        if not report.passed:
+    for entry, _ in INSTANCES:
+        records = _records(entry, "homeo").values()
+        if len(records) != 5 or any(r.status != "pass" for r in records):
             failures.append(entry.instance_id)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0
@@ -118,9 +120,9 @@ def test_criterion_4_graded_maximal_suite():
     for entry, g in INSTANCES:
         if graded_max(g, "definitional") != graded_max(g, "constructive"):
             failures.append((entry.instance_id, "methods disagree"))
-        submodule_report = maximal_submodule_check(g)
-        if not submodule_report.passed:
-            failures.append((entry.instance_id, submodule_report.witness))
+        submodule = _records(entry, "maximal")["maximal.submodule-residual-equivalence"]
+        if submodule.status not in ("pass", "not-applicable"):
+            failures.append((entry.instance_id, submodule.witness))
         graded_local = len(graded_max(g, "definitional")) == 1
         if graded_local != (len(max_spec(g.r0_ring)) == 1):
             failures.append((entry.instance_id, "local flag mismatch"))
@@ -134,8 +136,8 @@ def test_criterion_5_strongly_graded_correspondence():
     strong = [(entry, g) for entry, g in INSTANCES if is_strongly_graded(g)]
     assert strong
     for entry, g in strong:
-        correspondence = strongly_graded_correspondence(g)
-        if not correspondence.is_bijection:
+        correspondence = _records(entry, "ideals")["ideals.strong-correspondence"]
+        if correspondence.status != "pass":
             failures.append((entry.instance_id, "ideal bijection"))
         expected_spec = {graded_ideal_from_ideal(g, p).flat_members
                          for p in spec(g.r0_ring)}

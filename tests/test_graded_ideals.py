@@ -5,7 +5,7 @@ import pytest
 
 from naive_closure import naive_is_graded_ideal
 from z2spec.catalog import CATALOG
-from z2spec.errors import InvalidInputError, NotStronglyGradedError
+from z2spec.errors import InvalidInputError
 from z2spec.graded_ideals import (
     GradedIdeal,
     decompose_graded,
@@ -13,7 +13,6 @@ from z2spec.graded_ideals import (
     graded_ideal_from_ideal,
     graded_ideal_from_submodule,
     is_graded_ideal,
-    strongly_graded_correspondence,
 )
 from z2spec.grading import (
     Submodule,
@@ -24,7 +23,9 @@ from z2spec.grading import (
     trivially_graded,
     truncated_poly,
 )
+from z2spec.instances import InstanceSpec
 from z2spec.rings import enumerate_ideals, ideal_generate, zmod
+from z2spec.verify import run_verify
 
 
 GAUSSIAN4 = gaussian_integers(4)
@@ -167,15 +168,21 @@ def test_graded_ideal_compatibility_enforced():
 
 
 def test_strongly_graded_correspondence():
-    report = strongly_graded_correspondence(GAUSSIAN4)
-    assert report.is_bijection
-    assert report.ideal_count == report.graded_ideal_count == 3
-    for g, count in ((quadratic_extension(zmod(5), 2), 2),
-                     (quadratic_extension(zmod(2), 1), 2)):
-        rep = strongly_graded_correspondence(g)
-        assert rep.is_bijection and rep.ideal_count == count
-    with pytest.raises(NotStronglyGradedError):
-        strongly_graded_correspondence(trivial_extension(zmod(2), [2]))
+    def record(recipe):
+        report = run_verify(InstanceSpec(recipe), ["ideals"])
+        return next((r.status, r.witness) for r in report.checks
+                    if r.name == "ideals.strong-correspondence")
+
+    def quadratic(n, alpha):
+        return {"kind": "quadratic", "base": {"kind": "zmod", "n": n}, "alpha": alpha}
+
+    assert record({"kind": "gaussian", "n": 4}) == (
+        "pass", "3 even ideals <-> 3 graded ideals")
+    for recipe, count in ((quadratic(5, 2), 2), (quadratic(2, 1), 2)):
+        assert record(recipe) == (
+            "pass", f"{count} even ideals <-> {count} graded ideals")
+    assert record({"kind": "trivial_extension", "n": 2, "orders": [2]}) == (
+        "not-applicable", "not strongly graded")
 
 
 def test_graded_ideal_ordering_is_canonical():

@@ -12,6 +12,7 @@ from z2spec.grading import (
     trivially_graded,
     truncated_poly,
 )
+from z2spec.instances import InstanceSpec, build_instance
 from z2spec.maxfield import (
     domain_equivalence_check,
     graded_field_presentation,
@@ -20,10 +21,8 @@ from z2spec.maxfield import (
     is_graded_field,
     is_graded_local,
     is_graded_maximal,
-    maximal_submodule_check,
     norm,
     norm_set,
-    strongly_graded_domain_matches_base,
 )
 from z2spec.rings import (
     classify_ideal,
@@ -33,6 +32,7 @@ from z2spec.rings import (
     zmod,
 )
 from z2spec.spectrum import graded_spec
+from z2spec.verify import run_verify
 
 
 GAUSSIAN4 = gaussian_integers(4)
@@ -98,14 +98,25 @@ def test_one_pass_graded_max_matches_definition(g):
     assert graded_max(g) == expected
 
 
+def _record(recipe: dict, suite: str, name: str) -> tuple:
+    """(status, witness) of one named record of a suite run on a recipe."""
+    report = run_verify(InstanceSpec(recipe), [suite])
+    return next((r.status, r.witness) for r in report.checks if r.name == name)
+
+
+def _quadratic(n: int, alpha: int) -> dict:
+    return {"kind": "quadratic", "base": {"kind": "zmod", "n": n}, "alpha": alpha}
+
+
 def test_maximal_submodule_check():
-    report = maximal_submodule_check(GAUSSIAN4)
-    assert report.passed and report.applicable_count == 2
-    report = maximal_submodule_check(quadratic_extension(zmod(5), 2))
-    assert report.passed and report.applicable_count == 1
-    report = maximal_submodule_check(truncated_poly(zmod(2), 3))
-    assert report.passed and report.applicable_count == 0
-    assert report.witness == "no applicable submodules"
+    name = "maximal.submodule-residual-equivalence"
+    assert _record({"kind": "gaussian", "n": 4}, "maximal", name) == (
+        "pass", "2 applicable submodule(s)")
+    assert _record(_quadratic(5, 2), "maximal", name) == (
+        "pass", "1 applicable submodule(s)")
+    truncpoly = {"kind": "truncated_poly", "base": {"kind": "zmod", "n": 2}, "k": 3}
+    assert _record(truncpoly, "maximal", name) == (
+        "not-applicable", "no applicable submodules")
 
 
 def test_is_graded_local():
@@ -215,8 +226,12 @@ def test_domain_equivalence():
 
 
 def test_strongly_graded_corollaries():
-    for g in (GAUSSIAN2, GAUSSIAN3, GAUSSIAN4, GAUSSIAN5, Q51):
-        assert strongly_graded_domain_matches_base(g)
+    for recipe in ({"kind": "gaussian", "n": 2}, {"kind": "gaussian", "n": 3},
+                   {"kind": "gaussian", "n": 4}, {"kind": "gaussian", "n": 5},
+                   _quadratic(5, 1)):
+        assert _record(recipe, "field", "field.strong-domain-iff-base") == (
+            "pass", None)
+        g = build_instance(InstanceSpec(recipe))
         expected = sorted(
             (graded_ideal_from_ideal(g, p) for p in max_spec(g.r0_ring)),
             key=lambda j: j.key())

@@ -1,9 +1,15 @@
-"""Rules on the source of the z2spec package, read from its syntax trees."""
+"""Rules on the source of the z2spec package, read from its syntax trees,
+and on the README's code and record names, run against the package."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "z2spec"
+from z2spec.catalog import CATALOG
+from z2spec.verify import SUITE_NAMES, run_verify
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "z2spec"
 MODULES = sorted(SRC.glob("*.py"))
 
 # where a cache dict may be read or written: the owners' constructors create
@@ -60,3 +66,29 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+def test_readme_quick_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", _readme_section("Library quick tour"),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_names_only_records_that_verify_emits():
+    pattern = r"`((?:%s)\.[a-z0-9-]+)`" % "|".join(SUITE_NAMES)
+    named = set(re.findall(pattern, _readme_section("What is checked where")))
+    assert named
+    emitted = set()
+    for entry in CATALOG:
+        if named <= emitted:
+            break
+        emitted |= {record.name for record in run_verify(entry.spec()).checks}
+    assert sorted(named - emitted) == []

@@ -5,6 +5,7 @@ import pytest
 from naive_closure import naive_graded_radical, naive_radical
 from z2spec.catalog import CATALOG
 from z2spec.errors import EnumerationLimitError, InvalidInputError
+from z2spec.instances import InstanceSpec
 from z2spec.graded_ideals import (
     decompose_graded,
     enumerate_graded_ideals,
@@ -32,8 +33,6 @@ from z2spec.rings import (
 from z2spec.maxfield import graded_max
 from z2spec.spectrum import (
     PrimeKind,
-    check_homeomorphism,
-    check_nil_case,
     classify_graded_prime,
     graded_radical,
     graded_spec,
@@ -44,6 +43,7 @@ from z2spec.spectrum import (
     phi_inverse,
     r1_bracket,
 )
+from z2spec.verify import run_verify
 
 
 GAUSSIAN4 = gaussian_integers(4)
@@ -147,7 +147,6 @@ def test_graded_spec_both_methods():
         c = graded_spec(g, "constructive")
         assert [p.flat_members for p in d.graded_points] == \
                [p.flat_members for p in c.graded_points]
-        assert len(d.phi_pairs) == len(d.graded_points)
     with pytest.raises(InvalidInputError):
         graded_spec(GAUSSIAN4, "magic")
 
@@ -158,24 +157,33 @@ def test_graded_spec_strictly_smaller_than_flat_spec():
     assert len(spec(q.ring)) == 2
 
 
+def _records(recipe: dict, suite: str) -> dict:
+    """Record name -> (status, witness) of one suite run on a recipe."""
+    return {r.name: (r.status, r.witness)
+            for r in run_verify(InstanceSpec(recipe), [suite]).checks}
+
+
+def _truncpoly(n: int, k: int) -> dict:
+    return {"kind": "truncated_poly", "base": {"kind": "zmod", "n": n}, "k": k}
+
+
 def test_check_homeomorphism_passes():
-    for g in (GAUSSIAN4, trivially_graded(zmod(6)), truncated_poly(zmod(2), 3),
-              gaussian_integers(10)):
-        report = check_homeomorphism(g)
-        assert report.passed, [c for c in report.topology_checks if not c.passed]
-        names = [c.name for c in report.topology_checks]
-        assert names == ["methods-agree", "contraction-bijective",
+    for recipe in ({"kind": "gaussian", "n": 4}, {"kind": "zmod", "n": 6},
+                   _truncpoly(2, 3), {"kind": "gaussian", "n": 10}):
+        assert _records(recipe, "homeo") == {
+            f"homeo.{name}": ("pass", None)
+            for name in ("methods-agree", "contraction-bijective",
                          "contraction-roundtrip", "even-variety-pullback",
-                         "homogeneous-variety-image"]
+                         "homogeneous-variety-image")}
 
 
 def test_check_nil_case():
-    r = check_nil_case(TRIVEXT)
-    assert r.applicable and r.passed
-    r = check_nil_case(truncated_poly(zmod(4), 2))
-    assert r.applicable and r.passed
-    r = check_nil_case(GAUSSIAN4)
-    assert not r.applicable
+    name = "spectrum.nil-square-collapse"
+    trivext = {"kind": "trivial_extension", "n": 2, "orders": [2]}
+    assert _records(trivext, "spectrum")[name] == ("pass", None)
+    assert _records(_truncpoly(4, 2), "spectrum")[name] == ("pass", None)
+    assert _records({"kind": "gaussian", "n": 4}, "spectrum")[name] == (
+        "not-applicable", "odd part squared is not nilpotent")
 
 
 def test_r1_bracket():

@@ -12,7 +12,9 @@ import json
 import pytest
 
 import z2spec.graded_ideals as graded_ideals
+import z2spec.grading as grading
 import z2spec.maxfield as maxfield
+import z2spec.rings as rings
 import z2spec.spectrum as spectrum
 import z2spec.verify as verify
 from z2spec.cli import main
@@ -124,6 +126,7 @@ def contraction_misses_p(monkeypatch):
     def broken(g, p):
         return original(g, spec(g.r0_ring)[0])
     monkeypatch.setattr(spectrum, "phi_inverse", broken)
+    monkeypatch.setattr(verify, "phi_inverse", broken)
 
 
 def chain_counts_members(monkeypatch):
@@ -158,7 +161,7 @@ CASES = [
     pytest.param(contraction_not_prime, GAUSSIAN4, ["homeo"],
                  ["homeo.contraction-bijective"], id="phi"),
     pytest.param(odd_fiber_not_a_submodule, GAUSSIAN4, ["homeo", "spectrum"],
-                 ["spectrum.methods-agree", "homeo.contraction-homeomorphism"],
+                 ["spectrum.methods-agree", "homeo.methods-agree"],
                  id="phi_inverse-fiber"),
     pytest.param(contraction_misses_p, ZMOD6, ["homeo", "spectrum"],
                  ["spectrum.methods-agree", "homeo.contraction-roundtrip"],
@@ -203,5 +206,33 @@ def test_error_inside_a_check_is_reported_with_its_text(monkeypatch):
     odd_fiber_not_a_submodule(monkeypatch)
     report = run_verify(spec_, ["homeo", "spectrum"])
     records = {record.name: record for record in report.checks}
-    for name in ("spectrum.methods-agree", "homeo.contraction-homeomorphism"):
+    for name in ("spectrum.methods-agree", "homeo.methods-agree"):
         assert "escapes the odd part" in records[name].witness
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_no_record_is_billed_for_a_lattice(suite, monkeypatch):
+    """``run_verify`` enumerates every lattice before the first record starts,
+    so a record's time is its check alone."""
+    spec_ = InstanceSpec(dict(GAUSSIAN4))
+    g = build_instance(spec_)
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    started, built, late = [], [], []
+    lattice, run = rings._subgroup_lattice, verify._run
+
+    def spy_lattice(*args, **kwargs):
+        built.append(args[0])
+        if started:
+            late.append(started[-1])
+        return lattice(*args, **kwargs)
+
+    def spy_run(records, name, body):
+        started.append(name)
+        run(records, name, body)
+    monkeypatch.setattr(rings, "_subgroup_lattice", spy_lattice)
+    monkeypatch.setattr(grading, "_subgroup_lattice", spy_lattice)
+    monkeypatch.setattr(verify, "_run", spy_run)
+    assert run_verify(spec_, [suite]).status == "pass"
+    assert built and started  # the caches were empty, and the records ran
+    assert late == []
