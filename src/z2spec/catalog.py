@@ -3,11 +3,12 @@ verification suites and the golden reports.
 
 Families: Z/n[i] for n in {2,3,4,5,9,10,12}; quadratic extensions of Z/2..Z/5
 with every alpha; square-zero extensions of Z/2, Z/3, Z/4 by each nontrivial
-cyclic module, and of Z/4 by Z/2 (+) Z/4; truncated polynomial rings over Z/2
-and Z/4 with k in {1,2,3}; Z/4, Z/6, Z/12 and the product Z/4 x F4 with the
-trivial grading; F4[i] over F4 = Z/2[x]/(x^2+x+1); (Z/2 x Z/3)[i], a
-quadratic extension of a product whose unit is not code 1; and Z/2[x]/(x^2+1)
-with the manual grading R1 = {0, 1+x}.  39 instances in all.
+cyclic module, of Z/4 by Z/2 (+) Z/4, and of Z/2 by F2^k for k in {3,4,5};
+truncated polynomial rings over Z/2 and Z/4 with k in {1,2,3}; Z/4, Z/6,
+Z/12 and the product Z/4 x F4 with the trivial grading; F4[i] over
+F4 = Z/2[x]/(x^2+x+1); (Z/2 x Z/3)[i], a quadratic extension of a product
+whose unit is not code 1; and Z/2[x]/(x^2+1) with the manual grading
+R1 = {0, 1+x}.  42 instances in all.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ def _entries() -> list[CatalogEntry]:
                     {"kind": "trivial_extension", "n": n, "orders": [m]}))
     out.append(CatalogEntry(  # a mixed-order odd part
         "trivext-4-m2m4", {"kind": "trivial_extension", "n": 4, "orders": [2, 4]}))
+    for k in (3, 4, 5):  # deep lattices: G_2(k) + 1 ideals
+        out.append(CatalogEntry(
+            f"trivext-2-f2x{k}",
+            {"kind": "trivial_extension", "n": 2, "orders": [2] * k}))
     for n in (2, 4):
         for k in (1, 2, 3):
             out.append(CatalogEntry(

@@ -88,7 +88,7 @@ def test_counting_test_agrees_with_all_pairs_sums_on_the_catalog():
             assert is_graded_ideal(g, ideal) == expected, (entry.instance_id, ideal)
             total += 1
             not_graded += not expected
-    assert (total, not_graded) == (195, 45)
+    assert (total, not_graded) == (655, 45)
 
 
 def test_counting_test_agrees_with_all_pairs_sums_on_a_deep_lattice():

@@ -74,6 +74,23 @@ def test_lattices_match_all_pairs_closure(case):
     assert [m.members for m in submodules(g, 512)] == naive_submodules(g)
 
 
+def _galois_number(k: int, q: int = 2) -> int:
+    """G_q(k): the number of subspaces of F_q^k, a sum of Gaussian binomials."""
+    total, binomial = 0, 1
+    for j in range(k + 1):
+        total += binomial
+        binomial = binomial * (q ** (k - j) - 1) // (q ** (j + 1) - 1)
+    return total
+
+
+@pytest.mark.parametrize("k, count", [(3, 17), (4, 68), (5, 375)])
+def test_deep_catalog_lattices_count_every_subspace(k, count):
+    # Z/2 (+) F2^k: every subspace of the square-zero odd part is an ideal,
+    # and the whole ring is the one ideal outside it
+    g = RINGS[f"trivext-2-f2x{k}"]()
+    assert len(enumerate_ideals(g.ring)) == _galois_number(k) + 1 == count
+
+
 @pytest.mark.parametrize("case", CATALOG_IDS)
 def test_graded_pairs_match_all_pairs_filter(case):
     g = RINGS[case]()

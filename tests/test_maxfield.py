@@ -85,9 +85,8 @@ def _maximal_by_definition(g):
         j.flat_members < k.flat_members and k.is_proper for k in ideals)]
 
 
-@pytest.mark.parametrize("g", [entry.build() for entry in CATALOG]
-                         + [trivial_extension(zmod(2), [2] * 5)],
-                         ids=[entry.instance_id for entry in CATALOG] + ["trivext-2-f2x5"])
+@pytest.mark.parametrize("g", [entry.build() for entry in CATALOG],
+                         ids=[entry.instance_id for entry in CATALOG])
 def test_one_pass_graded_max_matches_definition(g):
     expected = _maximal_by_definition(g)
     result = graded_max(g)
