@@ -4,10 +4,10 @@ An ideal J of the ambient ring is graded exactly when it splits as
 (J intersect R0) + (J intersect R1); the pair form is the canonical
 representation and the flat member set is derived from it.
 
-Both compatibility conditions are decided on additive generators: I0, R1
-and R' are additive groups and multiplication is biadditive, so I0*R1 <= R'
-iff gens(I0)*gens(R1) <= R', and R1*R' <= I0 iff gens(R1)*gens(R') <= I0.
-A violation found this way is a genuine product escaping its target.
+Both compatibility conditions are decided on additive generators
+(``grading._r1_products``): I0*R1 <= R' iff gens(I0)*gens(R1) <= R', and
+R1*R' <= I0 iff gens(R')*gens(R1) <= I0.  Only when one fails is a product
+escaping its target looked up, by a scan over all pairs.
 
 Gradedness is decided by counting: for an ideal J, A = J intersect R0 and
 B = J intersect R1 give A + B <= J, and A + B has exactly |A| * |B| elements
@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 from .grading import (
     GradedRing,
     Submodule,
-    _r1_generators,
+    _r1_products,
     residual,
     submodules,
 )
@@ -29,7 +29,6 @@ from .rings import (
     Ideal,
     _memo,
     _same_ring,
-    _subgroup_generators,
     additive_closure,
     as_code,
     enumerate_ideals,
@@ -51,25 +50,15 @@ class GradedIdeal:
         self.i0 = i0
         self.r_part = r_part
         g = graded_ring
-        add, mul, names = g.ring.add, g.ring.mul, g.ring.names
+        add = g.ring.add
         i0_ambient = g.embed_ideal(i0)
         odd = frozenset(r_part.members)
         cosets = [map(add[a].__getitem__, odd) for a in i0_ambient if a != g.ring.zero]
         self.flat_members = odd.union(*cosets) if cosets else odd  # I0 = 0 shares R'
-        r1_gens = _r1_generators(g)
-        for a in _subgroup_generators(add, g.ring.zero, i0_ambient):
-            row = mul[a]
-            for x in r1_gens:
-                if row[x] not in odd:
-                    raise InvalidInputError(
-                        f"I0*R1 escapes the odd part: {names[a]} *"
-                        f" {names[x]} = {names[row[x]]}")
-        for y in _subgroup_generators(add, g.ring.zero, odd):
-            for x in r1_gens:
-                if mul[x][y] not in i0_ambient:
-                    raise InvalidInputError(
-                        f"R1*R' escapes the even part: {names[x]} *"
-                        f" {names[y]} = {names[mul[x][y]]}")
+        if not _r1_products(g, i0_ambient) <= odd:
+            _escape(g, "I0*R1 escapes the odd part", i0_ambient, g.r1, odd)
+        if not _r1_products(g, odd) <= i0_ambient:
+            _escape(g, "R1*R' escapes the even part", g.r1, odd, i0_ambient)
 
     def __eq__(self, other):
         if not isinstance(other, GradedIdeal):
@@ -95,6 +84,15 @@ class GradedIdeal:
 
     def __repr__(self):
         return f"GradedIdeal[{self.label()}] of {self.graded_ring.provenance}"
+
+
+def _escape(g: GradedRing, what: str, left, right, target: frozenset):
+    """Raise with the first product a*b, a in left and b in right in code
+    order, that lies outside the target."""
+    mul, names = g.ring.mul, g.ring.names
+    a, b = next((a, b) for a in sorted(left) for b in sorted(right)
+                if mul[a][b] not in target)
+    raise InvalidInputError(f"{what}: {names[a]} * {names[b]} = {names[mul[a][b]]}")
 
 
 def is_graded_ideal(g: GradedRing, members) -> bool:
@@ -147,11 +145,7 @@ def _as_ideal_members(g: GradedRing, members) -> frozenset:
 def graded_ideal_from_ideal(g: GradedRing, i: Ideal) -> GradedIdeal:
     """The graded ideal (I, I*R1) attached to an even-part ideal."""
     _same_ring(g.r0_ring, i.ring)
-    mul = g.ring.mul
-    products = {mul[a][x]
-                for a in _subgroup_generators(g.ring.add, g.ring.zero, g.embed_ideal(i))
-                for x in _r1_generators(g)}
-    r_part = Submodule(g, additive_closure(g.ring, products))
+    r_part = Submodule(g, additive_closure(g.ring, _r1_products(g, g.embed_ideal(i))))
     return GradedIdeal(g, i, r_part)
 
 
@@ -172,18 +166,11 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
     subs = submodules(g, bound)
 
     def compute():
-        add, mul, zero = g.ring.add, g.ring.mul, g.ring.zero
-        r1_gens = _r1_generators(g)
-        evens = []
-        for i0 in even_ideals:
-            i0_ambient = g.embed_ideal(i0)
-            products = {mul[a][x]  # I0*R1 as gens(I0) x gens(R1)
-                        for a in _subgroup_generators(add, zero, i0_ambient) for x in r1_gens}
-            evens.append((i0, i0_ambient, products))
+        evens = [(i0, amb, _r1_products(g, amb))
+                 for i0 in even_ideals for amb in [g.embed_ideal(i0)]]
         result = []
         for rp in subs:
-            products = {mul[x][y]  # R1*R' as gens(R1) x gens(R')
-                        for y in _subgroup_generators(add, zero, rp.members) for x in r1_gens}
+            products = _r1_products(g, rp.members)
             for i0, i0_ambient, needed in evens:
                 if needed <= rp.members and products <= i0_ambient:
                     result.append(GradedIdeal(g, i0, rp))

@@ -362,6 +362,31 @@ def _r1_generators(g: GradedRing) -> tuple:
         _subgroup_generators(g.ring.add, g.ring.zero, sorted(g.r1))))
 
 
+def _r1_products(g: GradedRing, members: Iterable[int]) -> set:
+    """{a*x : a an additive generator of ``members``, x one of R1's}.
+
+    Multiplication is biadditive: for a = sum n_j a_j and x = sum m_i x_i,
+    a*x = sum n_j m_i a_j x_i.  So these products span members*R1
+    additively, and an additive group contains members*R1 exactly when it
+    contains them.
+    """
+    mul = g.ring.mul
+    r1_gens = _r1_generators(g)
+    return {mul[a][x] for a in _subgroup_generators(g.ring.add, g.ring.zero, members)
+            for x in r1_gens}
+
+
+def _r1_colon(g: GradedRing, part: Iterable[int], target: frozenset) -> frozenset:
+    """{e in part : e*R1 <= target} for an additive group ``target``.
+
+    e*x is additive in x, so e*R1 <= target exactly when e times each
+    additive generator of R1 lies in target (``_r1_products``).
+    """
+    mul = g.ring.mul
+    r1_gens = _r1_generators(g)
+    return frozenset(e for e in part if target.issuperset(map(mul[e].__getitem__, r1_gens)))
+
+
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
     gens = _r0_generators(g)
     return additive_closure(
@@ -400,18 +425,13 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
 
 
 def residual(g: GradedRing, rp: Submodule) -> Ideal:
-    """(R' : R1) = {a in R0 : a*R1 <= R'}, as an ideal of the even ring.
-
-    a*R1 <= R' is tested on the additive generators of R1 only: a*x is
-    additive in x and R' is an additive group.  That the result is an ideal
-    is checked by the verify record ``ideals.submodule-closure``.
+    """(R' : R1) = {a in R0 : a*R1 <= R'}, as an ideal of the even ring,
+    tested on R1's additive generators (``_r1_colon``).  That the result is
+    an ideal is checked by the verify record ``ideals.submodule-closure``.
     """
     if rp.graded_ring is not g:
         raise InvalidParameterError("submodule belongs to a different graded ring")
-    mul = g.ring.mul
-    r1_gens = _r1_generators(g)
-    return g.restrict_ideal(
-        a for a in g.r0 if all(mul[a][x] in rp.members for x in r1_gens))
+    return g.restrict_ideal(_r1_colon(g, g.r0, rp.members))
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +440,14 @@ def residual(g: GradedRing, rp: Submodule) -> Ideal:
 
 def r1_squared(g: GradedRing) -> Ideal:
     """The ideal of R0 generated by all products of two odd elements."""
-    def compute():
-        mul = g.ring.mul
-        products = {mul[x][y] for x in g.r1 for y in g.r1}
-        members = ideal_members(
-            g.r0_ring, (g.to_r0(p) for p in products))
-        return ideal_from_codes(g.r0_ring, members)
-    return _memo(g, "r1_squared", compute)
+    return _memo(g, "r1_squared", lambda: ideal_from_codes(g.r0_ring, ideal_members(
+        g.r0_ring, map(g.to_r0, _r1_products(g, g.r1)))))
 
 
 def r1_cubed(g: GradedRing) -> Submodule:
     """The submodule (R1^2) * R1 of the odd part."""
-    def compute():
-        mul = g.ring.mul
-        sq = g.embed_ideal(r1_squared(g))
-        products = {mul[a][x] for a in sq for x in g.r1}
-        return Submodule(g, additive_closure(g.ring, products))
-    return _memo(g, "r1_cubed", compute)
+    return _memo(g, "r1_cubed", lambda: Submodule(g, additive_closure(
+        g.ring, _r1_products(g, g.embed_ideal(r1_squared(g))))))
 
 
 def is_strongly_graded(g: GradedRing) -> bool:

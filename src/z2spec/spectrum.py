@@ -24,7 +24,7 @@ from .graded_ideals import (
 from .grading import (
     GradedRing,
     Submodule,
-    residual,
+    _r1_colon,
 )
 from .rings import (
     Ideal,
@@ -94,16 +94,10 @@ def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
         raise InvalidInputError("submodule belongs to a different graded ring")
     if not rp.is_proper:
         return False
-    res = g.embed_ideal(residual(g, rp))
-    mul = g.ring.mul
-    for a in g.r0:
-        if a in res:
-            continue
-        row = mul[a]
-        for m in g.r1:
-            if m not in rp.members and row[m] in rp.members:
-                return False
-    return True
+    inside, mul = rp.members, g.ring.mul
+    outside = [m for m in g.r1 if m not in inside]
+    return not any(mul[a][m] in inside
+                   for a in g.r0 - _r1_colon(g, g.r0, inside) for m in outside)
 
 
 def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
@@ -130,9 +124,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     _same_ring(g.r0_ring, p.ring)
     if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
-    p_ambient = g.embed_ideal(p)
-    mul = g.ring.mul
-    odd = frozenset(x for x in g.r1 if all(mul[x][y] in p_ambient for y in g.r1))
+    odd = _r1_colon(g, g.r1, g.embed_ideal(p))
     return classify_graded_prime(g, GradedIdeal(g, p, Submodule(g, odd)))
 
 

@@ -26,6 +26,8 @@ from z2spec.graded_ideals import (
 )
 from z2spec.grading import (
     Submodule,
+    _r1_colon,
+    _r1_products,
     gaussian_integers,
     residual,
     submodules,
@@ -106,6 +108,24 @@ def test_residual_and_odd_part_match_all_pairs(case):
     for i in enumerate_ideals(g.r0_ring):
         odd = graded_ideal_from_ideal(g, i).r_part.members
         assert odd == naive_odd_part(g, g.embed_ideal(i))
+
+
+@pytest.mark.parametrize("case", sorted(RINGS))
+def test_odd_part_products_and_colons_match_all_pairs(case):
+    g = RINGS[case]()
+    mul = g.ring.mul
+
+    def colon(part, target):
+        return frozenset(e for e in part if all(mul[e][x] in target for x in g.r1))
+
+    groups = [g.embed_ideal(i) for i in enumerate_ideals(g.r0_ring)]
+    groups += [m.members for m in submodules(g, 512)]
+    for members in groups:
+        products = _r1_products(g, members)
+        assert products <= {mul[a][x] for a in members for x in g.r1}
+        assert naive_additive_closure(g.ring, products) == naive_odd_part(g, members)
+        for part in (g.r0, g.r1):
+            assert _r1_colon(g, part, members) == colon(part, members)
 
 
 @pytest.mark.parametrize("case", CATALOG_IDS)

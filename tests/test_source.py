@@ -49,6 +49,18 @@ def test_only_memo_and_the_owner_constructors_touch_cache():
     assert seen == CACHE_SITES
 
 
+def test_only_the_odd_part_helpers_read_r1_generators():
+    """Every product with R1 and every colon by R1 goes through
+    ``grading._r1_products`` or ``grading._r1_colon``."""
+    readers = []
+    for path in MODULES:
+        for scope, node in _scoped_nodes(_tree(path)):
+            if (isinstance(node, ast.Name) and node.id == "_r1_generators"
+                    or isinstance(node, ast.alias) and node.name == "_r1_generators"):
+                readers.append((path.name, scope or "<module>"))
+    assert sorted(readers) == [("grading.py", "_r1_colon"), ("grading.py", "_r1_products")]
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
     for path in MODULES:
