@@ -15,15 +15,15 @@ import json
 import sys
 
 from .errors import AlgebraError, EnumerationLimitError
-from .grading import is_strongly_graded
 from .instances import build_instance, effective_bound, parse_instance
-from .dot import render_dot
+from .dot import export_dot
 from .rings import spec as ring_spec
 from .spectrum import graded_spec
 from .verify import (
     FAIL,
     RESOURCE_LIMIT,
     SUITE_NAMES,
+    _instance_summary,
     report_to_json,
     report_to_text,
     run_verify,
@@ -41,20 +41,12 @@ def _emit_json(payload) -> None:
 
 def _cmd_build(args) -> int:
     instance = _read_instance(args.file)
-    g = build_instance(instance, args.bound)
-    summary = {
-        "provenance": g.provenance,
-        "recipe": instance.recipe,
-        "size": g.ring.size,
-        "r0_size": len(g.r0),
-        "r1_size": len(g.r1),
-        "strongly_graded": is_strongly_graded(g),
-    }
+    summary = _instance_summary(instance, build_instance(instance, args.bound))
     if args.format == "json":
         _emit_json(summary)
     else:
-        print(f"{g.provenance}: |R|={g.ring.size} |R0|={len(g.r0)}"
-              f" |R1|={len(g.r1)} strongly_graded={is_strongly_graded(g)}")
+        print(f"{summary['provenance']}: |R|={summary['size']} |R0|={summary['r0_size']}"
+              f" |R1|={summary['r1_size']} strongly_graded={summary['strongly_graded']}")
     return 0
 
 
@@ -102,9 +94,7 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    instance = _read_instance(args.file)
-    bound = effective_bound(instance, args.bound)
-    sys.stdout.write(render_dot(build_instance(instance, bound), bound))
+    sys.stdout.write(export_dot(_read_instance(args.file), args.bound))
     return 0
 
 

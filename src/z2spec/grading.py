@@ -30,6 +30,7 @@ from .rings import (
     as_code,
     _additive_generators,
     _check_bound,
+    _free_symbol,
     _memo,
     _subgroup_generators,
     _subgroup_lattice,
@@ -189,9 +190,10 @@ def _quadratic_cached(base: FiniteRing, alpha: int, symbol: str) -> GradedRing:
     return grade_manual(ring, r0, r1, provenance=ring.provenance)
 
 
-def quadratic_extension(base: FiniteRing, alpha, symbol: str = "x") -> GradedRing:
-    """base[X]/(X^2 - alpha), graded by constants vs multiples of the root."""
-    return _quadratic_cached(base, as_code(base, alpha), symbol)
+def quadratic_extension(base: FiniteRing, alpha, symbol: str | None = None) -> GradedRing:
+    """base[X]/(X^2 - alpha), graded by constants vs multiples of the root;
+    X is named as in ``poly_quotient``."""
+    return _quadratic_cached(base, as_code(base, alpha), _free_symbol(base, symbol))
 
 
 def gaussian_integers(n: int) -> GradedRing:
@@ -314,6 +316,12 @@ class Submodule:
 
     graded_ring: GradedRing
     members: frozenset
+
+    def __post_init__(self):
+        outside = self.members - self.graded_ring.r1
+        if outside:
+            raise InvalidParameterError(
+                f"{self.graded_ring.ring.names[min(outside)]} is not in the odd part")
 
     def __eq__(self, other):
         if not isinstance(other, Submodule):

@@ -206,7 +206,7 @@ def _build_ring(recipe: dict) -> FiniteRing:
     if kind == "poly_quotient":
         return poly_quotient(_build_ring(recipe["base"]),
                              tuple(recipe["modulus"]),
-                             recipe.get("symbol", "x"))
+                             recipe.get("symbol"))
     raise InstanceParseError("ring.kind", f"{kind} is not a plain ring kind")
 
 
@@ -222,7 +222,7 @@ def build_instance(spec: InstanceSpec, bound: int | None = None) -> GradedRing:
     if kind == "quadratic":
         return quadratic_extension(_build_ring(spec.recipe["base"]),
                                    spec.recipe["alpha"],
-                                   spec.recipe.get("symbol", "x"))
+                                   spec.recipe.get("symbol"))
     if kind == "gaussian":
         return gaussian_integers(spec.recipe["n"])
     if kind == "trivial_extension":

@@ -134,10 +134,9 @@ def graded_field_presentation(g: GradedRing) -> GradedFieldPresentation:
     """Reconstruct a graded field with nonzero odd part in quadratic form.
 
     Picks the first odd b (in code order) with b^2 != 0; such b exists and
-    generates the odd part over R0.  The new variable is the first of x, y,
-    z, t that occurs in no element name of R0, so it cannot be read as an
-    element of the even part.  The element map is verified to be a
-    grading-preserving ring isomorphism.
+    generates the odd part over R0.  The new variable is the first letter
+    free in the element names of R0 (``quadratic_extension``).  The element
+    map is verified to be a grading-preserving ring isomorphism.
     """
     if not is_graded_field(g):
         raise NotGradedFieldError(f"{g.provenance} is not a graded field")
@@ -149,9 +148,7 @@ def graded_field_presentation(g: GradedRing) -> GradedFieldPresentation:
     b = next(x for x in sorted(g.r1) if x != zero and mul[x][x] != zero)
     _require(cyclic_span(g, b) == g.r1, "b must generate the odd part")
     alpha_code = g.to_r0(mul[b][b])
-    names = g.r0_ring.names
-    symbol = next((s for s in "xyzt" if not any(s in name for name in names)), "x")
-    target = quadratic_extension(g.r0_ring, alpha_code, symbol)
+    target = quadratic_extension(g.r0_ring, alpha_code)
     n = g.r0_ring.size
     table = [None] * g.ring.size
     for c0 in range(n):

@@ -133,9 +133,6 @@ class FiniteRing:
     def elements(self) -> Iterator["RingElement"]:
         return (RingElement(self, c) for c in range(self.size))
 
-    def name(self, code: int) -> str:
-        return self.names[code]
-
     def is_unit(self, value) -> bool:
         c = as_code(self, value)
         row = self.mul[c]
@@ -332,6 +329,24 @@ def _poly_name(coeffs: Sequence[int], base: FiniteRing, symbol: str,
     return "+".join(terms) if terms else base.names[base.zero]
 
 
+def _free_symbol(base: FiniteRing, symbol: str | None) -> str:
+    """The variable name for a polynomial ring over ``base``: ``symbol``, or
+    when it is None the first of x, y, z, t and then the other letters that
+    occurs in no element name of ``base``.  A symbol inside a base name
+    would give two elements one name, so an explicit one is rejected."""
+    def clashes(s):
+        return any(s in name for name in base.names)
+    if symbol is None:
+        symbol = next((s for s in "xyztabcdefghijklmnopqrsuvw" if not clashes(s)), None)
+        if symbol is None:
+            raise InvalidParameterError(
+                f"every letter occurs in an element name of {base.provenance}")
+    elif clashes(symbol):
+        raise InvalidParameterError(
+            f"symbol {symbol!r} occurs in an element name of {base.provenance}")
+    return symbol
+
+
 @lru_cache(maxsize=None)
 def _poly_quotient_cached(base: FiniteRing, modulus: tuple, symbol: str) -> FiniteRing:
     degree = len(modulus) - 1
@@ -393,12 +408,14 @@ def _poly_quotient_cached(base: FiniteRing, modulus: tuple, symbol: str) -> Fini
     return FiniteRing(size, add, mul, 0, encode(one_vec), provenance, names)
 
 
-def poly_quotient(base: FiniteRing, modulus: Sequence, symbol: str = "x") -> FiniteRing:
+def poly_quotient(base: FiniteRing, modulus: Sequence,
+                  symbol: str | None = None) -> FiniteRing:
     """base[X]/(modulus) for a monic modulus given as a coefficient list.
 
     ``modulus[k]`` is the coefficient of X^k; the leading coefficient must be
-    the unit of ``base``.  Elements are coefficient vectors of length
-    deg(modulus), encoded in base-``size`` positional notation (radix
+    the unit of ``base``.  X is named ``symbol``, by default the first free
+    letter from x on (``_free_symbol``).  Elements are coefficient vectors of
+    length deg(modulus), encoded in base-``size`` positional notation (radix
     ``(|base|,) * deg``), so a vector is the sum of its monomials c*X^k and
     the tables are built by digit composition; ``base`` must have zero code 0.
     """
@@ -409,7 +426,7 @@ def poly_quotient(base: FiniteRing, modulus: Sequence, symbol: str = "x") -> Fin
     if coeffs[-1] != base.one:
         raise InvalidParameterError(
             f"modulus must be monic, leading coefficient is {base.names[coeffs[-1]]}")
-    return _poly_quotient_cached(base, coeffs, symbol)
+    return _poly_quotient_cached(base, coeffs, _free_symbol(base, symbol))
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ A suite maps to a list of CheckRecords; ``run_verify`` assembles them into a
 VerificationReport.  Each structural theorem is checked here, in its named
 record, and not again by the library, whose constructors validate only their
 inputs.  ``run_verify`` enumerates every lattice before the first record
-starts, so a record's time is its check alone.  Hitting the enumeration bound
+starts, so a record's time is its check alone, and the report keeps the
+enumeration's own time as ``lattice_elapsed``.  Hitting the enumeration bound
 inside a check is recorded as a distinguished ``resource-limit`` status, any
 other library error as ``fail`` with the error as witness; neither is raised
 out of the run.  Reports serialize deterministically; timings are kept in
@@ -96,6 +97,7 @@ class VerificationReport:
     suites: tuple
     checks: list
     status: str
+    lattice_elapsed: float | None = None  # seconds in _counts; None if never built
 
 
 def _run(records: list, name: str, body) -> None:
@@ -677,7 +679,9 @@ def run_verify(spec: InstanceSpec, suites=("all",),
             {key: None for key in ("ideals", "primes", "graded_ideals",
                                    "graded_primes", "graded_maximals")},
             chosen, [record], RESOURCE_LIMIT)
+    start = time.perf_counter()
     counts = _counts(g, limit)  # every lattice, so no record is billed for one
+    lattice_elapsed = time.perf_counter() - start
     checks: list = []
     for name in chosen:
         checks.extend(_SUITES[name](g, limit))
@@ -689,7 +693,7 @@ def run_verify(spec: InstanceSpec, suites=("all",),
     else:
         status = PASS
     return VerificationReport(_instance_summary(spec, g), counts,
-                              chosen, checks, status)
+                              chosen, checks, status, lattice_elapsed)
 
 
 def report_payload(report: VerificationReport,
@@ -701,13 +705,16 @@ def report_payload(report: VerificationReport,
         if include_timings:
             item["elapsed"] = record.elapsed
         checks.append(item)
-    return {
+    payload = {
         "instance": report.instance,
         "counts": report.counts,
         "suites": list(report.suites),
         "checks": checks,
         "status": report.status,
     }
+    if include_timings:
+        payload["lattice_elapsed"] = report.lattice_elapsed
+    return payload
 
 
 def report_to_json(report: VerificationReport,
@@ -728,6 +735,8 @@ def report_to_text(report: VerificationReport) -> str:
     if any(v is not None for v in report.counts.values()):
         lines.append("counts: " + ", ".join(
             f"{k}={v}" for k, v in sorted(report.counts.items())))
+    if report.lattice_elapsed is not None:
+        lines.append(f"lattices built in {report.lattice_elapsed:.3f}s")
     for record in report.checks:
         line = f"  [{record.status:>14}] {record.name} ({record.elapsed:.3f}s)"
         if record.witness:

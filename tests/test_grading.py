@@ -15,6 +15,7 @@ from z2spec.errors import (
 )
 from z2spec.grading import (
     Matrix2,
+    Submodule,
     cyclic_span,
     gaussian_integers,
     grade_manual,
@@ -248,3 +249,11 @@ def test_residual():
 def test_cyclic_span():
     assert cyclic_span(GAUSSIAN4, 8) == frozenset({0, 8})
     assert cyclic_span(GAUSSIAN4, 4) == GAUSSIAN4.r1
+
+
+def test_submodule_rejects_members_outside_the_odd_part():
+    # 3 is even in the trivially graded Z/6, so {0, 3} is no odd part
+    g = trivially_graded(zmod(6))
+    with pytest.raises(InvalidParameterError, match="3 is not in the odd part"):
+        Submodule(g, frozenset({0, 3}))
+    assert Submodule(g, frozenset({0})).members == g.r1

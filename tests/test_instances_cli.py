@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from z2spec.instances import (
     parse_instance,
     serialize_instance,
 )
-from z2spec.verify import report_to_json, run_verify
+from z2spec.verify import report_payload, report_to_json, report_to_text, run_verify
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
@@ -143,6 +144,11 @@ def test_reports_match_goldens(instance_id):
     produced = report_to_json(run_verify(entry.spec()))
     golden = (GOLDEN_DIR / f"{instance_id}.json").read_text()
     assert produced == golden
+
+
+def test_golden_dir_holds_one_report_per_catalog_entry():
+    assert (sorted(path.name for path in GOLDEN_DIR.iterdir())
+            == sorted(f"{instance_id}.json" for instance_id in catalog_ids()))
 
 
 def test_crt_twin_of_gaussian_6_has_its_counts():
@@ -290,6 +296,38 @@ def test_cli_timings_flag_breaks_byte_identity_only_when_asked(tmp_path, capsys)
                  "--timings"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all("elapsed" in c for c in payload["checks"])
+
+
+def test_lattice_time_is_reported_in_text_and_under_timings(tmp_path, capsys):
+    path = write_instance(tmp_path, {"ring": {"kind": "zmod", "n": 4}})
+    assert main(["verify", path, "--suite", "norm"]) == 0
+    assert re.search(r"^lattices built in \d+\.\d{3}s$", capsys.readouterr().out, re.M)
+    assert main(["verify", path, "--suite", "norm", "--format", "json", "--timings"]) == 0
+    assert json.loads(capsys.readouterr().out)["lattice_elapsed"] >= 0
+    assert main(["verify", path, "--suite", "norm", "--format", "json"]) == 0
+    assert "lattice_elapsed" not in json.loads(capsys.readouterr().out)
+
+
+def test_no_lattice_time_when_the_build_hits_the_bound():
+    report = run_verify(InstanceSpec({"kind": "gaussian", "n": 10}, bound=16))
+    assert report.status == "resource-limit" and report.lattice_elapsed is None
+    assert "lattices built" not in report_to_text(report)
+    assert report_payload(report, include_timings=True)["lattice_elapsed"] is None
+
+
+F4 = {"kind": "poly_quotient", "base": {"kind": "zmod", "n": 2}, "modulus": [1, 1, 1]}
+
+
+def test_cli_names_the_variable_after_a_free_letter(tmp_path, capsys):
+    # F4 names its elements with x, so F4[X]/(X^2 - 1) gets y, and the
+    # prime (1+y) names one element only
+    path = write_instance(tmp_path, {"ring": {"kind": "quadratic", "base": F4, "alpha": 1}})
+    assert main(["spec", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  (1+y)"]
+    clash = write_instance(tmp_path, {"ring": {"kind": "quadratic", "base": F4, "alpha": 1,
+                                               "symbol": "x"}}, "clash.json")
+    assert main(["spec", clash]) == 2
+    assert "symbol 'x' occurs in an element name" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

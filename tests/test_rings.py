@@ -110,6 +110,23 @@ def test_poly_quotient_rejects_nonmonic():
         poly_quotient(zmod(4), (1,))
 
 
+def test_default_symbol_is_the_first_letter_free_in_the_base_names():
+    from z2spec.grading import quadratic_extension, truncated_poly
+
+    f4 = poly_quotient(zmod(2), (1, 1, 1))
+    assert f4 is poly_quotient(zmod(2), (1, 1, 1), "x")
+    f4_y = quadratic_extension(f4, 1)  # x already names elements of F4
+    assert f4_y is quadratic_extension(f4, 1, "y")
+    assert f4_y.ring.provenance == "Z/2[x]/(x^2+x+1)[y]/(y^2+1)"
+    assert poly_quotient(f4_y.ring, (0, 1)).provenance.endswith("[z]/(z)")
+    for ring in (f4_y.ring, truncated_poly(f4, 2).ring):
+        assert len(set(ring.names)) == ring.size
+    with pytest.raises(InvalidParameterError, match="occurs in an element name"):
+        quadratic_extension(f4, 1, "x")
+    with pytest.raises(InvalidParameterError):
+        poly_quotient(zmod(2), (1, 1), "1")
+
+
 def test_table_builders_require_zero_code_zero():
     from z2spec.rings import FiniteRing
 
@@ -441,7 +458,7 @@ def _table_cases():
             reference_poly_quotient(product_ring(zmod(2), zmod(3)), (5, 0, 4), "x")),
         "(F4 x Z/2)[x]/(x^2-1)": lambda: (
             quadratic_extension(product_ring(f4, zmod(2)), 3).ring,
-            reference_poly_quotient(product_ring(f4, zmod(2)), (3, 0, 3), "x")),
+            reference_poly_quotient(product_ring(f4, zmod(2)), (3, 0, 3), "y")),
     }
 
 
