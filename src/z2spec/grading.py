@@ -318,10 +318,10 @@ class Submodule:
     members: frozenset
 
     def __post_init__(self):
-        outside = self.members - self.graded_ring.r1
-        if outside:
+        g = self.graded_ring
+        if not self.members <= g.r1:
             raise InvalidParameterError(
-                f"{self.graded_ring.ring.names[min(outside)]} is not in the odd part")
+                f"{g.ring.names[min(self.members - g.r1)]} is not in the odd part")
 
     def __eq__(self, other):
         if not isinstance(other, Submodule):
