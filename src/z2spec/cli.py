@@ -69,13 +69,13 @@ def _cmd_spec(args) -> int:
     bound = effective_bound(instance, args.bound)
     g = build_instance(instance, bound)
     if args.graded:
-        report = graded_spec(g, args.method, bound)
+        report = graded_spec(g, "constructive", bound)
         points = [
             {"label": gp.label(), "kind": gp.kind.value,
              "members": [g.ring.names[c] for c in sorted(gp.flat_members)]}
             for gp in report.graded_points
         ]
-        payload = {"graded": True, "method": args.method, "points": points}
+        payload = {"graded": True, "points": points}
     else:
         points = [
             {"label": p.label(),
@@ -127,8 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_spec)
     p_spec.add_argument("--graded", action="store_true",
                         help="graded spectrum instead of the classical one")
-    p_spec.add_argument("--method", choices=("definitional", "constructive"),
-                        default="definitional")
     p_spec.add_argument("--format", choices=("json", "text"), default="text")
 
     p_dot = sub.add_parser("export-dot",

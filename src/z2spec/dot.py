@@ -26,7 +26,7 @@ def _cover_edges(member_sets) -> list[tuple[int, int]]:
 
 
 def render_dot(g: GradedRing, bound: int | None = None) -> str:
-    report = graded_spec(g, "definitional", bound)
+    report = graded_spec(g, "constructive", bound)
     graded = list(report.graded_points)
     base = list(report.base_points)
     base_index = {p.members: k for k, p in enumerate(base)}

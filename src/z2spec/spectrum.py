@@ -125,7 +125,8 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
     odd = _r1_colon(g, g.r1, g.embed_ideal(p))
-    return classify_graded_prime(g, GradedIdeal(g, p, Submodule(g, odd)))
+    kind = PrimeKind.FULL_ODD_PART if odd == g.r1 else PrimeKind.PRIME_SUBMODULE
+    return GradedPrime(GradedIdeal(g, p, Submodule(g, odd)), kind, p)
 
 
 @dataclass(frozen=True)

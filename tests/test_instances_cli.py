@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+import z2spec.grading as grading
+import z2spec.rings as rings
 from dotcheck import parse_dot
 from z2spec.catalog import CATALOG, catalog_entry, catalog_ids
 from z2spec.cli import main
@@ -263,8 +265,38 @@ def test_cli_spec_listing(tmp_path, capsys):
     assert main(["spec", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert not payload["graded"] and len(payload["points"]) == 3
-    assert main(["spec", path, "--graded", "--method", "constructive"]) == 0
+    with pytest.raises(SystemExit):  # one path: the contraction's spectrum
+        main(["spec", path, "--graded", "--method", "constructive"])
     capsys.readouterr()
+
+
+def test_cli_graded_spec_payload_has_no_method_key(tmp_path, capsys):
+    path = write_instance(tmp_path, {"ring": {"kind": "gaussian", "n": 4}})
+    assert main(["spec", path, "--graded", "--format", "json"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == ["graded", "points"]
+
+
+def test_cli_graded_spec_and_dot_enumerate_only_the_even_ideals(
+        tmp_path, capsys, monkeypatch):
+    """Both print the graded spectrum through the contraction, which needs
+    Spec R0 alone: no submodule lattice and no ideal lattice of R."""
+    entry = catalog_entry("trivext-2-f2x5")
+    g = entry.build()
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    built = []
+    lattice = rings._subgroup_lattice
+
+    def spy_lattice(*args, **kwargs):
+        built.append(args[0])
+        return lattice(*args, **kwargs)
+    monkeypatch.setattr(rings, "_subgroup_lattice", spy_lattice)
+    monkeypatch.setattr(grading, "_subgroup_lattice", spy_lattice)
+    path = write_instance(tmp_path, {"ring": entry.recipe})
+    assert main(["spec", path, "--graded"]) == 0
+    assert main(["export-dot", path]) == 0
+    capsys.readouterr()
+    assert built and all(ring is g.r0_ring for ring in built)
 
 
 def test_cli_spec_over_a_product_base(tmp_path, capsys):
@@ -349,6 +381,11 @@ def test_dot_gaussian4_shape():
     nodes, edges = parse_dot(text)
     assert nodes == {"g0", "b0"}
     assert edges == [("g0", "b0")]
+
+
+def test_dot_needs_only_the_even_part_within_the_bound():
+    g = gaussian_integers(4)  # |R0| = 4, |R| = 16
+    assert render_dot(g, 8) == render_dot(g)
 
 
 def test_dot_quadratic_alpha2():

@@ -61,6 +61,16 @@ def test_only_the_odd_part_helpers_read_r1_generators():
     assert sorted(readers) == [("grading.py", "_r1_colon"), ("grading.py", "_r1_products")]
 
 
+def test_commands_print_no_definitional_spectrum():
+    """The definitional graded spectrum is an oracle for ``verify`` and the
+    library; the printing commands go through the contraction."""
+    found = [f"{name}:{node.lineno}"
+             for name in ("cli.py", "dot.py")
+             for node in ast.walk(_tree(SRC / name))
+             if isinstance(node, ast.Constant) and node.value == "definitional"]
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
     for path in MODULES:
