@@ -14,13 +14,15 @@ class RingMismatchError(AlgebraError, ValueError):
 
 
 class EnumerationLimitError(AlgebraError, RuntimeError):
-    """An enumeration would exceed the configured bound."""
+    """An enumeration would exceed the configured bound.  ``size`` is None
+    when it was only found to pass the bound, not computed."""
 
-    def __init__(self, what: str, size: int, bound: int):
+    def __init__(self, what: str, size: int | None, bound: int):
         self.what = what
         self.size = size
         self.bound = bound
-        super().__init__(f"{what}: size {size} exceeds enumeration bound {bound}")
+        shown = "size" if size is None else f"size {size}"
+        super().__init__(f"{what}: {shown} exceeds enumeration bound {bound}")
 
 
 class GradingDecompositionError(AlgebraError, ValueError):

@@ -11,6 +11,7 @@ symbol i.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, InstanceParseError
@@ -137,6 +138,9 @@ def parse_instance(text: str) -> InstanceSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError("", f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise InstanceParseError("", "an integer literal has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(payload, dict):
         _fail("", "top level must be an object")
     extra = set(payload) - {"ring", "limits"}
@@ -165,27 +169,45 @@ def serialize_instance(spec: InstanceSpec) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def recipe_size(recipe: dict) -> int:
-    """Number of elements the recipe will construct (computed statically)."""
+def recipe_size(recipe: dict, cap: int | None = None) -> int | None:
+    """Number of elements the recipe will construct (computed statically).
+
+    Given a cap, None as soon as the size is known to pass it.  Every size is
+    a product of integers >= 1, so a partial product past the cap stays past
+    it, and a recipe such as (Z/3)[x]/(x^10000) is never multiplied out."""
+    def capped(size):
+        return None if size is None or cap is not None and size > cap else size
+
+    def times(*factors):
+        size = 1
+        for factor in factors:
+            size = capped(None if factor is None else size * factor)
+            if size is None:
+                return None
+        return size
+
+    def power(base, k):
+        if base is None or cap is None:
+            return None if base is None else base ** k
+        # every ring has >= 2 elements, and 2 ** (cap.bit_length() + 1) > cap
+        return times(*[base] * min(k, cap.bit_length() + 1))
+
     kind = recipe["kind"]
     if kind == "zmod":
-        return recipe["n"]
+        return capped(recipe["n"])
     if kind == "product":
-        return recipe_size(recipe["a"]) * recipe_size(recipe["b"])
+        return times(recipe_size(recipe["a"], cap), recipe_size(recipe["b"], cap))
     if kind == "poly_quotient":
-        return recipe_size(recipe["base"]) ** (len(recipe["modulus"]) - 1)
+        return power(recipe_size(recipe["base"], cap), len(recipe["modulus"]) - 1)
     if kind in ("quadratic", "gaussian"):
-        base = recipe["n"] if kind == "gaussian" else recipe_size(recipe["base"])
-        return base ** 2
+        base = capped(recipe["n"]) if kind == "gaussian" else recipe_size(recipe["base"], cap)
+        return power(base, 2)
     if kind == "trivial_extension":
-        size = recipe["n"]
-        for m in recipe["orders"]:
-            size *= m
-        return size
+        return times(recipe["n"], *recipe["orders"])
     if kind == "truncated_poly":
-        return recipe_size(recipe["base"]) ** recipe["k"]
+        return power(recipe_size(recipe["base"], cap), recipe["k"])
     if kind == "graded_manual":
-        return recipe_size(recipe["base"])
+        return recipe_size(recipe["base"], cap)
     raise InstanceParseError("ring.kind", f"unknown kind {kind!r}")
 
 
@@ -213,9 +235,8 @@ def _build_ring(recipe: dict) -> FiniteRing:
 def build_instance(spec: InstanceSpec, bound: int | None = None) -> GradedRing:
     """Construct the graded ring, gated by the effective enumeration bound."""
     limit = effective_bound(spec, bound)
-    size = recipe_size(spec.recipe)
-    if size > limit:
-        raise EnumerationLimitError("instance construction", size, limit)
+    if recipe_size(spec.recipe, limit) is None:
+        raise EnumerationLimitError("instance construction", None, limit)
     kind = spec.recipe["kind"]
     if kind in RING_KINDS:
         return trivially_graded(_build_ring(spec.recipe))

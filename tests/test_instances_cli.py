@@ -18,6 +18,7 @@ from z2spec.instances import (
     InstanceSpec,
     build_instance,
     parse_instance,
+    recipe_size,
     serialize_instance,
 )
 from z2spec.verify import report_payload, report_to_json, report_to_text, run_verify
@@ -320,6 +321,42 @@ def test_cli_spec_and_dot_honour_instance_bound(tmp_path, capsys):
     capsys.readouterr()
     assert "digraph" in export_dot(parse_instance(
         '{"ring": {"kind": "gaussian", "n": 17}, "limits": {"bound": 512}}'))
+
+
+def test_cli_reports_a_huge_instance_as_a_resource_limit(tmp_path, capsys):
+    # 3^10000 has more digits than int() will print
+    path = write_instance(tmp_path, {"ring": {
+        "kind": "truncated_poly", "base": {"kind": "zmod", "n": 3}, "k": 10000}})
+    assert main(["verify", path]) == 3
+    assert "[resource-limit] build" in capsys.readouterr().out
+    assert main(["build", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("recipe", [
+    {"kind": "truncated_poly", "base": {"kind": "zmod", "n": 3}, "k": 10**7},
+    {"kind": "product", "a": {"kind": "zmod", "n": 10**4000},
+     "b": {"kind": "zmod", "n": 10**4000}},
+    {"kind": "trivial_extension", "n": 2, "orders": [2] * 100_000},
+])
+def test_recipe_size_stops_once_past_the_cap(recipe):
+    assert recipe_size(recipe, 256) is None
+
+
+def test_recipe_size_is_exact_up_to_the_cap():
+    recipe = {"kind": "quadratic", "base": {"kind": "zmod", "n": 4}, "alpha": 3}
+    assert [recipe_size(recipe, cap) for cap in (None, 1000, 16, 15)] == [16, 16, 16, None]
+
+
+def test_cli_rejects_an_integer_literal_too_long_to_parse(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text('{"ring": {"kind": "zmod", "n": %s}}' % ("9" * 5000))
+    with pytest.raises(InstanceParseError):
+        parse_instance(path.read_text())
+    assert main(["build", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_timings_flag_breaks_byte_identity_only_when_asked(tmp_path, capsys):
