@@ -2,7 +2,9 @@
 
 Subcommands: ``build`` (parse and summarize an instance), ``verify`` (run
 theorem suites), ``spec`` (list the classical or graded spectrum), and
-``export-dot`` (Graphviz rendering of the spectrum correspondence).
+``export-dot`` (Graphviz rendering of the spectrum correspondence).  The
+graded spectrum is printed through the contraction: ``phi_inverse`` applied
+to Spec R0, which the ``*.methods-agree`` records tie to the definition.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 input error,
 3 enumeration bound exceeded.

@@ -26,6 +26,9 @@ def _cover_edges(member_sets) -> list[tuple[int, int]]:
 
 
 def render_dot(g: GradedRing, bound: int | None = None) -> str:
+    """DOT text of the correspondence, its graded points pulled back from
+    Spec R0.  Only the ideals of R0 are enumerated, so the bound applies to
+    |R0|: it may be smaller than |R|."""
     report = graded_spec(g, "constructive", bound)
     graded = list(report.graded_points)
     base = list(report.base_points)

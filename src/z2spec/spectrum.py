@@ -120,7 +120,9 @@ def phi(g: GradedRing, gp: GradedPrime) -> Ideal:
 
 def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     """The unique graded prime contracting to p: its odd part is
-    {x in R1 : x*R1 <= p}, all of R1 when R1^2 <= p."""
+    {x in R1 : x*R1 <= p}, all of R1 when R1^2 <= p.  Only p is checked;
+    that the result is a graded prime is the theorem that
+    ``spectrum.methods-agree`` and ``homeo.methods-agree`` check."""
     _same_ring(g.r0_ring, p.ring)
     if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
@@ -141,7 +143,11 @@ def graded_spec(g: GradedRing, method: str = "definitional",
                 bound: int | None = None) -> SpectrumReport:
     """The graded spectrum, computed definitionally (filter all graded ideals
     by the homogeneous pair test) or constructively (pull every prime of the
-    even part back through the contraction)."""
+    even part back through the contraction).
+
+    The CLI prints the constructive spectrum, which enumerates only the
+    ideals of R0; the definitional one is the oracle of the verify records
+    ``spectrum.methods-agree`` and ``homeo.methods-agree``."""
     if method not in ("definitional", "constructive"):
         raise InvalidInputError(f"unknown spectrum method: {method!r}")
     graded = enumerate_graded_ideals(g, bound) if method == "definitional" else ()
