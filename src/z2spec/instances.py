@@ -187,8 +187,8 @@ def recipe_size(recipe: dict, cap: int | None = None) -> int | None:
         return size
 
     def power(base, k):
-        if base is None or cap is None:
-            return None if base is None else base ** k
+        if cap is None:
+            return base ** k
         # every ring has >= 2 elements, and 2 ** (cap.bit_length() + 1) > cap
         return times(*[base] * min(k, cap.bit_length() + 1))
 
