@@ -169,14 +169,15 @@ def serialize_instance(spec: InstanceSpec) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def recipe_size(recipe: dict, cap: int | None = None) -> int | None:
-    """Number of elements the recipe will construct (computed statically).
+def recipe_size(recipe: dict, cap: int) -> int | None:
+    """Number of elements the recipe will construct (computed statically),
+    or None as soon as it is known to pass ``cap``.
 
-    Given a cap, None as soon as the size is known to pass it.  Every size is
-    a product of integers >= 1, so a partial product past the cap stays past
-    it, and a recipe such as (Z/3)[x]/(x^10000) is never multiplied out."""
+    Every size is a product of integers >= 1, so a partial product past the
+    cap stays past it, and a recipe such as (Z/3)[x]/(x^10000) is never
+    multiplied out."""
     def capped(size):
-        return None if size is None or cap is not None and size > cap else size
+        return None if size is None or size > cap else size
 
     def times(*factors):
         size = 1
@@ -187,8 +188,6 @@ def recipe_size(recipe: dict, cap: int | None = None) -> int | None:
         return size
 
     def power(base, k):
-        if cap is None:
-            return base ** k
         # every ring has >= 2 elements, and 2 ** (cap.bit_length() + 1) > cap
         return times(*[base] * min(k, cap.bit_length() + 1))
 
@@ -236,7 +235,9 @@ def build_instance(spec: InstanceSpec, bound: int | None = None) -> GradedRing:
     """Construct the graded ring, gated by the effective enumeration bound."""
     limit = effective_bound(spec, bound)
     if recipe_size(spec.recipe, limit) is None:
-        raise EnumerationLimitError("instance construction", None, limit)
+        # the exact size is shown unless it has more than 100 digits
+        raise EnumerationLimitError("instance construction",
+                                    recipe_size(spec.recipe, 10 ** 100), limit)
     kind = spec.recipe["kind"]
     if kind in RING_KINDS:
         return trivially_graded(_build_ring(spec.recipe))

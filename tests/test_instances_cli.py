@@ -266,8 +266,9 @@ def test_cli_spec_listing(tmp_path, capsys):
     assert main(["spec", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert not payload["graded"] and len(payload["points"]) == 3
-    with pytest.raises(SystemExit):  # one path: the contraction's spectrum
+    with pytest.raises(SystemExit) as exc:  # one path: the contraction's spectrum
         main(["spec", path, "--graded", "--method", "constructive"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -332,6 +333,13 @@ def test_cli_reports_a_huge_instance_as_a_resource_limit(tmp_path, capsys):
     assert main(["build", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "construction: size exceeds enumeration bound" in err
+
+
+def test_build_limit_names_the_size_of_an_ordinary_oversized_instance():
+    spec = parse_instance('{"ring": {"kind": "gaussian", "n": 17}}')
+    with pytest.raises(EnumerationLimitError, match="size 289 exceeds enumeration bound 256"):
+        build_instance(spec, bound=256)
 
 
 @pytest.mark.parametrize("recipe", [
@@ -346,7 +354,7 @@ def test_recipe_size_stops_once_past_the_cap(recipe):
 
 def test_recipe_size_is_exact_up_to_the_cap():
     recipe = {"kind": "quadratic", "base": {"kind": "zmod", "n": 4}, "alpha": 3}
-    assert [recipe_size(recipe, cap) for cap in (None, 1000, 16, 15)] == [16, 16, 16, None]
+    assert [recipe_size(recipe, cap) for cap in (1000, 16, 15)] == [16, 16, None]
 
 
 def test_cli_rejects_an_integer_literal_too_long_to_parse(tmp_path, capsys):
