@@ -27,8 +27,8 @@ def _cover_edges(member_sets) -> list[tuple[int, int]]:
 
 def render_dot(g: GradedRing, bound: int | None = None) -> str:
     """DOT text of the correspondence, its graded points pulled back from
-    Spec R0.  Only the ideals of R0 are enumerated, so the bound applies to
-    |R0|: it may be smaller than |R|."""
+    Spec R0.  No lattice is built: Spec R0 comes from the idempotents of R0,
+    and the bound applies to |R0|, so it may be smaller than |R|."""
     report = graded_spec(g, "constructive", bound)
     graded = list(report.graded_points)
     base = list(report.base_points)

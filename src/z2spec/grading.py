@@ -33,6 +33,7 @@ from .rings import (
     _free_symbol,
     _memo,
     _subgroup_generators,
+    _span_order,
     _subgroup_lattice,
     _tables_by_digits,
     ideal_from_codes,
@@ -426,8 +427,8 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
 
     def compute():
-        found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
-                                  _r0_generators(g))
+        found = _subgroup_lattice(g.ring, _span_order(
+            g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g)))
         return tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
     return _memo(g, "submodules", compute)
 

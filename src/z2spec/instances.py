@@ -141,6 +141,8 @@ def parse_instance(text: str) -> InstanceSpec:
     except ValueError as exc:  # an integer literal past int's digit limit
         raise InstanceParseError("", "an integer literal has more than "
                                  f"{sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:  # the decoder recurses once per [ or {
+        raise InstanceParseError("", "invalid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         _fail("", "top level must be an object")
     extra = set(payload) - {"ring", "limits"}

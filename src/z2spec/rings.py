@@ -58,7 +58,7 @@ spans cover one coset of H each, so the skip set of a node never exceeds |R|
 elements.  The breadth-first order is kept on purpose: an ideal's generator
 witness (``Ideal.generators``, hence every label and report) is the label
 path by which the FIFO queue, taking spans in order of size and then
-members, first reaches it.
+members (``_span_order``), first reaches it.
 
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
 The powers x, x^2, ... of an element of a finite ring are eventually
@@ -69,13 +69,30 @@ orbits (a pure function of the tables); the radical of each ideal is then
 one disjointness test per code (``radical_members``), not one power walk per
 code and ideal.
 
+Spectra.  A finite commutative ring is Artinian, so it is the product of
+the local rings Re over its primitive idempotents e (the nonzero e with
+f*e in {0, e} for every idempotent f), and every prime is maximal
+(Atiyah-Macdonald, Thm 8.7).  The primes are therefore the kernels of the
+projections onto the residue fields of the Re: P_e = {x : xe lies in the
+maximal ideal of Re}, and that maximal ideal is the set of nilpotents of Re,
+so P_e = {x : xe in N} with N the nilradical (``radical_members`` of {0}).
+``spec`` builds these sets and no lattice.  Each label is still the
+breadth-first path of ``_subgroup_lattice``: by induction on the depth, the
+FIFO queue takes the nodes of each depth in lexicographic order of their
+first-found paths, because every prefix of a shortest span sequence for a
+node is a node at exactly its own depth.  So a node's path is the
+lexicographically least shortest sequence of spans (in ``_span_order``)
+summing to it.  Such a sequence uses only spans inside the node, and each of
+its steps enlarges the sum; ``_ideal_path`` finds it by iterative-deepening
+depth-first search over those spans, with no lattice.
+
 Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
 ``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
 (and of a key), stored in that owner's ``_cache`` by ``_memo``: the first
 call computes it, and every later call returns the identical object.  The
 interning ``lru_cache`` constructors are the only other caches.  Bound
 rule: a function that takes a ``bound`` first fetches its bounded inputs
-(``enumerate_ideals`` and ``submodules`` check the bound at entry; ``spec``,
+(``enumerate_ideals``, ``submodules`` and ``spec`` check the bound at entry;
 ``max_spec`` and ``enumerate_graded_ideals`` fetch from them) and only then
 reads its own memo.  So a call raises ``EnumerationLimitError`` exactly when
 the same call on empty caches would, and no cache hit checks the bound
@@ -587,21 +604,33 @@ def _check_bound(ring: FiniteRing, bound, what: str) -> None:
         raise EnumerationLimitError(what, ring.size, limit)
 
 
-def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
-                      multipliers: tuple) -> dict:
-    """Every sum of spans Mx, as member set -> first-found label path.
-
-    Each distinct span ``span(x)`` is labelled by the first x of ``labels``
-    giving it, and the spans are taken in order of (size, sorted members).
-    Breadth-first from {0} (module docstring): a child new to the lattice
-    gets its node's path plus the span's label and joins the FIFO queue.
-    """
+def _span_order(ring: FiniteRing, labels: Iterable[int], span,
+                multipliers: tuple) -> list:
+    """The distinct spans ``span(x)`` in lattice order, as (label, members,
+    additive seeds): each labelled by the first x of ``labels`` giving it,
+    and ordered by (size, sorted members)."""
     first = {}
     for x in labels:
         first.setdefault(span(x), x)
-    spans = [(x, members, span_seeds(ring, multipliers, x))
-             for members, x in sorted(first.items(),
-                                      key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+    return [(x, members, span_seeds(ring, multipliers, x))
+            for members, x in sorted(first.items(),
+                                     key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+
+
+def _ideal_spans(ring: FiniteRing, labels: Iterable[int]) -> list:
+    """The principal ideals Rx (the row of x) for x in ``labels``, in
+    lattice order (``_span_order``)."""
+    return _span_order(ring, labels, lambda x: frozenset(ring.mul[x]),
+                       _additive_generators(ring))
+
+
+def _subgroup_lattice(ring: FiniteRing, spans: list) -> dict:
+    """Every sum of the spans, as member set -> first-found label path.
+
+    ``spans`` come from ``_span_order``.  Breadth-first from {0} (module
+    docstring): a child new to the lattice gets its node's path plus the
+    span's label and joins the FIFO queue.
+    """
     add = ring.add
     bottom = frozenset({ring.zero})
     found = {bottom: ()}
@@ -621,6 +650,46 @@ def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
     return found
 
 
+def _ideal_path(ring: FiniteRing, target: frozenset) -> tuple:
+    """``Ideal.generators`` of the ideal ``target`` as ``enumerate_ideals``
+    finds it, without the lattice: the lexicographically least shortest
+    sequence of spans Rx summing to it (module docstring, "Spectra").
+
+    The spans inside the ideal are the Rx with x in it, and Rx = Ry puts x
+    and y in it together, so labelling by its sorted members keeps each
+    span's label.  Iterative deepening: depth-first in span order with
+    0, 1, 2, ... steps, so the first path found is the answer.  A node H
+    with k steps left is pruned when even k of the widest spans cannot grow
+    it to the target (|H + S| <= |H| * |S|), and a (node, steps left) pair
+    that failed once is never searched again.
+    """
+    add = ring.add
+    spans = _ideal_spans(ring, sorted(target))
+    widest = max(len(members) for _, members, _ in spans)
+    dead = set()
+
+    def search(node, left):
+        if left == 0:
+            return () if node == target else None
+        if (node, left) in dead or len(node) * widest ** left < len(target):
+            return None
+        for x, members, seeds in spans:
+            if members <= node:
+                continue
+            child = members if node <= members else _grow_subgroup(add, node, seeds)[0]
+            path = search(child, left - 1)
+            if path is not None:
+                return (x,) + path
+        dead.add((node, left))
+        return None
+
+    bottom = frozenset({ring.zero})
+    depth = 0
+    while (path := search(bottom, depth)) is None:
+        depth += 1
+    return path
+
+
 def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     """Every ideal of the ring, canonically ordered.
 
@@ -632,8 +701,7 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
 
     def compute():
-        found = _subgroup_lattice(ring, range(ring.size), lambda x: frozenset(ring.mul[x]),
-                                  _additive_generators(ring))  # Rx: the row of x
+        found = _subgroup_lattice(ring, _ideal_spans(ring, range(ring.size)))
         return tuple(sorted(
             (Ideal(ring, members, gens) for members, gens in found.items()),
             key=Ideal.key,
@@ -710,10 +778,24 @@ def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
 
 
 def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
-    """All prime ideals, in canonical order."""
-    ideals = enumerate_ideals(ring, bound)
-    return _memo(ring, "spec", lambda: tuple(
-        i for i in ideals if i.is_proper and prime_violation(ring, i.members) is None))
+    """All prime ideals, in canonical order: P_e = {x : xe nilpotent} for
+    each primitive idempotent e (module docstring, "Spectra").  No ideal
+    lattice is built; ``spectrum.methods-agree`` compares the result with
+    the primes among ``enumerate_ideals``."""
+    _check_bound(ring, bound, f"spectrum of {ring.provenance}")
+
+    def compute():
+        mul, zero = ring.mul, ring.zero
+        idempotents = [e for e in range(ring.size) if mul[e][e] == e]
+        nilradical = radical_members(ring, frozenset({zero}))
+        primes = []
+        for e in idempotents:
+            if e == zero or any(mul[f][e] not in (zero, e) for f in idempotents):
+                continue  # not primitive
+            members = frozenset(x for x in range(ring.size) if mul[x][e] in nilradical)
+            primes.append(Ideal(ring, members, _ideal_path(ring, members)))
+        return tuple(sorted(primes, key=Ideal.key))
+    return _memo(ring, "spec", compute)
 
 
 def maximal_sets(sets: Iterable[frozenset]) -> frozenset:

@@ -100,15 +100,21 @@ def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
                    for a in g.r0 - _r1_colon(g, g.r0, inside) for m in outside)
 
 
-def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
-    """Tag a graded prime with its structural shape: full odd part when
-    R1 <= q, prime submodule otherwise.  The conditions of each shape
-    (module docstring) are checked by ``spectrum.classification-valid``."""
-    if not is_graded_prime(g, q):
-        raise InvalidInputError(f"{q.label()} is not a graded prime ideal")
+def _tagged(g: GradedRing, q: GradedIdeal) -> GradedPrime:
+    """A graded prime q with its shape: full odd part when R1 <= q, prime
+    submodule otherwise; q is not tested."""
     kind = (PrimeKind.FULL_ODD_PART if g.r1 <= q.flat_members
             else PrimeKind.PRIME_SUBMODULE)
     return GradedPrime(q, kind, q.i0)
+
+
+def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
+    """Tag a graded prime with its structural shape (``_tagged``).  The
+    conditions of each shape (module docstring) are checked by
+    ``spectrum.classification-valid``."""
+    if not is_graded_prime(g, q):
+        raise InvalidInputError(f"{q.label()} is not a graded prime ideal")
+    return _tagged(g, q)
 
 
 def phi(g: GradedRing, gp: GradedPrime) -> Ideal:
@@ -127,8 +133,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
     odd = _r1_colon(g, g.r1, g.embed_ideal(p))
-    kind = PrimeKind.FULL_ODD_PART if odd == g.r1 else PrimeKind.PRIME_SUBMODULE
-    return GradedPrime(GradedIdeal(g, p, Submodule(g, odd)), kind, p)
+    return _tagged(g, GradedIdeal(g, p, Submodule(g, odd)))
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,9 @@ def graded_spec(g: GradedRing, method: str = "definitional",
     by the homogeneous pair test) or constructively (pull every prime of the
     even part back through the contraction).
 
-    The CLI prints the constructive spectrum, which enumerates only the
-    ideals of R0; the definitional one is the oracle of the verify records
+    The CLI prints the constructive spectrum, which builds no lattice: it
+    needs only Spec R0, found from the idempotents of R0 (``rings.spec``).
+    The definitional one is the oracle of the verify records
     ``spectrum.methods-agree`` and ``homeo.methods-agree``."""
     if method not in ("definitional", "constructive"):
         raise InvalidInputError(f"unknown spectrum method: {method!r}")
@@ -155,7 +161,7 @@ def graded_spec(g: GradedRing, method: str = "definitional",
 
     def compute():
         if method == "definitional":
-            points = [classify_graded_prime(g, j) for j in graded if is_graded_prime(g, j)]
+            points = [_tagged(g, j) for j in graded if is_graded_prime(g, j)]
         else:
             points = [phi_inverse(g, p) for p in base]
         return tuple(sorted(points, key=GradedPrime.key))

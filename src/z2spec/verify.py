@@ -229,6 +229,14 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
         c = {p.flat_members for p in graded_spec(g, "constructive", bound).graded_points}
         if d != c:
             return FAIL, f"{len(d)} definitional vs {len(c)} constructive points"
+        for name, ring in (("R", g.ring), ("R0", g.r0_ring)):
+            # spec builds no lattice; the primes among all ideals are its oracle
+            filtered = {i.members for i in enumerate_ideals(ring, bound)
+                        if i.is_proper and prime_violation(ring, i.members) is None}
+            points = {p.members for p in spec(ring, bound)}
+            if points != filtered:
+                return FAIL, (f"Spec {name}: {len(points)} points from idempotents"
+                              f" vs {len(filtered)} prime ideals")
         return PASS, None
     _run(records, "spectrum.methods-agree", methods_agree)
 

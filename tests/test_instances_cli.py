@@ -278,13 +278,17 @@ def test_cli_graded_spec_payload_has_no_method_key(tmp_path, capsys):
     assert sorted(json.loads(capsys.readouterr().out)) == ["graded", "points"]
 
 
-def test_cli_graded_spec_and_dot_enumerate_only_the_even_ideals(
-        tmp_path, capsys, monkeypatch):
-    """Both print the graded spectrum through the contraction, which needs
-    Spec R0 alone: no submodule lattice and no ideal lattice of R."""
-    entry = catalog_entry("trivext-2-f2x5")
-    g = entry.build()
-    for owner in (g, g.ring, g.r0_ring):
+F2X8 = {"ring": {"kind": "trivial_extension", "n": 2, "orders": [2] * 8},
+        "limits": {"bound": 512}}
+
+
+def test_cli_spectra_build_no_lattice(tmp_path, capsys, monkeypatch):
+    """``spec``, ``spec --graded`` and ``export-dot`` need only Spec R and
+    Spec R0, which come from the idempotents: no lattice is built, and no
+    ring caches a list of its ideals."""
+    g = build_instance(InstanceSpec(F2X8["ring"], 512))
+    owners = (g, g.ring, g.r0_ring)
+    for owner in owners:
         monkeypatch.setattr(owner, "_cache", {})
     built = []
     lattice = rings._subgroup_lattice
@@ -294,11 +298,27 @@ def test_cli_graded_spec_and_dot_enumerate_only_the_even_ideals(
         return lattice(*args, **kwargs)
     monkeypatch.setattr(rings, "_subgroup_lattice", spy_lattice)
     monkeypatch.setattr(grading, "_subgroup_lattice", spy_lattice)
-    path = write_instance(tmp_path, {"ring": entry.recipe})
+    path = write_instance(tmp_path, F2X8)
+    assert main(["spec", path]) == 0
     assert main(["spec", path, "--graded"]) == 0
     assert main(["export-dot", path]) == 0
     capsys.readouterr()
-    assert built and all(ring is g.r0_ring for ring in built)
+    assert built == []
+    assert all("ideals" not in owner._cache for owner in owners)
+    assert all("spec" in ring._cache for ring in (g.ring, g.r0_ring))
+
+
+def test_cli_spec_of_a_512_element_ring(tmp_path, capsys):
+    # Z/2 (+) F2^8 has 417,200 ideals and one prime, 0 (+) F2^8, whose
+    # breadth-first label is its eight unit vectors
+    path = write_instance(tmp_path, F2X8)
+    assert main(["spec", path]) == 0
+    units = [",".join("1" if k == j else "0" for k in range(8)) for j in range(8)]
+    assert capsys.readouterr().out.splitlines() == [
+        "spectrum of trivial_extension(Z/2; " + "(+)".join(["Z/2"] * 8)
+        + "): 1 point(s)",
+        "  (" + ", ".join(f"(0,({u}))" for u in units) + ")",
+    ]
 
 
 def test_cli_spec_over_a_product_base(tmp_path, capsys):
@@ -365,6 +385,14 @@ def test_cli_rejects_an_integer_literal_too_long_to_parse(tmp_path, capsys):
     assert main(["build", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_rejects_json_nested_past_the_decoder_limit(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text('{"ring": %s%s}' % ("[" * 100_000, "]" * 100_000))
+    assert main(["build", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid JSON: nested too deeply\n"
 
 
 def test_cli_timings_flag_breaks_byte_identity_only_when_asked(tmp_path, capsys):

@@ -37,6 +37,7 @@ from z2spec.maxfield import graded_max
 from z2spec.rings import (
     Ideal,
     _grow_subgroup,
+    _ideal_path,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
@@ -73,6 +74,14 @@ def test_lattices_match_all_pairs_closure(case):
         got = [(i.members, i.generators) for i in enumerate_ideals(ring, 512)]
         assert got == naive_enumerate_ideals(ring)
     assert [m.members for m in submodules(g, 512)] == naive_submodules(g)
+
+
+@pytest.mark.parametrize("case", CATALOG_IDS)
+def test_witness_search_finds_the_breadth_first_path(case):
+    g = RINGS[case]()
+    for ring in (g.ring, g.r0_ring):
+        for ideal in enumerate_ideals(ring):
+            assert _ideal_path(ring, ideal.members) == ideal.generators, ideal
 
 
 def _galois_number(k: int, q: int = 2) -> int:

@@ -1,11 +1,18 @@
 """Graded primes, the contraction homeomorphism, graded radical, dimension."""
 
+import pathlib
+
 import pytest
 
 from naive_closure import naive_graded_radical, naive_radical
 from z2spec.catalog import CATALOG
 from z2spec.errors import EnumerationLimitError, InvalidInputError
-from z2spec.instances import InstanceSpec
+from z2spec.instances import (
+    InstanceSpec,
+    build_instance,
+    effective_bound,
+    parse_instance,
+)
 from z2spec.graded_ideals import (
     decompose_graded,
     enumerate_graded_ideals,
@@ -26,6 +33,7 @@ from z2spec.rings import (
     ideal_from_members,
     ideal_generate,
     max_spec,
+    prime_violation,
     radical,
     spec,
     zmod,
@@ -272,6 +280,34 @@ def test_radicals_match_the_power_walk_cold_and_warm(g, monkeypatch):
             assert first.flat_members == expected, (j.label(), method)
             again = graded_radical(g, j, method)
             assert again == first and again.label() == first.label()
+
+
+PERFBENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "instances"
+
+
+def _perfbench_instance(path):
+    inst = parse_instance(path.read_text())
+    bound = effective_bound(inst)
+    return build_instance(inst, bound), bound
+
+
+SPEC_CASES = [pytest.param(lambda e=entry: (e.build(), None), id=entry.instance_id)
+              for entry in CATALOG]
+SPEC_CASES += [pytest.param(lambda p=path: _perfbench_instance(p), id=path.stem)
+               for path in sorted(PERFBENCH_DIR.glob("*.json"))]
+
+
+@pytest.mark.parametrize("case", SPEC_CASES)
+def test_spec_from_idempotents_matches_the_prime_filter(case, monkeypatch):
+    g, bound = case()
+    for ring in dict.fromkeys((g.ring, g.r0_ring)):
+        monkeypatch.setattr(ring, "_cache", {})
+        points = spec(ring, bound)
+        assert "ideals" not in ring._cache
+        primes = [i for i in enumerate_ideals(ring, bound)
+                  if i.is_proper and prime_violation(ring, i.members) is None]
+        assert ([(p.members, p.generators) for p in points]
+                == [(p.members, p.generators) for p in primes])
 
 
 BOUNDED_CALLS = {

@@ -88,14 +88,14 @@ def flat_radical_missing_an_element(monkeypatch):
 
 
 def wrong_prime_tag(monkeypatch):
-    original = spectrum.classify_graded_prime
+    original = spectrum._tagged
     flipped = {PrimeKind.FULL_ODD_PART: PrimeKind.PRIME_SUBMODULE,
                PrimeKind.PRIME_SUBMODULE: PrimeKind.FULL_ODD_PART}
 
     def broken(g, q):
         gp = original(g, q)
         return GradedPrime(gp.ideal, flipped[gp.kind], gp.p)
-    monkeypatch.setattr(spectrum, "classify_graded_prime", broken)
+    monkeypatch.setattr(spectrum, "_tagged", broken)
 
 
 def non_prime_accepted(monkeypatch):
@@ -105,13 +105,13 @@ def non_prime_accepted(monkeypatch):
 
 
 def contraction_not_prime(monkeypatch):
-    original = spectrum.classify_graded_prime
+    original = spectrum._tagged
 
     def broken(g, q):
         gp = original(g, q)
         zero = ideal_from_codes(g.r0_ring, frozenset({g.r0_ring.zero}))
         return GradedPrime(gp.ideal, gp.kind, zero)
-    monkeypatch.setattr(spectrum, "classify_graded_prime", broken)
+    monkeypatch.setattr(spectrum, "_tagged", broken)
 
 
 def odd_fiber_not_a_submodule(monkeypatch):
@@ -127,6 +127,14 @@ def contraction_misses_p(monkeypatch):
         return original(g, spec(g.r0_ring)[0])
     monkeypatch.setattr(spectrum, "phi_inverse", broken)
     monkeypatch.setattr(verify, "phi_inverse", broken)
+
+
+def flat_prime_missing(monkeypatch):
+    original = verify.spec
+
+    def broken(ring, bound=None):
+        return original(ring, bound)[1:]
+    monkeypatch.setattr(verify, "spec", broken)
 
 
 def chain_counts_members(monkeypatch):
@@ -166,6 +174,8 @@ CASES = [
     pytest.param(contraction_misses_p, ZMOD6, ["homeo", "spectrum"],
                  ["spectrum.methods-agree", "homeo.contraction-roundtrip"],
                  id="phi_inverse-contraction"),
+    pytest.param(flat_prime_missing, ZMOD6, ["spectrum"],
+                 ["spectrum.methods-agree"], id="spec"),
     pytest.param(chain_counts_members, GAUSSIAN4, ["spectrum"],
                  ["spectrum.dimension-matches-base"], id="homogeneous_dim"),
     pytest.param(graded_maximal_missing, ZMOD6, ["maximal"],
