@@ -32,7 +32,6 @@ from .rings import (
     ideal_from_members,
     ideal_generate,
     is_field,
-    max_spec,
     poly_quotient,
     product_ring,
     radical,

@@ -31,9 +31,9 @@ from .rings import (
     _memo,
     as_code,
     is_field,
-    max_spec,
     maximal_sets,
     prime_violation,
+    spec,
 )
 from .spectrum import homogeneous_prime_violation, is_prime_submodule
 
@@ -49,8 +49,9 @@ def is_graded_maximal(g: GradedRing, j: GradedIdeal,
 
 def graded_max(g: GradedRing, method: str = "definitional",
                bound: int | None = None) -> list[GradedIdeal]:
-    """Graded maximal ideals, definitionally or by the two-branch recipe:
-    (p, R1) for maximal p containing R1^2, else (p, p*R1)."""
+    """Graded maximal ideals, definitionally or by the two-branch recipe
+    over Spec R0 (every prime of R0 is maximal): (p, R1) for p containing
+    R1^2, else (p, p*R1)."""
     return list(_graded_max_cached(g, method, bound))
 
 
@@ -63,7 +64,7 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
             top = maximal_sets(j.flat_members for j in graded if j.is_proper)
             return [j for j in graded if j.flat_members in top]
     elif method == "constructive":
-        base_max = max_spec(g.r0_ring, bound)
+        base_max = spec(g.r0_ring, bound)
 
         def compute():
             sq = r1_squared(g).members

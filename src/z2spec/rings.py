@@ -84,7 +84,8 @@ node is a node at exactly its own depth.  So a node's path is the
 lexicographically least shortest sequence of spans (in ``_span_order``)
 summing to it.  Such a sequence uses only spans inside the node, and each of
 its steps enlarges the sum; ``_ideal_path`` finds it by iterative-deepening
-depth-first search over those spans, with no lattice.
+depth-first search over those spans, with no lattice.  As every prime is
+maximal, the same list answers Max R (``classify_ideal``, ``graded_max``).
 
 Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
 ``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
@@ -93,9 +94,9 @@ call computes it, and every later call returns the identical object.  The
 interning ``lru_cache`` constructors are the only other caches.  Bound
 rule: a function that takes a ``bound`` first fetches its bounded inputs
 (``enumerate_ideals``, ``submodules`` and ``spec`` check the bound at entry;
-``max_spec`` and ``enumerate_graded_ideals`` fetch from them) and only then
-reads its own memo.  So a call raises ``EnumerationLimitError`` exactly when
-the same call on empty caches would, and no cache hit checks the bound
+``classify_ideal`` and ``enumerate_graded_ideals`` fetch from them) and only
+then reads its own memo.  So a call raises ``EnumerationLimitError`` exactly
+when the same call on empty caches would, and no cache hit checks the bound
 another way.
 """
 
@@ -736,12 +737,14 @@ def _pair_inside(mul, outside: list, members: frozenset) -> tuple | None:
 
 def classify_ideal(ring: FiniteRing, ideal: Ideal,
                    bound: int | None = None) -> IdealClassification:
-    """Proper/prime/maximal/radical flags by exhaustive scan."""
+    """Proper/prime/radical flags by exhaustive scan; maximal means a point
+    of ``spec``, since every prime of a finite ring is maximal."""
+    points = spec(ring, bound)
     _same_ring(ring, ideal.ring)
     proper = ideal.is_proper
     witness = prime_violation(ring, ideal.members) if proper else None
     prime = proper and witness is None
-    maximal = proper and ideal in max_spec(ring, bound)
+    maximal = ideal in points
     is_rad = radical_members(ring, ideal.members) == ideal.members
     return IdealClassification(proper, prime, maximal, is_rad, witness)
 
@@ -781,7 +784,7 @@ def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
     """All prime ideals, in canonical order: P_e = {x : xe nilpotent} for
     each primitive idempotent e (module docstring, "Spectra").  No ideal
     lattice is built; ``spectrum.methods-agree`` compares the result with
-    the primes among ``enumerate_ideals``."""
+    the primes and the maximal ideals among ``enumerate_ideals``."""
     _check_bound(ring, bound, f"spectrum of {ring.provenance}")
 
     def compute():
@@ -809,13 +812,6 @@ def maximal_sets(sets: Iterable[frozenset]) -> frozenset:
         if not any(s < k for k in kept):
             kept.append(s)
     return frozenset(kept)
-
-
-def max_spec(ring: FiniteRing, bound: int | None = None) -> list[Ideal]:
-    """All maximal ideals, in canonical order."""
-    ideals = enumerate_ideals(ring, bound)
-    top = maximal_sets(i.members for i in ideals if i.is_proper)
-    return [i for i in ideals if i.members in top]
 
 
 def is_field(ring: FiniteRing) -> bool:

@@ -55,7 +55,6 @@ from .rings import (
     additive_closure,
     enumerate_ideals,
     ideal_from_members,
-    max_spec,
     maximal_sets,
     prime_violation,
     radical_members,
@@ -230,13 +229,14 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
         if d != c:
             return FAIL, f"{len(d)} definitional vs {len(c)} constructive points"
         for name, ring in (("R", g.ring), ("R0", g.r0_ring)):
-            # spec builds no lattice; the primes among all ideals are its oracle
-            filtered = {i.members for i in enumerate_ideals(ring, bound)
-                        if i.is_proper and prime_violation(ring, i.members) is None}
+            # spec builds no lattice: the prime and the maximal ideals are its oracles
+            proper = [i.members for i in enumerate_ideals(ring, bound) if i.is_proper]
+            primes = {m for m in proper if prime_violation(ring, m) is None}
+            maximal = maximal_sets(proper)
             points = {p.members for p in spec(ring, bound)}
-            if points != filtered:
-                return FAIL, (f"Spec {name}: {len(points)} points from idempotents"
-                              f" vs {len(filtered)} prime ideals")
+            if not points == primes == maximal:
+                return FAIL, (f"Spec {name}: {len(points)} points from idempotents vs"
+                              f" {len(primes)} prime, {len(maximal)} maximal ideals")
         return PASS, None
     _run(records, "spectrum.methods-agree", methods_agree)
 
@@ -460,7 +460,7 @@ def _suite_maximal(g: GradedRing, bound) -> list:
         if not applicable:
             return NOT_APPLICABLE, "no applicable submodules"
         top = maximal_sets(rp.members for rp in subs if rp.is_proper)
-        base_max = {m.members for m in max_spec(g.r0_ring, bound)}
+        base_max = {m.members for m in spec(g.r0_ring, bound)}
         for rp in applicable:
             res = residual(g, rp)
             is_max_sub, res_max = rp.members in top, res.members in base_max
@@ -475,7 +475,7 @@ def _suite_maximal(g: GradedRing, bound) -> list:
 
     def local():
         graded_local = is_graded_local(g, bound)
-        base_local = len(max_spec(g.r0_ring, bound)) == 1
+        base_local = len(spec(g.r0_ring, bound)) == 1
         if graded_local != base_local:
             return FAIL, (f"graded-local={graded_local} but"
                           f" base-local={base_local}")
@@ -494,7 +494,7 @@ def _suite_maximal(g: GradedRing, bound) -> list:
     def contraction_bijective():
         maximals = graded_max(g, "definitional", bound)
         images = [j.i0.members for j in maximals]
-        targets = {p.members for p in max_spec(g.r0_ring, bound)}
+        targets = {p.members for p in spec(g.r0_ring, bound)}
         if len(set(images)) != len(images) or set(images) != targets:
             return FAIL, ("contraction of the graded maximal ideals is not a"
                           " bijection onto the maximal ideals of the even part")
@@ -505,7 +505,7 @@ def _suite_maximal(g: GradedRing, bound) -> list:
         if not is_strongly_graded(g):
             return NOT_APPLICABLE, "not strongly graded"
         expected = sorted(
-            (graded_ideal_from_ideal(g, p) for p in max_spec(g.r0_ring, bound)),
+            (graded_ideal_from_ideal(g, p) for p in spec(g.r0_ring, bound)),
             key=GradedIdeal.key)
         actual = graded_max(g, "definitional", bound)
         if expected != actual:

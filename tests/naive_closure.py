@@ -144,6 +144,13 @@ def naive_maximal_sets(sets):
     return {s for s in sets if not any(s < t for t in sets)}
 
 
+def naive_maximal_ideals(ideals):
+    """The proper ideals of the list that no other strictly contains, in the
+    list's order: Max of a ring by definition, given all its ideals."""
+    top = naive_maximal_sets(i.members for i in ideals if i.is_proper)
+    return [i for i in ideals if i.members in top]
+
+
 def naive_radical(ring, members):
     """{x : some power of x lies in the set}, walking x, x^2, ... for each
     element until a power repeats, anew for every set."""

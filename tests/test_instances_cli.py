@@ -21,6 +21,8 @@ from z2spec.instances import (
     recipe_size,
     serialize_instance,
 )
+from z2spec.maxfield import graded_max
+from z2spec.rings import classify_ideal, ideal_from_members
 from z2spec.verify import report_payload, report_to_json, report_to_text, run_verify
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
@@ -284,13 +286,20 @@ F2X8 = {"ring": {"kind": "trivial_extension", "n": 2, "orders": [2] * 8},
 
 def test_cli_spectra_build_no_lattice(tmp_path, capsys, monkeypatch):
     """``spec``, ``spec --graded`` and ``export-dot`` need only Spec R and
-    Spec R0, which come from the idempotents: no lattice is built, and no
-    ring caches a list of its ideals."""
+    Spec R0, which come from the idempotents, and so do the maximal flag of
+    ``classify_ideal`` and the constructive ``graded_max``: no lattice is
+    built, and no ring caches a list of its ideals."""
     g = build_instance(InstanceSpec(F2X8["ring"], 512))
     owners = (g, g.ring, g.r0_ring)
-    for owner in owners:
-        monkeypatch.setattr(owner, "_cache", {})
     built = []
+
+    def cold():
+        for owner in owners:
+            monkeypatch.setattr(owner, "_cache", {})
+
+    def lattice_free():
+        return built == [] and all("ideals" not in owner._cache for owner in owners)
+    cold()
     lattice = rings._subgroup_lattice
 
     def spy_lattice(*args, **kwargs):
@@ -303,9 +312,15 @@ def test_cli_spectra_build_no_lattice(tmp_path, capsys, monkeypatch):
     assert main(["spec", path, "--graded"]) == 0
     assert main(["export-dot", path]) == 0
     capsys.readouterr()
-    assert built == []
-    assert all("ideals" not in owner._cache for owner in owners)
+    assert lattice_free()
     assert all("spec" in ring._cache for ring in (g.ring, g.r0_ring))
+    cold()
+    zero = ideal_from_members(g.ring, [g.ring.zero])
+    assert not classify_ideal(g.ring, zero, 512).is_maximal
+    assert lattice_free()
+    cold()
+    assert len(graded_max(g, "constructive", 512)) == 1
+    assert lattice_free()
 
 
 def test_cli_spec_of_a_512_element_ring(tmp_path, capsys):

@@ -21,7 +21,6 @@ from z2spec.rings import (
     ideal_from_members,
     ideal_generate,
     is_field,
-    max_spec,
     poly_quotient,
     product_ring,
     radical,
@@ -256,10 +255,10 @@ def test_radical_is_intersection_of_primes():
             assert radical(ring, ideal).members == expected
 
 
-def test_spec_and_max_spec():
+def test_spec_of_zmod():
     assert [sorted(p.members) for p in spec(zmod(6))] == [[0, 3], [0, 2, 4]]
     assert [sorted(p.members) for p in spec(zmod(4))] == [[0, 2]]
-    assert [p.members for p in max_spec(zmod(5))] == [frozenset({0})]
+    assert [p.members for p in spec(zmod(5))] == [frozenset({0})]
 
 
 def test_maximal_implies_prime_on_small_rings():

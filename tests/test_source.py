@@ -61,6 +61,22 @@ def test_only_the_odd_part_helpers_read_r1_generators():
     assert sorted(readers) == [("grading.py", "_r1_colon"), ("grading.py", "_r1_products")]
 
 
+def test_only_verify_and_the_graded_lattice_enumerate_ideals():
+    """Spec and Max come from the idempotents: the flat ideal lattice is
+    built only by ``verify``, for its oracles and counts, and as the even
+    parts of the graded lattice."""
+    callers = set()
+    for path in MODULES:
+        for scope, node in _scoped_nodes(_tree(path)):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "enumerate_ideals"
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "enumerate_ideals"):
+                callers.add("verify.py" if path.name == "verify.py"
+                            else f"{path.name}:{scope}")
+    assert callers == {"verify.py", "graded_ideals.py:enumerate_graded_ideals"}
+
+
 def test_commands_print_no_definitional_spectrum():
     """The definitional graded spectrum is an oracle for ``verify`` and the
     library; the printing commands go through the contraction."""

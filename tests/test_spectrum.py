@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from naive_closure import naive_graded_radical, naive_radical
+from naive_closure import naive_graded_radical, naive_maximal_ideals, naive_radical
 from z2spec.catalog import CATALOG
 from z2spec.errors import EnumerationLimitError, InvalidInputError
 from z2spec.instances import (
@@ -28,11 +28,11 @@ from z2spec.grading import (
     truncated_poly,
 )
 from z2spec.rings import (
+    IdealClassification,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
     ideal_generate,
-    max_spec,
     prime_violation,
     radical,
     spec,
@@ -299,15 +299,19 @@ SPEC_CASES += [pytest.param(lambda p=path: _perfbench_instance(p), id=path.stem)
 
 @pytest.mark.parametrize("case", SPEC_CASES)
 def test_spec_from_idempotents_matches_the_prime_filter(case, monkeypatch):
+    """Spec is the primes by definition, and also Max: in a finite ring
+    every prime is maximal."""
     g, bound = case()
     for ring in dict.fromkeys((g.ring, g.r0_ring)):
         monkeypatch.setattr(ring, "_cache", {})
         points = spec(ring, bound)
         assert "ideals" not in ring._cache
-        primes = [i for i in enumerate_ideals(ring, bound)
+        ideals = enumerate_ideals(ring, bound)
+        primes = [i for i in ideals
                   if i.is_proper and prime_violation(ring, i.members) is None]
         assert ([(p.members, p.generators) for p in points]
                 == [(p.members, p.generators) for p in primes])
+        assert list(points) == naive_maximal_ideals(ideals)
 
 
 BOUNDED_CALLS = {
@@ -315,8 +319,10 @@ BOUNDED_CALLS = {
     "enumerate_ideals(R0)": lambda g, b: enumerate_ideals(g.r0_ring, b),
     "spec(R)": lambda g, b: spec(g.ring, b),
     "spec(R0)": lambda g, b: spec(g.r0_ring, b),
-    "max_spec(R)": lambda g, b: max_spec(g.ring, b),
-    "max_spec(R0)": lambda g, b: max_spec(g.r0_ring, b),
+    "classify_ideal (0)": lambda g, b: classify_ideal(
+        g.ring, ideal_from_members(g.ring, [g.ring.zero]), b),
+    "classify_ideal (1)": lambda g, b: classify_ideal(
+        g.ring, ideal_from_members(g.ring, range(g.ring.size)), b),
     "submodules": submodules,
     "enumerate_graded_ideals": enumerate_graded_ideals,
     "graded_spec definitional": lambda g, b: graded_spec(g, "definitional", b).graded_points,
@@ -347,9 +353,17 @@ def test_bound_gives_the_same_outcome_on_warm_and_cold_caches(bound, monkeypatch
     for name, call in BOUNDED_CALLS.items():
         warm = outcome(call)
         assert warm == cold[name], name
-        if not isinstance(warm, str):  # a hit hands back the cached objects
+        # a hit hands back the cached objects; classify_ideal caches nothing
+        if not isinstance(warm, (str, IdealClassification)):
             again = outcome(call)
             assert again is warm or list(map(id, again)) == list(map(id, warm)), name
+
+
+def test_classify_ideal_checks_the_bound_on_the_unit_ideal_too():
+    ring = GAUSSIAN4.ring
+    for members in ([ring.zero], range(ring.size)):
+        with pytest.raises(EnumerationLimitError):
+            classify_ideal(ring, ideal_from_members(ring, members), 8)
 
 
 def test_homogeneous_dim():

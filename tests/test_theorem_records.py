@@ -137,6 +137,14 @@ def flat_prime_missing(monkeypatch):
     monkeypatch.setattr(verify, "spec", broken)
 
 
+def maximal_ideal_missing(monkeypatch):
+    original = verify.maximal_sets
+
+    def broken(sets):
+        return frozenset(sorted(original(sets), key=sorted)[1:])
+    monkeypatch.setattr(verify, "maximal_sets", broken)
+
+
 def chain_counts_members(monkeypatch):
     monkeypatch.setattr(spectrum, "_longest_chain",
                         lambda sets: max(map(len, sets), default=0))
@@ -176,6 +184,8 @@ CASES = [
                  id="phi_inverse-contraction"),
     pytest.param(flat_prime_missing, ZMOD6, ["spectrum"],
                  ["spectrum.methods-agree"], id="spec"),
+    pytest.param(maximal_ideal_missing, ZMOD6, ["spectrum"],
+                 ["spectrum.methods-agree"], id="maximal_sets"),
     pytest.param(chain_counts_members, GAUSSIAN4, ["spectrum"],
                  ["spectrum.dimension-matches-base"], id="homogeneous_dim"),
     pytest.param(graded_maximal_missing, ZMOD6, ["maximal"],
