@@ -4,10 +4,15 @@ An ideal J of the ambient ring is graded exactly when it splits as
 (J intersect R0) + (J intersect R1); the pair form is the canonical
 representation and the flat member set is derived from it.
 
-Both compatibility conditions are decided on additive generators
-(``grading._r1_products``): I0*R1 <= R' iff gens(I0)*gens(R1) <= R', and
-R1*R' <= I0 iff gens(R')*gens(R1) <= I0.  Only when one fails is a product
-escaping its target looked up, by a scan over all pairs.
+Both compatibility conditions are bounds on R' that depend on I0 alone.
+The first is I0*R1 <= R'.  The second, R1*R' <= I0, holds exactly when
+every m in R' has m*R1 <= I0, that is when R' lies in the colon
+(I0 : R1) intersect R1.  So (I0, R') is compatible exactly when
+I0*R1 <= R' <= (I0 : R1) intersect R1.  The two bounds are formed once per
+even ideal (``grading._pair_bounds``, on additive generators), and a pair
+costs two subset tests; no submodule's generators are grown.  Only when a
+test fails is a product escaping its target looked up, by a scan over all
+pairs.
 
 Gradedness is decided by counting: for an ideal J, A = J intersect R0 and
 B = J intersect R1 give A + B <= J, and A + B has exactly |A| * |B| elements
@@ -21,7 +26,7 @@ from .errors import InvalidInputError
 from .grading import (
     GradedRing,
     Submodule,
-    _r1_products,
+    _pair_bounds,
     residual,
     submodules,
 )
@@ -29,7 +34,6 @@ from .rings import (
     Ideal,
     _memo,
     _same_ring,
-    additive_closure,
     as_code,
     enumerate_ideals,
     is_ideal_set,
@@ -55,9 +59,10 @@ class GradedIdeal:
         odd = frozenset(r_part.members)
         cosets = [map(add[a].__getitem__, odd) for a in i0_ambient if a != g.ring.zero]
         self.flat_members = odd.union(*cosets) if cosets else odd  # I0 = 0 shares R'
-        if not _r1_products(g, i0_ambient) <= odd:
+        low, high = _pair_bounds(g, i0_ambient)
+        if not low <= odd:
             _escape(g, "I0*R1 escapes the odd part", i0_ambient, g.r1, odd)
-        if not _r1_products(g, odd) <= i0_ambient:
+        if not odd <= high:
             _escape(g, "R1*R' escapes the even part", g.r1, odd, i0_ambient)
 
     def __eq__(self, other):
@@ -144,9 +149,7 @@ def _as_ideal_members(g: GradedRing, members) -> frozenset:
 
 def graded_ideal_from_ideal(g: GradedRing, i: Ideal) -> GradedIdeal:
     """The graded ideal (I, I*R1) attached to an even-part ideal."""
-    _same_ring(g.r0_ring, i.ring)
-    r_part = Submodule(g, additive_closure(g.ring, _r1_products(g, g.embed_ideal(i))))
-    return GradedIdeal(g, i, r_part)
+    return GradedIdeal(g, i, Submodule(g, _pair_bounds(g, g.embed_ideal(i))[0]))
 
 
 def graded_ideal_from_submodule(g: GradedRing, rp: Submodule) -> GradedIdeal:
@@ -159,20 +162,18 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
 
     The compatibility conditions make the pair scan complete; the definitional
     filter over flat ideals is kept separately as the oracle
-    (see ``is_graded_ideal``).  Each side's generator products are formed
+    (see ``is_graded_ideal``).  Each even ideal's two bounds are formed
     once, so a pair costs two subset tests (module docstring).
     """
     even_ideals = enumerate_ideals(g.r0_ring, bound)
     subs = submodules(g, bound)
 
     def compute():
-        evens = [(i0, amb, _r1_products(g, amb))
-                 for i0 in even_ideals for amb in [g.embed_ideal(i0)]]
+        evens = [(i0, _pair_bounds(g, g.embed_ideal(i0))) for i0 in even_ideals]
         result = []
         for rp in subs:
-            products = _r1_products(g, rp.members)
-            for i0, i0_ambient, needed in evens:
-                if needed <= rp.members and products <= i0_ambient:
+            for i0, (low, high) in evens:
+                if low <= rp.members <= high:
                     result.append(GradedIdeal(g, i0, rp))
         return tuple(sorted(result, key=GradedIdeal.key))
     return _memo(g, "graded_ideals", compute)

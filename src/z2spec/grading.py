@@ -396,6 +396,16 @@ def _r1_colon(g: GradedRing, part: Iterable[int], target: frozenset) -> frozense
     return frozenset(e for e in part if target.issuperset(map(mul[e].__getitem__, r1_gens)))
 
 
+def _pair_bounds(g: GradedRing, i0_ambient: frozenset) -> tuple[frozenset, frozenset]:
+    """(I0*R1, (I0 : R1) intersect R1) for an even ideal I0 given by its
+    ambient codes: a submodule R' makes (I0, R') a graded pair exactly when
+    it lies between the two (``graded_ideals`` docstring).  Memoized by
+    the member set, so there is at most one entry per ideal of R0."""
+    return _memo(g, ("pair_bounds", i0_ambient), lambda: (
+        additive_closure(g.ring, _r1_products(g, i0_ambient)),
+        _r1_colon(g, g.r1, i0_ambient)))
+
+
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
     gens = _r0_generators(g)
     return additive_closure(
@@ -418,6 +428,11 @@ def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
     return members <= g.r1 and is_stable_set(g.ring, _r0_generators(g), members)
 
 
+def _submodule_spans(g: GradedRing) -> list:
+    """The cyclic spans R0x for x in R1, in lattice order (``_span_order``)."""
+    return _span_order(g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g))
+
+
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
     """All R0-submodules of R1, canonically ordered.
 
@@ -427,9 +442,8 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
 
     def compute():
-        found = _subgroup_lattice(g.ring, _span_order(
-            g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g)))
-        return tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
+        found = [Submodule(g, m) for m in _subgroup_lattice(g.ring, _submodule_spans(g))]
+        return tuple(sorted(found, key=Submodule.key))  # label paths dropped before the sort
     return _memo(g, "submodules", compute)
 
 

@@ -38,27 +38,32 @@ pass over the table row of k*s, so H + <s> costs O(|H + <s>|).  In the test
 form the grown H must stay inside a candidate set S; if the loop ends with
 every member of S fed in as a generator, H lies inside S and contains S, so
 S = H is a subgroup, found in O(|S|) steps instead of O(|S|^2).  The same run
-yields generators g_j of H.  Stability under multiplication then needs only
-the products g_j * r_i with r_i the multipliers: multiplication is
-biadditive, so x * r = sum n_j m_i g_j r_i for x = sum n_j g_j and
-r = sum m_i r_i, and that sum lies in S because S is an additive group.
-``is_stable_set`` is an exact decision this way, at
+yields generators g_j of H, the codes that enlarged it (a lattice span
+keeps those of its own members as its seeds, see below).  Stability under
+multiplication then needs only the products g_j * r_i with r_i the
+multipliers: multiplication is biadditive, so x * r = sum n_j m_i g_j r_i
+for x = sum n_j g_j and r = sum m_i r_i, and that sum lies in S because S is
+an additive group.  ``is_stable_set`` is an exact decision this way, at
 O(|S| + #gens(S) * #multipliers) table lookups.
 
 Lattice enumeration.  The M-stable subgroups are exactly the sums of spans
 Mx, and ``_subgroup_lattice`` walks them breadth-first from {0}.  A node H
 is extended by each span S = Mx in a fixed order; the child H + S is S
-itself when S contains H, and otherwise H grown by the additive generators
-of S, which costs O(|H + S|) instead of the |H| * |S| pairwise sums.  Exact
-coset skip: within one node, a label y in x + H for an x already tried there
-is not tried, because y - x = h lies in H, so My <= Mx + Mh <= H + Mx and
-symmetrically Mx <= H + My, that is H + My = H + Mx, a child already known.
-This needs only that x lies in Mx (M contains 1).  The labels of the tried
-spans cover one coset of H each, so the skip set of a node never exceeds |R|
-elements.  The breadth-first order is kept on purpose: an ideal's generator
-witness (``Ideal.generators``, hence every label and report) is the label
-path by which the FIFO queue, taking spans in order of size and then
-members (``_span_order``), first reaches it.
+itself when S contains H, and otherwise H grown by the seeds of S, which
+costs O(|H + S|) instead of the |H| * |S| pairwise sums.  The seeds of S are
+its own additive generators, picked once per span from x times the
+multipliers by a growth from {0} (``_span_order``): each enlarges the span
+grown from the ones before it, so a growth visits one seed per generator of
+S rather than one per multiplier.  Exact coset skip: within one node, a
+label y in x + H for an x already tried there is not tried, because
+y - x = h lies in H, so My <= Mx + Mh <= H + Mx and symmetrically
+Mx <= H + My, that is H + My = H + Mx, a child already known.  This needs
+only that x lies in Mx (M contains 1).  The labels of the tried spans cover
+one coset of H each, so the skip set of a node never exceeds |R| elements.
+The breadth-first order is kept on purpose: an ideal's generator witness
+(``Ideal.generators``, hence every label and report) is the label path by
+which the FIFO queue, taking spans in order of size and then members
+(``_span_order``), first reaches it.
 
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
 The powers x, x^2, ... of an element of a finite ring are eventually
@@ -498,12 +503,12 @@ def _grow_subgroup(add, base: Iterable[int], seeds: Iterable[int],
             continue
         gens.append(s)
         row = add[s]
-        multiples = [s]
+        cosets = [map(row.__getitem__, members)]
         t = row[s]
         while t not in members:
-            multiples.append(t)
+            cosets.append(map(add[t].__getitem__, members))
             t = row[t]
-        members = members.union(*[map(add[t].__getitem__, members) for t in multiples])
+        members = members.union(*cosets)
         if inside is not None and not members <= inside:
             return None
     return members, gens
@@ -609,11 +614,14 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
                 multipliers: tuple) -> list:
     """The distinct spans ``span(x)`` in lattice order, as (label, members,
     additive seeds): each labelled by the first x of ``labels`` giving it,
-    and ordered by (size, sorted members)."""
+    and ordered by (size, sorted members).  The seeds are the span's own
+    additive generators, picked from x times the multipliers, so each of
+    them enlarges the subgroup grown from the ones before it."""
     first = {}
     for x in labels:
         first.setdefault(span(x), x)
-    return [(x, members, span_seeds(ring, multipliers, x))
+    return [(x, members, tuple(_subgroup_generators(
+                ring.add, ring.zero, span_seeds(ring, multipliers, x))))
             for members, x in sorted(first.items(),
                                      key=lambda kv: (len(kv[0]), sorted(kv[0])))]
 

@@ -1,9 +1,13 @@
 """Graded ideal pairs: decomposition criterion, the two construction classes,
 enumeration, and the strongly graded bijection."""
 
+import sys
+
 import pytest
 
-from naive_closure import naive_is_graded_ideal
+from instance_cases import INSTANCE_CASES
+from naive_closure import naive_compatible, naive_is_graded_ideal
+from z2spec import grading
 from z2spec.catalog import CATALOG
 from z2spec.errors import InvalidInputError
 from z2spec.graded_ideals import (
@@ -16,6 +20,7 @@ from z2spec.graded_ideals import (
 )
 from z2spec.grading import (
     Submodule,
+    _pair_bounds,
     gaussian_integers,
     quadratic_extension,
     submodules,
@@ -25,7 +30,7 @@ from z2spec.grading import (
 )
 from z2spec.instances import InstanceSpec
 from z2spec.rings import enumerate_ideals, ideal_generate, zmod
-from z2spec.verify import run_verify
+from z2spec.verify import _suite_ideals, run_verify
 
 
 GAUSSIAN4 = gaussian_integers(4)
@@ -189,3 +194,42 @@ def test_graded_ideal_ordering_is_canonical():
     for g in (GAUSSIAN4, gaussian_integers(10)):
         keys = [j.key() for j in enumerate_graded_ideals(g)]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_pair_bounds_decide_compatibility(case):
+    """(I0, R') is compatible exactly when
+    I0*R1 <= R' <= (I0 : R1) intersect R1."""
+    g, bound = case()
+    subs = submodules(g, bound)
+    for i0 in enumerate_ideals(g.r0_ring, bound):
+        i0_ambient = g.embed_ideal(i0)
+        bounds = _pair_bounds(g, i0_ambient)
+        low, high = bounds
+        assert type(low) is frozenset and type(high) is frozenset
+        assert _pair_bounds(g, g.embed_ideal(i0)) is bounds
+        for rp in subs:
+            assert (low <= rp.members <= high) == naive_compatible(g, i0_ambient, rp.members)
+
+
+def test_pair_checks_grow_no_submodule(monkeypatch):
+    """A cold graded enumeration plus the ideals suite forms odd-part products
+    of even ideals and of R1 only, never of a proper nonzero submodule."""
+    g = next(entry.build() for entry in CATALOG if entry.instance_id == "trivext-2-f2x5")
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    seen = []
+    products = grading._r1_products
+
+    def recording(graded_ring, members):
+        members = frozenset(members)
+        seen.append(members)
+        return products(graded_ring, members)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("z2spec") and getattr(module, "_r1_products", None) is products:
+            monkeypatch.setattr(module, "_r1_products", recording)
+    enumerate_graded_ideals(g)
+    assert {r.status for r in _suite_ideals(g, None)} <= {"pass", "not-applicable"}
+    inner = {m.members for m in submodules(g) if m.is_proper and len(m.members) > 1}
+    assert seen and inner.isdisjoint(seen)

@@ -29,6 +29,7 @@ from z2spec.grading import (
     Submodule,
     _r1_colon,
     _r1_products,
+    _submodule_spans,
     gaussian_integers,
     residual,
     submodules,
@@ -39,6 +40,8 @@ from z2spec.rings import (
     Ideal,
     _grow_subgroup,
     _ideal_path,
+    _ideal_spans,
+    additive_closure,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
@@ -66,6 +69,23 @@ def test_growth_from_a_subgroup_takes_every_coset(base, seeds):
     grown, gens = _grow_subgroup(ring.add, frozenset(base), seeds)
     assert grown == naive_additive_closure(ring, base | set(seeds))
     assert gens == seeds
+
+
+@pytest.mark.parametrize("case", CATALOG_IDS)
+def test_span_seeds_are_additive_generators(case):
+    """Each lattice span's seeds generate exactly its members, and each seed
+    enlarges the subgroup generated by the seeds before it."""
+    g = RINGS[case]()
+    spans = [(ring, _ideal_spans(ring, range(ring.size)))
+             for ring in dict.fromkeys((g.ring, g.r0_ring))]
+    spans.append((g.ring, _submodule_spans(g)))
+    for ring, order in spans:
+        for x, members, seeds in order:
+            assert additive_closure(ring, seeds) == members, x
+            built = frozenset({ring.zero})
+            for s in seeds:
+                assert s not in built, (x, s)
+                built = naive_additive_closure(ring, built | {s})
 
 
 @pytest.mark.parametrize("case", sorted(RINGS))

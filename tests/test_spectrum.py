@@ -1,18 +1,12 @@
 """Graded primes, the contraction homeomorphism, graded radical, dimension."""
 
-import pathlib
-
 import pytest
 
+from instance_cases import INSTANCE_CASES
 from naive_closure import naive_graded_radical, naive_maximal_ideals, naive_radical
 from z2spec.catalog import CATALOG
 from z2spec.errors import EnumerationLimitError, InvalidInputError
-from z2spec.instances import (
-    InstanceSpec,
-    build_instance,
-    effective_bound,
-    parse_instance,
-)
+from z2spec.instances import InstanceSpec
 from z2spec.graded_ideals import (
     decompose_graded,
     enumerate_graded_ideals,
@@ -282,22 +276,7 @@ def test_radicals_match_the_power_walk_cold_and_warm(g, monkeypatch):
             assert again == first and again.label() == first.label()
 
 
-PERFBENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "instances"
-
-
-def _perfbench_instance(path):
-    inst = parse_instance(path.read_text())
-    bound = effective_bound(inst)
-    return build_instance(inst, bound), bound
-
-
-SPEC_CASES = [pytest.param(lambda e=entry: (e.build(), None), id=entry.instance_id)
-              for entry in CATALOG]
-SPEC_CASES += [pytest.param(lambda p=path: _perfbench_instance(p), id=path.stem)
-               for path in sorted(PERFBENCH_DIR.glob("*.json"))]
-
-
-@pytest.mark.parametrize("case", SPEC_CASES)
+@pytest.mark.parametrize("case", INSTANCE_CASES)
 def test_spec_from_idempotents_matches_the_prime_filter(case, monkeypatch):
     """Spec is the primes by definition, and also Max: in a finite ring
     every prime is maximal."""
