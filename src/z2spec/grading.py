@@ -36,7 +36,6 @@ from .rings import (
     _span_order,
     _subgroup_lattice,
     _tables_by_digits,
-    ideal_from_codes,
     ideal_members,
     is_stable_set,
     poly_quotient,
@@ -100,8 +99,8 @@ class GradedRing:
 
     def restrict_ideal(self, ambient_members: Iterable[int]) -> Ideal:
         """Even-part ideal from a set of ambient codes (must lie in R0)."""
-        return ideal_from_codes(
-            self.r0_ring, frozenset(map(self._r0_index.__getitem__, ambient_members)))
+        return Ideal(self.r0_ring,
+                     frozenset(map(self._r0_index.__getitem__, ambient_members)))
 
     def homogeneous_codes(self) -> tuple:
         return _memo(self, "homogeneous", lambda: tuple(sorted(self.r0 | self.r1)))
@@ -443,7 +442,7 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
 
     def compute():
         found = [Submodule(g, m) for m in _subgroup_lattice(g.ring, _submodule_spans(g))]
-        return tuple(sorted(found, key=Submodule.key))  # label paths dropped before the sort
+        return tuple(sorted(found, key=Submodule.key))
     return _memo(g, "submodules", compute)
 
 
@@ -463,7 +462,7 @@ def residual(g: GradedRing, rp: Submodule) -> Ideal:
 
 def r1_squared(g: GradedRing) -> Ideal:
     """The ideal of R0 generated by all products of two odd elements."""
-    return _memo(g, "r1_squared", lambda: ideal_from_codes(g.r0_ring, ideal_members(
+    return _memo(g, "r1_squared", lambda: Ideal(g.r0_ring, ideal_members(
         g.r0_ring, map(g.to_r0, _r1_products(g, g.r1)))))
 
 

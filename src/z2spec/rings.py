@@ -60,10 +60,7 @@ y - x = h lies in H, so My <= Mx + Mh <= H + Mx and symmetrically
 Mx <= H + My, that is H + My = H + Mx, a child already known.  This needs
 only that x lies in Mx (M contains 1).  The labels of the tried spans cover
 one coset of H each, so the skip set of a node never exceeds |R| elements.
-The breadth-first order is kept on purpose: an ideal's generator witness
-(``Ideal.generators``, hence every label and report) is the label path by
-which the FIFO queue, taking spans in order of size and then members
-(``_span_order``), first reaches it.
+The lattice keeps no labels (see "Labels").
 
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
 The powers x, x^2, ... of an element of a finite ring are eventually
@@ -81,16 +78,21 @@ f*e in {0, e} for every idempotent f), and every prime is maximal
 projections onto the residue fields of the Re: P_e = {x : xe lies in the
 maximal ideal of Re}, and that maximal ideal is the set of nilpotents of Re,
 so P_e = {x : xe in N} with N the nilradical (``radical_members`` of {0}).
-``spec`` builds these sets and no lattice.  Each label is still the
-breadth-first path of ``_subgroup_lattice``: by induction on the depth, the
-FIFO queue takes the nodes of each depth in lexicographic order of their
-first-found paths, because every prefix of a shortest span sequence for a
-node is a node at exactly its own depth.  So a node's path is the
-lexicographically least shortest sequence of spans (in ``_span_order``)
-summing to it.  Such a sequence uses only spans inside the node, and each of
-its steps enlarges the sum; ``_ideal_path`` finds it by iterative-deepening
-depth-first search over those spans, with no lattice.  As every prime is
-maximal, the same list answers Max R (``classify_ideal``, ``graded_max``).
+``spec`` builds these sets and no lattice.  As every prime is maximal, the
+same list answers Max R (``classify_ideal``, ``graded_max``).
+
+Labels.  An ``Ideal``'s generator witness is a function of its member set:
+the lexicographically least shortest sequence of spans Rx (in
+``_span_order``, each labelled by its smallest code) summing to it, found on
+first read of ``Ideal.generators`` and memoized by the set.  Such a sequence
+uses only spans inside the ideal, and each step at least doubles the sum
+(the old sum is a subgroup of the new one), so ``_ideal_path`` finds it by
+iterative-deepening search over those spans to at most log2 |I| steps; a
+set with none is not an ideal.  It is the path by which a breadth-first
+walk (the test reference) first reaches the ideal: by induction on the
+depth, a FIFO queue takes the nodes of each depth in lexicographic order of
+their first-found paths, because every prefix of a shortest span sequence
+for a node is a node at exactly its own depth.
 
 Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
 ``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
@@ -115,6 +117,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationLimitError,
+    InvalidInputError,
     InvalidParameterError,
     RingMismatchError,
 )
@@ -222,25 +225,19 @@ class RingElement:
         return self.ring.names[self.code]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Ideal:
-    """An ideal as a closed member set plus a generator witness.
-
-    Equality and hashing ignore the generators: two ideals are equal when
-    they live in the identical ring and have the same member set.
-    """
+    """An ideal as a closed member set; two ideals are equal when they live
+    in the identical ring and have the same members."""
 
     ring: FiniteRing
     members: frozenset
-    generators: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.ring is other.ring and self.members == other.members
-
-    def __hash__(self):
-        return hash((id(self.ring), self.members))
+    @property
+    def generators(self) -> tuple:
+        """The witness of the member set (module docstring, "Labels")."""
+        return _memo(self.ring, ("ideal_path", self.members),
+                     lambda: _ideal_path(self.ring, self.members))
 
     def __contains__(self, value) -> bool:
         return as_code(self.ring, value) in self.members
@@ -571,19 +568,12 @@ def reduce_generators(ring: FiniteRing, multipliers: tuple, members: frozenset) 
 
 def ideal_generate(ring: FiniteRing, gens: Iterable) -> Ideal:
     """Smallest ideal containing ``gens`` (RingElements or codes)."""
-    codes = tuple(as_code(ring, g) for g in gens)
-    return Ideal(ring, ideal_members(ring, codes), codes)
+    return Ideal(ring, ideal_members(ring, [as_code(ring, g) for g in gens]))
 
 
 def ideal_from_members(ring: FiniteRing, members: Iterable) -> Ideal:
-    """Wrap an already-closed member set as an Ideal with reduced generators."""
-    return ideal_from_codes(ring, frozenset(as_code(ring, m) for m in members))
-
-
-def ideal_from_codes(ring: FiniteRing, members: frozenset) -> Ideal:
-    """``ideal_from_members`` for a frozenset of codes of this ring."""
-    return Ideal(ring, members,
-                 reduce_generators(ring, _additive_generators(ring), members))
+    """Wrap an already-closed member set (RingElements or codes) as an Ideal."""
+    return Ideal(ring, frozenset(as_code(ring, m) for m in members))
 
 
 def is_stable_set(ring: FiniteRing, multipliers: tuple, members: frozenset) -> bool:
@@ -633,36 +623,34 @@ def _ideal_spans(ring: FiniteRing, labels: Iterable[int]) -> list:
                        _additive_generators(ring))
 
 
-def _subgroup_lattice(ring: FiniteRing, spans: list) -> dict:
-    """Every sum of the spans, as member set -> first-found label path.
+def _subgroup_lattice(ring: FiniteRing, spans: list) -> set:
+    """Every sum of the spans, as a set of member sets.
 
     ``spans`` come from ``_span_order``.  Breadth-first from {0} (module
-    docstring): a child new to the lattice gets its node's path plus the
-    span's label and joins the FIFO queue.
+    docstring): a child new to the lattice joins the FIFO queue.
     """
     add = ring.add
     bottom = frozenset({ring.zero})
-    found = {bottom: ()}
+    found = {bottom}
     queue = deque([bottom])
     while queue:
         node = queue.popleft()
-        path = found[node]
         tried = set(node)
         for x, members, seeds in spans:
             if x in tried:
                 continue
             child = members if node <= members else _grow_subgroup(add, node, seeds)[0]
             if child not in found:
-                found[child] = path + (x,)
+                found.add(child)
                 queue.append(child)
             tried.update(map(add[x].__getitem__, node))
     return found
 
 
 def _ideal_path(ring: FiniteRing, target: frozenset) -> tuple:
-    """``Ideal.generators`` of the ideal ``target`` as ``enumerate_ideals``
-    finds it, without the lattice: the lexicographically least shortest
-    sequence of spans Rx summing to it (module docstring, "Spectra").
+    """``Ideal.generators`` of the ideal ``target``: the lexicographically
+    least shortest sequence of spans Rx summing to it (module docstring,
+    "Labels").
 
     The spans inside the ideal are the Rx with x in it, and Rx = Ry puts x
     and y in it together, so labelling by its sorted members keeps each
@@ -670,11 +658,12 @@ def _ideal_path(ring: FiniteRing, target: frozenset) -> tuple:
     0, 1, 2, ... steps, so the first path found is the answer.  A node H
     with k steps left is pruned when even k of the widest spans cannot grow
     it to the target (|H + S| <= |H| * |S|), and a (node, steps left) pair
-    that failed once is never searched again.
+    that failed once is never searched again.  With no path of at most
+    log2 |target| steps, ``target`` is no ideal: ``InvalidInputError``.
     """
     add = ring.add
     spans = _ideal_spans(ring, sorted(target))
-    widest = max(len(members) for _, members, _ in spans)
+    widest = max((len(members) for _, members, _ in spans), default=1)
     dead = set()
 
     def search(node, left):
@@ -693,28 +682,23 @@ def _ideal_path(ring: FiniteRing, target: frozenset) -> tuple:
         return None
 
     bottom = frozenset({ring.zero})
-    depth = 0
-    while (path := search(bottom, depth)) is None:
-        depth += 1
-    return path
+    for depth in range(len(target).bit_length()):
+        path = search(bottom, depth)
+        if path is not None:
+            return path
+    raise InvalidInputError(
+        f"a set of {len(target)} codes is not an ideal of {ring.provenance}")
 
 
 def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
-    """Every ideal of the ring, canonically ordered.
-
-    The lattice of sums of principal ideals Rx (``_subgroup_lattice``),
-    extended in order of (|Rx|, sorted members), each Rx labelled by its
-    smallest code; the first path that reaches an ideal is its generator
-    witness.  Ordered by cardinality then member encoding.
-    """
+    """Every ideal of the ring, canonically ordered: the lattice of sums of
+    principal ideals Rx (``_subgroup_lattice``), by cardinality then member
+    encoding."""
     _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
 
     def compute():
         found = _subgroup_lattice(ring, _ideal_spans(ring, range(ring.size)))
-        return tuple(sorted(
-            (Ideal(ring, members, gens) for members, gens in found.items()),
-            key=Ideal.key,
-        ))
+        return tuple(sorted((Ideal(ring, members) for members in found), key=Ideal.key))
     return _memo(ring, "ideals", compute)
 
 
@@ -785,7 +769,7 @@ def radical_members(ring: FiniteRing, members: frozenset) -> frozenset:
 def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
     """{x : x^n lies in the ideal for some n >= 1} (``radical_members``)."""
     _same_ring(ring, ideal.ring)
-    return ideal_from_codes(ring, radical_members(ring, ideal.members))
+    return Ideal(ring, radical_members(ring, ideal.members))
 
 
 def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
@@ -804,7 +788,7 @@ def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
             if e == zero or any(mul[f][e] not in (zero, e) for f in idempotents):
                 continue  # not primitive
             members = frozenset(x for x in range(ring.size) if mul[x][e] in nilradical)
-            primes.append(Ideal(ring, members, _ideal_path(ring, members)))
+            primes.append(Ideal(ring, members))
         return tuple(sorted(primes, key=Ideal.key))
     return _memo(ring, "spec", compute)
 

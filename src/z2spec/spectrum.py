@@ -24,6 +24,7 @@ from .graded_ideals import (
 from .grading import (
     GradedRing,
     Submodule,
+    _pair_bounds,
     _r1_colon,
 )
 from .rings import (
@@ -132,7 +133,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     _same_ring(g.r0_ring, p.ring)
     if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
-    odd = _r1_colon(g, g.r1, g.embed_ideal(p))
+    odd = _pair_bounds(g, g.embed_ideal(p))[1]
     return _tagged(g, GradedIdeal(g, p, Submodule(g, odd)))
 
 

@@ -136,7 +136,7 @@ def _suite_ideals(g: GradedRing, bound) -> list:
 
     def roundtrip():
         for j in enumerate_graded_ideals(g, bound):
-            again = decompose_graded(g, j.flat_members)
+            again = decompose_graded(g, j)
             if again.i0 != j.i0 or again.r_part != j.r_part:
                 return FAIL, f"{j.label()} does not decompose back to its pair"
             if j.is_proper != (g.ring.one not in j.flat_members):

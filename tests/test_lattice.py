@@ -39,14 +39,15 @@ from z2spec.maxfield import graded_max
 from z2spec.rings import (
     Ideal,
     _grow_subgroup,
-    _ideal_path,
     _ideal_spans,
     additive_closure,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
+    ideal_generate,
     maximal_sets,
     product_ring,
+    radical,
     spec,
     zmod,
 )
@@ -99,10 +100,30 @@ def test_lattices_match_all_pairs_closure(case):
 
 @pytest.mark.parametrize("case", CATALOG_IDS)
 def test_witness_search_finds_the_breadth_first_path(case):
+    """One label per ideal: however an ideal is built, its witness is the
+    path by which the all-pairs breadth-first walk first reaches it."""
     g = RINGS[case]()
-    for ring in (g.ring, g.r0_ring):
+    for ring in dict.fromkeys((g.ring, g.r0_ring)):
+        paths = dict(naive_enumerate_ideals(ring))
         for ideal in enumerate_ideals(ring):
-            assert _ideal_path(ring, ideal.members) == ideal.generators, ideal
+            path = paths[ideal.members]
+            assert ideal.generators == path, ideal
+            assert ideal_from_members(ring, ideal.members).generators == path
+            for gens in (path, sorted(ideal.members, reverse=True)):
+                assert ideal_generate(ring, gens).generators == path
+            rad = radical(ring, ideal)
+            assert rad.generators == paths[rad.members]
+
+
+def test_equal_ideals_print_one_label():
+    # Z/4[i]: rebuilt from its members, the lattice ideal (1+i) once took
+    # the greedy witness (2, 1+i); code 5 is 1+i
+    ring = gaussian_integers(4).ring
+    lattice = {i.members: i for i in enumerate_ideals(ring)}
+    one_plus_i = lattice[ideal_generate(ring, [5]).members]
+    assert one_plus_i.label() == "(1+i)"
+    assert ideal_from_members(ring, one_plus_i.members).label() == "(1+i)"
+    assert ideal_generate(ring, [2, 5]).label() == "(1+i)"
 
 
 def _galois_number(k: int, q: int = 2) -> int:
@@ -159,18 +180,13 @@ def test_odd_part_products_and_colons_match_all_pairs(case):
 
 @pytest.mark.parametrize("case", CATALOG_IDS)
 def test_generator_witnesses_match_greedy_reference(case):
+    """Submodule labels are the greedy witness (``rings.reduce_generators``)."""
     g = RINGS[case]()
     ring, mul = g.ring, g.ring.mul
-
-    def ideal_span(gens):
-        return naive_additive_closure(ring, {mul[r][x] for x in gens for r in range(ring.size)})
 
     def submodule_span(gens):
         return naive_additive_closure(ring, {mul[a][x] for x in gens for a in g.r0})
 
-    for i in enumerate_ideals(ring):
-        expected = naive_reduce_generators(i.members, ring.zero, ideal_span)
-        assert ideal_from_members(ring, i.members).generators == expected
     names = ring.names
     for m in submodules(g):
         gens = naive_reduce_generators(m.members, ring.zero, submodule_span)
@@ -222,6 +238,6 @@ def test_incompatible_pair_names_an_escaping_product(case):
 
 def test_incompatible_pair_on_the_odd_side_is_named():
     g = gaussian_integers(4)  # I0 = 0 and R' = R1: I0*R1 = 0, but i*i = -1
-    zero = Ideal(g.r0_ring, frozenset({g.r0_ring.zero}), ())
+    zero = Ideal(g.r0_ring, frozenset({g.r0_ring.zero}))
     with pytest.raises(InvalidInputError, match=r"R1\*R' escapes"):
         GradedIdeal(g, zero, Submodule(g, g.r1))

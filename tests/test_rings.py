@@ -11,11 +11,13 @@ import pytest
 
 from z2spec.errors import (
     EnumerationLimitError,
+    InvalidInputError,
     InvalidParameterError,
     RingMismatchError,
 )
 from z2spec.rings import (
     Ideal,
+    _ideal_path,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
@@ -296,6 +298,16 @@ def test_ideal_from_members_reduces_generators():
     ideal = ideal_from_members(z12, [0, 2, 4, 6, 8, 10])
     assert ideal.generators == (2,)
     assert ideal.label() == "(2)"
+
+
+def test_witness_of_a_set_that_is_no_ideal_is_an_input_error():
+    # {0, 1} is no sum of principal ideals of Z/6: the search stops after
+    # log2 |{0, 1}| = 1 step instead of deepening forever
+    z6 = zmod(6)
+    with pytest.raises(InvalidInputError, match="not an ideal of Z/6"):
+        _ideal_path(z6, frozenset({0, 1}))
+    with pytest.raises(InvalidInputError, match="not an ideal of Z/6"):
+        ideal_from_members(z6, [0, 1]).label()
 
 
 def test_catalog_flat_ideals_satisfy_invariants():

@@ -5,7 +5,8 @@ import ast
 import re
 from pathlib import Path
 
-from z2spec.catalog import CATALOG
+import z2spec.rings as rings
+from z2spec.catalog import CATALOG, catalog_entry
 from z2spec.verify import SUITE_NAMES, run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +76,37 @@ def test_only_verify_and_the_graded_lattice_enumerate_ideals():
                 callers.add("verify.py" if path.name == "verify.py"
                             else f"{path.name}:{scope}")
     assert callers == {"verify.py", "graded_ideals.py:enumerate_graded_ideals"}
+
+
+def test_only_the_generators_property_searches_for_a_witness():
+    """An ideal's label is a function of its member set, found when it is
+    read (``rings`` docstring, "Labels"): no constructor forms one."""
+    readers = []
+    for path in MODULES:
+        for scope, node in _scoped_nodes(_tree(path)):
+            if (isinstance(node, ast.Name) and node.id == "_ideal_path"
+                    or isinstance(node, ast.alias) and node.name == "_ideal_path"):
+                readers.append((path.name, scope or "<module>"))
+    assert readers == [("rings.py", "Ideal.generators")]
+
+
+def test_a_passing_verify_searches_for_no_witness(monkeypatch):
+    """A passing run prints no ideal label, so on cold caches it never
+    calls the witness search."""
+    calls = []
+    search = rings._ideal_path
+
+    def spy(ring, members):
+        calls.append(ring)
+        return search(ring, members)
+    monkeypatch.setattr(rings, "_ideal_path", spy)
+    for instance_id in ("gaussian-10", "trivext-2-f2x3"):
+        entry = catalog_entry(instance_id)
+        g = entry.build()
+        for owner in (g, g.ring, g.r0_ring):
+            monkeypatch.setattr(owner, "_cache", {})
+        assert run_verify(entry.spec()).status == "pass"
+    assert calls == []
 
 
 def test_commands_print_no_definitional_spectrum():

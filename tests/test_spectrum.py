@@ -3,7 +3,12 @@
 import pytest
 
 from instance_cases import INSTANCE_CASES
-from naive_closure import naive_graded_radical, naive_maximal_ideals, naive_radical
+from naive_closure import (
+    naive_enumerate_ideals,
+    naive_graded_radical,
+    naive_maximal_ideals,
+    naive_radical,
+)
 from z2spec.catalog import CATALOG
 from z2spec.errors import EnumerationLimitError, InvalidInputError
 from z2spec.instances import InstanceSpec
@@ -288,8 +293,9 @@ def test_spec_from_idempotents_matches_the_prime_filter(case, monkeypatch):
         ideals = enumerate_ideals(ring, bound)
         primes = [i for i in ideals
                   if i.is_proper and prime_violation(ring, i.members) is None]
-        assert ([(p.members, p.generators) for p in points]
-                == [(p.members, p.generators) for p in primes])
+        assert list(points) == primes
+        paths = dict(naive_enumerate_ideals(ring))
+        assert [p.generators for p in points] == [paths[p.members] for p in points]
         assert list(points) == naive_maximal_ideals(ideals)
 
 

@@ -21,7 +21,7 @@ from z2spec.cli import main
 from z2spec.graded_ideals import GradedIdeal
 from z2spec.grading import Submodule
 from z2spec.instances import InstanceSpec, build_instance
-from z2spec.rings import ideal_from_codes, spec
+from z2spec.rings import Ideal, spec
 from z2spec.spectrum import GradedPrime, PrimeKind
 from z2spec.verify import run_verify
 
@@ -59,7 +59,7 @@ def residual_missing_a_member(monkeypatch):
     def broken(g, rp):
         ideal = original(g, rp)
         if len(ideal.members) > 2:
-            return ideal_from_codes(ideal.ring, _drop_largest(ideal.members))
+            return Ideal(ideal.ring, _drop_largest(ideal.members))
         return ideal
     monkeypatch.setattr(graded_ideals, "residual", broken)
 
@@ -109,7 +109,7 @@ def contraction_not_prime(monkeypatch):
 
     def broken(g, q):
         gp = original(g, q)
-        zero = ideal_from_codes(g.r0_ring, frozenset({g.r0_ring.zero}))
+        zero = Ideal(g.r0_ring, frozenset({g.r0_ring.zero}))
         return GradedPrime(gp.ideal, gp.kind, zero)
     monkeypatch.setattr(spectrum, "_tagged", broken)
 
@@ -218,6 +218,24 @@ def test_broken_theorem_fails_its_named_record(breakage, recipe, suites, records
         argv += ["--suite", suite]
     assert main(argv) == 1
     capsys.readouterr()
+
+
+def test_label_of_a_broken_residual_is_reported_as_a_fail(monkeypatch):
+    """A record that prints the label of a set that is no ideal records the
+    witness search's error as a ``fail``; the search does not run on."""
+    spec_ = InstanceSpec(dict(TRIVEXT4))
+    g = build_instance(spec_)
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    residual_missing_a_member(monkeypatch)
+    whole = grading.submodules(g)[-1]  # residual R0, which loses a member
+    records = []
+
+    def print_label():
+        return verify.PASS, graded_ideals.residual(g, whole).label()
+    verify._run(records, "probe", print_label)
+    assert records[0].status == verify.FAIL
+    assert "not an ideal of even part of" in records[0].witness
 
 
 def test_error_inside_a_check_is_reported_with_its_text(monkeypatch):
