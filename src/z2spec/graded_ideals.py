@@ -35,6 +35,7 @@ from .rings import (
     _memo,
     _same_ring,
     as_code,
+    canonical_key,
     enumerate_ideals,
     is_ideal_set,
 )
@@ -82,7 +83,7 @@ class GradedIdeal:
         return self.i0.is_proper
 
     def key(self):
-        return (len(self.flat_members), tuple(sorted(self.flat_members)))
+        return canonical_key(self.flat_members)
 
     def label(self) -> str:
         return f"{self.i0.label()} + {self.r_part.label()}"

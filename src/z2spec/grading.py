@@ -34,12 +34,14 @@ from .rings import (
     _memo,
     _subgroup_generators,
     _span_order,
+    _span_path,
     _subgroup_lattice,
     _tables_by_digits,
+    canonical_key,
+    generator_label,
     ideal_members,
     is_stable_set,
     poly_quotient,
-    reduce_generators,
     span_seeds,
     zmod,
 )
@@ -310,9 +312,12 @@ def trivial_extension(base: FiniteRing, module_orders: Sequence[int]) -> GradedR
 # submodules of the odd part
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Submodule:
-    """An R0-submodule of R1 as a set of ambient codes."""
+    """An R0-submodule of R1 as a set of ambient codes; two submodules are
+    equal when they live in the identical graded ring and have the same
+    members.  Its label is the witness of the member set, as an ideal's
+    (``rings`` docstring, "Labels")."""
 
     graded_ring: GradedRing
     members: frozenset
@@ -323,13 +328,13 @@ class Submodule:
             raise InvalidParameterError(
                 f"{g.ring.names[min(self.members - g.r1)]} is not in the odd part")
 
-    def __eq__(self, other):
-        if not isinstance(other, Submodule):
-            return NotImplemented
-        return self.graded_ring is other.graded_ring and self.members == other.members
-
-    def __hash__(self):
-        return hash((id(self.graded_ring), self.members))
+    @property
+    def generators(self) -> tuple:
+        """The least shortest sequence of spans R0x summing to the members."""
+        g = self.graded_ring
+        return _memo(g, ("submodule_path", self.members), lambda: _span_path(
+            g.ring, _submodule_spans(g, sorted(self.members)), self.members,
+            f"a submodule of the odd part of {g.provenance}"))
 
     def __contains__(self, value) -> bool:
         return as_code(self.graded_ring.ring, value) in self.members
@@ -339,15 +344,10 @@ class Submodule:
         return self.members != self.graded_ring.r1
 
     def key(self):
-        return (len(self.members), tuple(sorted(self.members)))
+        return canonical_key(self.members)
 
     def label(self) -> str:
-        g = self.graded_ring
-        gens = reduce_generators(g.ring, _r0_generators(g), self.members)
-        if not gens:
-            return "(0)"
-        names = self.graded_ring.ring.names
-        return "(" + ", ".join(names[x] for x in gens) + ")"
+        return generator_label(self.graded_ring.ring.names, self.generators)
 
     def __repr__(self):
         return f"Submodule{self.label()} of {self.graded_ring.provenance}"
@@ -427,9 +427,10 @@ def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
     return members <= g.r1 and is_stable_set(g.ring, _r0_generators(g), members)
 
 
-def _submodule_spans(g: GradedRing) -> list:
-    """The cyclic spans R0x for x in R1, in lattice order (``_span_order``)."""
-    return _span_order(g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g))
+def _submodule_spans(g: GradedRing, labels: Iterable[int]) -> list:
+    """The cyclic spans R0x for x in ``labels`` (codes of R1), in lattice
+    order (``_span_order``)."""
+    return _span_order(g.ring, labels, partial(cyclic_span, g), _r0_generators(g))
 
 
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
@@ -441,8 +442,8 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
 
     def compute():
-        found = [Submodule(g, m) for m in _subgroup_lattice(g.ring, _submodule_spans(g))]
-        return tuple(sorted(found, key=Submodule.key))
+        found = _subgroup_lattice(g.ring, _submodule_spans(g, sorted(g.r1)))
+        return tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
     return _memo(g, "submodules", compute)
 
 

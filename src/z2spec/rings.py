@@ -24,7 +24,8 @@ of X composed with the row of c*X^(k-1).
 Stable subgroups.  For a subring M of R, an M-stable subgroup is an
 additive subgroup S of R with M * S <= S.  The ideals of R are its R-stable
 subgroups and the submodules of a grading's odd part R1 are the R0-stable
-subgroups inside R1, so both are handled here, once.  M is passed as its
+subgroups inside R1, so both are handled here, once: one lattice walk, one
+canonical order (``canonical_key``) and one label rule.  M is passed as its
 additive generators, the multipliers (R's for ideals, R0's as ambient codes
 for submodules); x times the multipliers generate the span Mx additively
 (``span_seeds``).
@@ -81,18 +82,19 @@ so P_e = {x : xe in N} with N the nilradical (``radical_members`` of {0}).
 ``spec`` builds these sets and no lattice.  As every prime is maximal, the
 same list answers Max R (``classify_ideal``, ``graded_max``).
 
-Labels.  An ``Ideal``'s generator witness is a function of its member set:
-the lexicographically least shortest sequence of spans Rx (in
-``_span_order``, each labelled by its smallest code) summing to it, found on
-first read of ``Ideal.generators`` and memoized by the set.  Such a sequence
-uses only spans inside the ideal, and each step at least doubles the sum
-(the old sum is a subgroup of the new one), so ``_ideal_path`` finds it by
-iterative-deepening search over those spans to at most log2 |I| steps; a
-set with none is not an ideal.  It is the path by which a breadth-first
-walk (the test reference) first reaches the ideal: by induction on the
-depth, a FIFO queue takes the nodes of each depth in lexicographic order of
-their first-found paths, because every prefix of a shortest span sequence
-for a node is a node at exactly its own depth.
+Labels.  An ``Ideal``'s or a ``Submodule``'s generator witness is a
+function of its member set: the lexicographically least shortest sequence of
+spans Mx (in ``_span_order``, each labelled by its smallest code) summing to
+it, found on first read of ``generators`` and memoized by the set.  Such a
+sequence uses only spans inside the set, which are the Mx with x in it (x
+lies in Mx, as M contains 1), and each step at least doubles the sum (the old
+sum is a subgroup of the new one), so ``_span_path`` finds it by
+iterative-deepening search over those spans to at most log2 |S| steps; a set
+with none is not M-stable.  It is the path by which a breadth-first walk
+(the test reference) first reaches the set: by induction on the depth, a
+FIFO queue takes the nodes of each depth in lexicographic order of their
+first-found paths, because every prefix of a shortest span sequence for a
+node is a node at exactly its own depth.
 
 Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
 ``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
@@ -236,8 +238,10 @@ class Ideal:
     @property
     def generators(self) -> tuple:
         """The witness of the member set (module docstring, "Labels")."""
-        return _memo(self.ring, ("ideal_path", self.members),
-                     lambda: _ideal_path(self.ring, self.members))
+        ring = self.ring
+        return _memo(ring, ("ideal_path", self.members), lambda: _span_path(
+            ring, _ideal_spans(ring, sorted(self.members)), self.members,
+            f"an ideal of {ring.provenance}"))
 
     def __contains__(self, value) -> bool:
         return as_code(self.ring, value) in self.members
@@ -255,16 +259,26 @@ class Ideal:
         return self.ring.one not in self.members
 
     def key(self):
-        """Canonical sort key: cardinality, then the sorted member tuple."""
-        return (len(self.members), tuple(sorted(self.members)))
+        return canonical_key(self.members)
 
     def label(self) -> str:
-        if not self.generators:
-            return "(0)"
-        return "(" + ", ".join(self.ring.names[g] for g in self.generators) + ")"
+        return generator_label(self.ring.names, self.generators)
 
     def __repr__(self):
         return f"Ideal{self.label()} of {self.ring.provenance}"
+
+
+def canonical_key(members: frozenset) -> tuple:
+    """The canonical order of member sets: cardinality, then the sorted
+    member tuple."""
+    return (len(members), tuple(sorted(members)))
+
+
+def generator_label(names: Sequence[str], generators: tuple) -> str:
+    """``(g1, g2, ...)`` in element names, or ``(0)`` for no generators."""
+    if not generators:
+        return "(0)"
+    return "(" + ", ".join(names[x] for x in generators) + ")"
 
 
 def _same_ring(a: FiniteRing, b: FiniteRing):
@@ -548,24 +562,6 @@ def ideal_members(ring: FiniteRing, gen_codes: Iterable[int]) -> frozenset:
         ring, (s for x in gen_codes for s in span_seeds(ring, gens, x)))
 
 
-def reduce_generators(ring: FiniteRing, multipliers: tuple, members: frozenset) -> tuple:
-    """A small deterministic generator witness for an M-stable member set.
-
-    Greedy in code order: keep x when it lies outside the span of the codes
-    kept so far, and stop once that span is the whole set; each kept x grows
-    the span by Mx (``span_seeds``).
-    """
-    gens: tuple = ()
-    span = frozenset({ring.zero})
-    for x in sorted(members):
-        if x not in span:
-            gens = gens + (x,)
-            span = _grow_subgroup(ring.add, span, span_seeds(ring, multipliers, x))[0]
-            if span == members:
-                break
-    return gens
-
-
 def ideal_generate(ring: FiniteRing, gens: Iterable) -> Ideal:
     """Smallest ideal containing ``gens`` (RingElements or codes)."""
     return Ideal(ring, ideal_members(ring, [as_code(ring, g) for g in gens]))
@@ -604,7 +600,7 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
                 multipliers: tuple) -> list:
     """The distinct spans ``span(x)`` in lattice order, as (label, members,
     additive seeds): each labelled by the first x of ``labels`` giving it,
-    and ordered by (size, sorted members).  The seeds are the span's own
+    and ordered by ``canonical_key``.  The seeds are the span's own
     additive generators, picked from x times the multipliers, so each of
     them enlarges the subgroup grown from the ones before it."""
     first = {}
@@ -612,8 +608,7 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
         first.setdefault(span(x), x)
     return [(x, members, tuple(_subgroup_generators(
                 ring.add, ring.zero, span_seeds(ring, multipliers, x))))
-            for members, x in sorted(first.items(),
-                                     key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+            for members, x in sorted(first.items(), key=lambda kv: canonical_key(kv[0]))]
 
 
 def _ideal_spans(ring: FiniteRing, labels: Iterable[int]) -> list:
@@ -647,22 +642,23 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> set:
     return found
 
 
-def _ideal_path(ring: FiniteRing, target: frozenset) -> tuple:
-    """``Ideal.generators`` of the ideal ``target``: the lexicographically
-    least shortest sequence of spans Rx summing to it (module docstring,
-    "Labels").
+def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> tuple:
+    """The generator witness of the M-stable set ``target``: the
+    lexicographically least shortest sequence of ``spans`` summing to it
+    (module docstring, "Labels").
 
-    The spans inside the ideal are the Rx with x in it, and Rx = Ry puts x
-    and y in it together, so labelling by its sorted members keeps each
-    span's label.  Iterative deepening: depth-first in span order with
-    0, 1, 2, ... steps, so the first path found is the answer.  A node H
-    with k steps left is pruned when even k of the widest spans cannot grow
-    it to the target (|H + S| <= |H| * |S|), and a (node, steps left) pair
-    that failed once is never searched again.  With no path of at most
-    log2 |target| steps, ``target`` is no ideal: ``InvalidInputError``.
+    ``spans`` come from ``_span_order`` with the sorted members of
+    ``target`` as labels: the spans inside it are the Mx with x in it, and
+    Mx = My puts x and y in it together, so this keeps each span's label.
+    Iterative deepening: depth-first in span order with 0, 1, 2, ... steps,
+    so the first path found is the answer.  A node H with k steps left is
+    pruned when even k of the widest spans cannot grow it to the target
+    (|H + S| <= |H| * |S|), and a (node, steps left) pair that failed once
+    is never searched again.  With no path of at most log2 |target| steps,
+    ``target`` is not ``what`` (such as "an ideal of Z/6"):
+    ``InvalidInputError``.
     """
     add = ring.add
-    spans = _ideal_spans(ring, sorted(target))
     widest = max((len(members) for _, members, _ in spans), default=1)
     dead = set()
 
@@ -686,8 +682,7 @@ def _ideal_path(ring: FiniteRing, target: frozenset) -> tuple:
         path = search(bottom, depth)
         if path is not None:
             return path
-    raise InvalidInputError(
-        f"a set of {len(target)} codes is not an ideal of {ring.provenance}")
+    raise InvalidInputError(f"a set of {len(target)} codes is not {what}")
 
 
 def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:

@@ -32,6 +32,7 @@ from .rings import (
     _memo,
     _pair_inside,
     _same_ring,
+    canonical_key,
     prime_violation,
     radical,
     radical_members,
@@ -227,7 +228,7 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
 
 def _longest_chain(sets) -> int:
     """Edge count of the longest strict inclusion chain among member sets."""
-    order = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    order = sorted(sets, key=canonical_key)
     best = []
     for i, current in enumerate(order):
         depth = 0

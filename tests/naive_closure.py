@@ -33,59 +33,47 @@ def naive_additive_closure(ring, codes):
         members |= sums
 
 
-def _naive_ideal_sum(ring, a, b):
-    """Member set of I + J as the set of all pairwise sums."""
+def _naive_lattice(ring, spans):
+    """Breadth-first closure over all pairs: extend each known sum S by
+    every span Mx (``spans`` maps its members to its label x) with x outside
+    S, closing S + Mx over all |S|*|Mx| sums, spans taken by size and then
+    sorted members.  Returns (members, generator path) in canonical order,
+    the path being the spans by which the walk first reaches the sum."""
     add = ring.add
-    return frozenset(add[x][y] for x in a for y in b)
-
-
-def naive_enumerate_ideals(ring):
-    """Breadth-first closure over all pairs: extend each known ideal I by
-    every principal ideal Rx with x outside I, closing I + Rx over all
-    |I|*|Rx| sums.  Returns (members, generator path) in canonical order."""
-    mul = ring.mul
-    principals = {}
-    for x in range(ring.size):
-        principals.setdefault(frozenset(mul[r][x] for r in range(ring.size)), x)
-    extensions = sorted(principals.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
+    extensions = sorted(spans.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     zero_members = frozenset({ring.zero})
     found = {zero_members: ()}
     queue = deque([zero_members])
     while queue:
         current = queue.popleft()
         gens = found[current]
-        for pmembers, x in extensions:
-            if x in current:  # Rx <= current, nothing new
+        for span, x in extensions:
+            if x in current:  # Mx <= current, nothing new
                 continue
-            bigger = _naive_ideal_sum(ring, current, pmembers)
+            bigger = frozenset(add[a][b] for a in current for b in span)
             if bigger not in found:
                 found[bigger] = gens + (x,)
                 queue.append(bigger)
     return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
+def naive_enumerate_ideals(ring):
+    """Every ideal, as the sums of principal ideals Rx (``_naive_lattice``)."""
+    mul = ring.mul
+    principals = {}
+    for x in range(ring.size):
+        principals.setdefault(frozenset(mul[r][x] for r in range(ring.size)), x)
+    return _naive_lattice(ring, principals)
+
+
 def naive_submodules(g):
-    """Every R0-submodule of R1, by the same closure over all |M|*|R0x|
-    sums.  Returns the member sets in canonical order."""
-    add, mul = g.ring.add, g.ring.mul
+    """Every R0-submodule of R1, as the sums of cyclic spans R0x
+    (``_naive_lattice``)."""
+    mul = g.ring.mul
     spans = {}
     for x in sorted(g.r1):
         spans.setdefault(frozenset(mul[a][x] for a in g.r0), x)
-    extensions = sorted(spans.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    zero_members = frozenset({g.ring.zero})
-    found = {zero_members}
-    queue = [zero_members]
-    while queue:
-        current = queue.pop()
-        for span, x in extensions:
-            if x in current:
-                continue
-            bigger = frozenset(add[a][b] for a in current for b in span)
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-    return sorted(found, key=lambda m: (len(m), sorted(m)))
+    return _naive_lattice(g.ring, spans)
 
 
 def naive_compatible(g, i0_ambient, odd):
@@ -101,7 +89,7 @@ def naive_graded_pairs(g):
     r0_embed = sorted(g.r0)  # r0_ring code k is the k-th smallest even code
     evens = [frozenset(r0_embed[c] for c in members)
              for members, _ in naive_enumerate_ideals(g.r0_ring)]
-    return {(i0, odd) for i0 in evens for odd in naive_submodules(g)
+    return {(i0, odd) for i0 in evens for odd, _ in naive_submodules(g)
             if naive_compatible(g, i0, odd)}
 
 
@@ -115,20 +103,6 @@ def naive_odd_part(g, i0_ambient):
     """I0*R1: the additive closure of all |I0|*|R1| products."""
     mul = g.ring.mul
     return naive_additive_closure(g.ring, {mul[a][x] for a in i0_ambient for x in g.r1})
-
-
-def naive_reduce_generators(members, zero, span):
-    """First-fit generators in code order; ``span(gens)`` is recomputed from
-    scratch after each pick."""
-    gens = ()
-    spanned = frozenset({zero})
-    for x in sorted(members):
-        if x not in spanned:
-            gens = gens + (x,)
-            spanned = span(gens)
-            if spanned == members:
-                break
-    return gens
 
 
 def naive_is_graded_ideal(g, members):

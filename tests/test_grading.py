@@ -8,6 +8,7 @@ from naive_closure import naive_is_submodule_set
 from z2spec.errors import (
     GradingAxiomError,
     GradingDecompositionError,
+    InvalidInputError,
     InvalidModuleError,
     InvalidParameterError,
     NotStronglyGradedError,
@@ -257,3 +258,11 @@ def test_submodule_rejects_members_outside_the_odd_part():
     with pytest.raises(InvalidParameterError, match="3 is not in the odd part"):
         Submodule(g, frozenset({0, 3}))
     assert Submodule(g, frozenset({0})).members == g.r1
+
+
+def test_label_of_a_set_that_is_no_submodule_is_an_input_error():
+    # {0, i} lies in R1 of Z/4[i] but is no submodule: R0*i is all of R1
+    with pytest.raises(InvalidInputError,
+                       match=r"not a submodule of the odd part of Z/4\[i\]"):
+        Submodule(GAUSSIAN4, frozenset({0, 4})).label()
+    assert Submodule(GAUSSIAN4, frozenset({0, 8})).label() == "(2i)"

@@ -1,5 +1,6 @@
 """Instance files, the CLI surface, golden reports, and DOT output."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -488,3 +489,23 @@ def test_dot_parses_for_whole_catalog(instance_id):
     text = render_dot(catalog_entry(instance_id).build())
     nodes, edges = parse_dot(text)
     assert nodes and len(edges) >= 1
+
+
+# sha256 of the stdout of each command over the 42 catalog entries, in
+# catalog order: a label that drifts changes the digest of its command
+PRINTED_SPECTRA_SHA256 = {
+    ("spec",): "b443b7c4d01627421ac9fbf2e5f70c3e8e7a4655b846755c583a72c0ee32037e",
+    ("spec", "--graded"): "ba94689337866de8a2be6e3dcd7e55f5173d720706bb51e027f751b8d281b3ba",
+    ("export-dot",): "68f3fbbb30fca67d8e8722d84e24b258e99120f1fdbe55daf7554a10813a32a9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED_SPECTRA_SHA256), ids=" ".join)
+def test_printed_spectra_of_the_catalog_are_pinned(tmp_path, capsys, command):
+    digest = hashlib.sha256()
+    for entry in CATALOG:
+        path = tmp_path / f"{entry.instance_id}.json"
+        path.write_text(serialize_instance(entry.spec()))
+        assert main([*command, str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PRINTED_SPECTRA_SHA256[command]

@@ -14,7 +14,6 @@ from naive_closure import (
     naive_maximal_ideals,
     naive_maximal_sets,
     naive_odd_part,
-    naive_reduce_generators,
     naive_residual,
     naive_submodules,
 )
@@ -32,6 +31,7 @@ from z2spec.grading import (
     _submodule_spans,
     gaussian_integers,
     residual,
+    submodule_generate,
     submodules,
     trivial_extension,
 )
@@ -79,7 +79,7 @@ def test_span_seeds_are_additive_generators(case):
     g = RINGS[case]()
     spans = [(ring, _ideal_spans(ring, range(ring.size)))
              for ring in dict.fromkeys((g.ring, g.r0_ring))]
-    spans.append((g.ring, _submodule_spans(g)))
+    spans.append((g.ring, _submodule_spans(g, sorted(g.r1))))
     for ring, order in spans:
         for x, members, seeds in order:
             assert additive_closure(ring, seeds) == members, x
@@ -95,13 +95,14 @@ def test_lattices_match_all_pairs_closure(case):
     for ring in (g.ring, g.r0_ring):
         got = [(i.members, i.generators) for i in enumerate_ideals(ring, 512)]
         assert got == naive_enumerate_ideals(ring)
-    assert [m.members for m in submodules(g, 512)] == naive_submodules(g)
+    assert [(m.members, m.generators) for m in submodules(g, 512)] == naive_submodules(g)
 
 
 @pytest.mark.parametrize("case", CATALOG_IDS)
 def test_witness_search_finds_the_breadth_first_path(case):
-    """One label per ideal: however an ideal is built, its witness is the
-    path by which the all-pairs breadth-first walk first reaches it."""
+    """One label per member set: however an ideal or a submodule is built,
+    its witness is the path by which the all-pairs breadth-first walk first
+    reaches it."""
     g = RINGS[case]()
     for ring in dict.fromkeys((g.ring, g.r0_ring)):
         paths = dict(naive_enumerate_ideals(ring))
@@ -113,6 +114,13 @@ def test_witness_search_finds_the_breadth_first_path(case):
                 assert ideal_generate(ring, gens).generators == path
             rad = radical(ring, ideal)
             assert rad.generators == paths[rad.members]
+    paths = dict(naive_submodules(g))
+    for m in submodules(g):
+        path = paths[m.members]
+        assert m.generators == path, m
+        assert Submodule(g, m.members).generators == path
+        for gens in (path, sorted(m.members, reverse=True)):
+            assert submodule_generate(g, gens).generators == path
 
 
 def test_equal_ideals_print_one_label():
@@ -124,6 +132,15 @@ def test_equal_ideals_print_one_label():
     assert one_plus_i.label() == "(1+i)"
     assert ideal_from_members(ring, one_plus_i.members).label() == "(1+i)"
     assert ideal_generate(ring, [2, 5]).label() == "(1+i)"
+
+
+def test_equal_submodules_print_one_label():
+    # (Z/2 x Z/3)[i]: R1 is the span of i alone, though the two smaller
+    # spans ((0,1)i) and ((1,0)i) also sum to it; code 24 is i
+    g = RINGS["quadratic-2x3-i"]()
+    assert Submodule(g, g.r1).label() == "(i)"
+    assert submodule_generate(g, [6, 18]).label() == "(i)"
+    assert [m.label() for m in submodules(g)] == ["(0)", "((1,0)i)", "((0,1)i)", "(i)"]
 
 
 def _galois_number(k: int, q: int = 2) -> int:
@@ -180,17 +197,15 @@ def test_odd_part_products_and_colons_match_all_pairs(case):
 
 @pytest.mark.parametrize("case", CATALOG_IDS)
 def test_generator_witnesses_match_greedy_reference(case):
-    """Submodule labels are the greedy witness (``rings.reduce_generators``)."""
+    """Submodule labels name the all-pairs breadth-first path of their
+    member set.  (The test name is from the greedy witness that the span
+    path replaced; it is kept so the test ids stay stable.)"""
     g = RINGS[case]()
-    ring, mul = g.ring, g.ring.mul
-
-    def submodule_span(gens):
-        return naive_additive_closure(ring, {mul[a][x] for x in gens for a in g.r0})
-
-    names = ring.names
+    names = g.ring.names
+    paths = dict(naive_submodules(g))
     for m in submodules(g):
-        gens = naive_reduce_generators(m.members, ring.zero, submodule_span)
-        assert m.label() == ("(" + ", ".join(names[x] for x in gens) + ")" if gens else "(0)")
+        path = paths[m.members]
+        assert m.label() == ("(" + ", ".join(names[x] for x in path) + ")" if path else "(0)")
 
 
 @pytest.mark.parametrize("case", CATALOG_IDS)

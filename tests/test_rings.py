@@ -17,7 +17,6 @@ from z2spec.errors import (
 )
 from z2spec.rings import (
     Ideal,
-    _ideal_path,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
@@ -305,7 +304,7 @@ def test_witness_of_a_set_that_is_no_ideal_is_an_input_error():
     # log2 |{0, 1}| = 1 step instead of deepening forever
     z6 = zmod(6)
     with pytest.raises(InvalidInputError, match="not an ideal of Z/6"):
-        _ideal_path(z6, frozenset({0, 1}))
+        Ideal(z6, frozenset({0, 1})).generators
     with pytest.raises(InvalidInputError, match="not an ideal of Z/6"):
         ideal_from_members(z6, [0, 1]).label()
 

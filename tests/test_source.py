@@ -5,6 +5,7 @@ import ast
 import re
 from pathlib import Path
 
+import z2spec.grading as grading
 import z2spec.rings as rings
 from z2spec.catalog import CATALOG, catalog_entry
 from z2spec.verify import SUITE_NAMES, run_verify
@@ -79,27 +80,31 @@ def test_only_verify_and_the_graded_lattice_enumerate_ideals():
 
 
 def test_only_the_generators_property_searches_for_a_witness():
-    """An ideal's label is a function of its member set, found when it is
-    read (``rings`` docstring, "Labels"): no constructor forms one."""
+    """An ideal's or a submodule's label is a function of its member set,
+    found when it is read (``rings`` docstring, "Labels"): no constructor
+    forms one, and ``grading`` imports the search only for its submodules."""
     readers = []
     for path in MODULES:
         for scope, node in _scoped_nodes(_tree(path)):
-            if (isinstance(node, ast.Name) and node.id == "_ideal_path"
-                    or isinstance(node, ast.alias) and node.name == "_ideal_path"):
+            if (isinstance(node, ast.Name) and node.id == "_span_path"
+                    or isinstance(node, ast.alias) and node.name == "_span_path"):
                 readers.append((path.name, scope or "<module>"))
-    assert readers == [("rings.py", "Ideal.generators")]
+    assert sorted(readers) == [("grading.py", "<module>"),
+                               ("grading.py", "Submodule.generators"),
+                               ("rings.py", "Ideal.generators")]
 
 
 def test_a_passing_verify_searches_for_no_witness(monkeypatch):
-    """A passing run prints no ideal label, so on cold caches it never
-    calls the witness search."""
+    """A passing run prints no ideal or submodule label, so on cold caches
+    it never calls the witness search."""
     calls = []
-    search = rings._ideal_path
+    search = rings._span_path
 
-    def spy(ring, members):
+    def spy(ring, *args):
         calls.append(ring)
-        return search(ring, members)
-    monkeypatch.setattr(rings, "_ideal_path", spy)
+        return search(ring, *args)
+    monkeypatch.setattr(rings, "_span_path", spy)
+    monkeypatch.setattr(grading, "_span_path", spy)
     for instance_id in ("gaussian-10", "trivext-2-f2x3"):
         entry = catalog_entry(instance_id)
         g = entry.build()

@@ -238,6 +238,22 @@ def test_label_of_a_broken_residual_is_reported_as_a_fail(monkeypatch):
     assert "not an ideal of even part of" in records[0].witness
 
 
+def test_label_of_a_broken_bracket_is_reported_as_a_fail(monkeypatch):
+    """The same for a submodule: a record that prints the label of a set
+    that is no submodule records ``fail``."""
+    g = build_instance(InstanceSpec(dict(GAUSSIAN4)))
+    monkeypatch.setattr(g, "_cache", {})
+    bracket_missing_an_element(monkeypatch)
+    whole = Ideal(g.r0_ring, frozenset(range(g.r0_ring.size)))  # bracket R1 loses 3i
+    records = []
+
+    def print_label():
+        return verify.PASS, spectrum.r1_bracket(g, whole).label()
+    verify._run(records, "probe", print_label)
+    assert records[0].status == verify.FAIL
+    assert "not a submodule of the odd part of" in records[0].witness
+
+
 def test_error_inside_a_check_is_reported_with_its_text(monkeypatch):
     spec_ = InstanceSpec(dict(GAUSSIAN4))
     monkeypatch.setattr(build_instance(spec_), "_cache", {})
