@@ -281,7 +281,8 @@ def _trivial_extension_cached(base: FiniteRing, orders: tuple) -> GradedRing:
         for xm in range(msize) for xr in range(n))
     mdesc = "(+)".join(f"Z/{m}" for m in radix) if radix else "0"
     ring = FiniteRing(size, add, mul, 0, 1,
-                      f"trivial_extension({base.provenance}; {mdesc})", names)
+                      f"trivial_extension({base.provenance}; {mdesc})", names,
+                      radix=(n,) + radix)
     r0 = [pack(r, 0) for r in range(n)]
     r1 = [pack(0, m) for m in range(msize)]
     return grade_manual(ring, r0, r1, provenance=ring.provenance)
@@ -367,7 +368,7 @@ def _r0_generators(g: GradedRing) -> tuple:
 def _r1_generators(g: GradedRing) -> tuple:
     """Additive generators of R1, picked in code order (cached)."""
     return _memo(g, "r1_generators", lambda: tuple(
-        _subgroup_generators(g.ring.add, g.ring.zero, sorted(g.r1))))
+        _subgroup_generators(g.ring, sorted(g.r1))))
 
 
 def _r1_products(g: GradedRing, members: Iterable[int]) -> set:
@@ -380,7 +381,7 @@ def _r1_products(g: GradedRing, members: Iterable[int]) -> set:
     """
     mul = g.ring.mul
     r1_gens = _r1_generators(g)
-    return {mul[a][x] for a in _subgroup_generators(g.ring.add, g.ring.zero, members)
+    return {mul[a][x] for a in _subgroup_generators(g.ring, members)
             for x in r1_gens}
 
 

@@ -19,7 +19,9 @@ add[u][v] = add[a][add[rest][v]] and mul[u][v] = add[mul[a][v]][mul[rest][v]]
 (``_tables_by_digits``).  ``poly_quotient`` computes directly only its
 constant rows (scalar multiples) and the row of X, which is code
 one*|base| (a shift plus one reduction of X^d); the row of c*X^k is the row
-of X composed with the row of c*X^(k-1).
+of X composed with the row of c*X^(k-1).  Each of these constructors, and
+``zmod(n)`` with radix (n,), keeps its radix on the ring it builds
+(``FiniteRing.radix``) for the member masks below.
 
 Stable subgroups.  For a subring M of R, an M-stable subgroup is an
 additive subgroup S of R with M * S <= S.  The ideals of R are its R-stable
@@ -32,10 +34,12 @@ for submodules); x times the multipliers generate the span Mx additively
 
 Closure tests by subgroup growth.  ``_grow_subgroup`` builds the additive
 subgroup H generated by a subgroup and a sequence of codes, adding one
-generator s at a time: it walks the multiples k*s until one falls back into
-the old H, and H + <s> is the union of the cosets (old H) + k*s before it,
-which are new and pairwise disjoint, each translated from the old H in one
-pass over the table row of k*s, so H + <s> costs O(|H + <s>|).  In the test
+generator s at a time by doubling.  Let G_j be the union of the cosets
+H + k*s for 0 <= k < j; then G_2j = G_j | (G_j + j*s), one translation, and
+G_j is all of H + <s> exactly when j*s lies in G_j: if j*s = h + k*s with
+k < j, the multiples of s modulo H repeat with period j - k <= j, and
+otherwise no multiple s, .., j*s fell back into H.  So H + <s> takes about
+log2 of the order of s modulo H translations of member masks.  In the test
 form the grown H must stay inside a candidate set S; if the loop ends with
 every member of S fed in as a generator, H lies inside S and contains S, so
 S = H is a subgroup, found in O(|S|) steps instead of O(|S|^2).  The same run
@@ -47,11 +51,28 @@ for x = sum n_j g_j and r = sum m_i r_i, and that sum lies in S because S is
 an additive group.  ``is_stable_set`` is an exact decision this way, at
 O(|S| + #gens(S) * #multipliers) table lookups.
 
+Member masks.  Every growth, the lattice walk and the label search work on
+member masks: the int with bit c set for each member code c.  They decode
+to frozensets only where they return (``_members``), so ``Ideal``,
+``Submodule`` and every caller see frozensets.  In every ring built by
+digits, addition is digitwise modular in the radix: u + v adds the digits
+of u and v, each modulo its radix, with no carry (a test checks each
+constructor's radix against its add table; no constructor re-checks it).
+So translating a mask H by s takes one step per nonzero digit d of s, at
+place w with radix r: the codes whose digit is below r - d move up by d*w
+and the others down by (r - d)*w, that is
+((H & lo) << d*w) | ((H & ~lo) >> (r - d)*w).  Here lo, the codes whose
+digit is below r - d, is a run of (r - d)*w ones repeated every r*w bits:
+((1 << (r-d)*w) - 1) * ((2^|R| - 1) // (2^(r*w) - 1)).  ``_translator``
+plans these steps once per ring, per code.  A ring with no radix, such as
+an even part that ``GradedRing`` relabels, translates one member at a time
+through its add table instead.
+
 Lattice enumeration.  The M-stable subgroups are exactly the sums of spans
 Mx, and ``_subgroup_lattice`` walks them breadth-first from {0}.  A node H
-is extended by each span S = Mx in a fixed order; the child H + S is S
-itself when S contains H, and otherwise H grown by the seeds of S, which
-costs O(|H + S|) instead of the |H| * |S| pairwise sums.  The seeds of S are
+is extended by spans S = Mx; the child H + S is S itself when S contains
+H, and otherwise H grown by the seeds of S, which costs a few translations
+instead of the |H| * |S| pairwise sums.  The seeds of S are
 its own additive generators, picked once per span from x times the
 multipliers by a growth from {0} (``_span_order``): each enlarges the span
 grown from the ones before it, so a growth visits one seed per generator of
@@ -59,9 +80,14 @@ S rather than one per multiplier.  Exact coset skip: within one node, a
 label y in x + H for an x already tried there is not tried, because
 y - x = h lies in H, so My <= Mx + Mh <= H + Mx and symmetrically
 Mx <= H + My, that is H + My = H + Mx, a child already known.  This needs
-only that x lies in Mx (M contains 1).  The labels of the tried spans cover
-one coset of H each, so the skip set of a node never exceeds |R| elements.
-The lattice keeps no labels (see "Labels").
+only that x lies in Mx (M contains 1).  Lowest-bit step: a node keeps the
+mask of its untried span labels, at first those outside H (the span of a
+label in H lies in H).  It takes the lowest one as the next x and clears
+the whole coset x + H from the mask, one translation, so it visits one
+label per coset of H that holds a label rather than scanning every span.
+The set found does not depend on the order in which spans are tried, and
+the lattice keeps no labels: a label is a function of the member set (see
+"Labels").
 
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
 The powers x, x^2, ... of an element of a finite ring are eventually
@@ -89,12 +115,14 @@ it, found on first read of ``generators`` and memoized by the set.  Such a
 sequence uses only spans inside the set, which are the Mx with x in it (x
 lies in Mx, as M contains 1), and each step at least doubles the sum (the old
 sum is a subgroup of the new one), so ``_span_path`` finds it by
-iterative-deepening search over those spans to at most log2 |S| steps; a set
-with none is not M-stable.  It is the path by which a breadth-first walk
-(the test reference) first reaches the set: by induction on the depth, a
-FIFO queue takes the nodes of each depth in lexicographic order of their
-first-found paths, because every prefix of a shortest span sequence for a
-node is a node at exactly its own depth.
+iterative-deepening search over those spans to at most log2 |S| steps.  It
+is the path by which a breadth-first walk (the test reference) first reaches
+the set: by induction on the depth, a FIFO queue takes the nodes of each
+depth in lexicographic order of their first-found paths, because every
+prefix of a shortest span sequence for a node is a node at exactly its own
+depth.  The spans inside S sum to S exactly when S is M-stable (x lies in
+Mx), so one growth inside S decides that before the search, and a set that
+is not M-stable is rejected in O(|S|) steps.
 
 Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
 ``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
@@ -134,11 +162,13 @@ class FiniteRing:
     and ``one`` are codes, ``names`` renders codes for humans, ``provenance``
     records the construction recipe.  ``residue_modulus`` is set (to n) only
     on Z/n itself, where codes coincide with residues and integer inputs may
-    be reduced mod n.
+    be reduced mod n.  ``radix`` is the digit radix of the codes, least
+    significant first, when the constructor composed the ring from digits
+    (module docstring, "Member masks"), and None otherwise.
     """
 
     def __init__(self, size, add, mul, zero, one, provenance, names,
-                 residue_modulus=None):
+                 residue_modulus=None, radix=None):
         self.size = size
         self.add = add
         self.mul = mul
@@ -147,6 +177,7 @@ class FiniteRing:
         self.provenance = provenance
         self.names = names
         self.residue_modulus = residue_modulus
+        self.radix = radix
         self.neg = tuple(row.index(zero) for row in add)
         self._cache: dict = {}
 
@@ -339,7 +370,8 @@ def zmod(n: int) -> FiniteRing:
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
     names = tuple(str(k) for k in range(n))
-    return FiniteRing(n, add, mul, 0, 1, f"Z/{n}", names, residue_modulus=n)
+    return FiniteRing(n, add, mul, 0, 1, f"Z/{n}", names, residue_modulus=n,
+                      radix=(n,))
 
 
 def _poly_name(coeffs: Sequence[int], base: FiniteRing, symbol: str,
@@ -439,7 +471,8 @@ def _poly_quotient_cached(base: FiniteRing, modulus: tuple, symbol: str) -> Fini
     names = tuple(_poly_name(v, base, symbol) for v in vectors)
     modulus_name = _poly_name(modulus, base, symbol, descending=True)
     provenance = f"{base.provenance}[{symbol}]/({modulus_name})"
-    return FiniteRing(size, add, mul, 0, encode(one_vec), provenance, names)
+    return FiniteRing(size, add, mul, 0, encode(one_vec), provenance, names,
+                      radix=base.radix and base.radix * degree)
 
 
 def poly_quotient(base: FiniteRing, modulus: Sequence,
@@ -489,40 +522,97 @@ def product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         for xc in range(size) for xa, xb in [divmod(xc, b.size)]
     )
     return FiniteRing(size, add, mul, pack(a.zero, b.zero), pack(a.one, b.one),
-                      f"{a.provenance} x {b.provenance}", names)
+                      f"{a.provenance} x {b.provenance}", names,
+                      radix=a.radix and b.radix and b.radix + a.radix)
 
 
 # ---------------------------------------------------------------------------
 # ideals
 
 
-def _grow_subgroup(add, base: Iterable[int], seeds: Iterable[int],
-                   inside: frozenset | None = None) -> tuple | None:
-    """The additive subgroup H generated by the subgroup ``base`` and ``seeds``.
+def _grow_subgroup(add, shift, base: int, seeds: Iterable[int],
+                   inside: int | None = None) -> tuple | None:
+    """The additive subgroup H generated by the subgroup ``base`` and ``seeds``,
+    as member masks (module docstring, "Member masks").
 
-    Grows H from ``base`` (the codes of an additive subgroup, such as
-    ``(zero,)``) one seed s at a time: the multiples k*s before the first one
-    inside the old H pick the cosets (old H) + k*s, which are new and pairwise
-    disjoint, and H + <s> is their union (see the module docstring).  Returns
-    (H as a frozenset, the seeds that enlarged H), or None as soon as H leaves
-    ``inside`` when that set is given.
+    Grows H from ``base`` (the mask of an additive subgroup, such as
+    ``1 << zero``) one seed s at a time, doubling the run of cosets
+    H + k*s until it closes (module docstring, "Closure tests").  ``add`` is
+    the ring's add table and ``shift`` its ``_translator``.  Returns (the
+    mask of H, the seeds that enlarged H), or None as soon as H leaves the
+    mask ``inside`` when that is given.
     """
-    members = frozenset(base)
+    members = base
     gens = []
     for s in seeds:
-        if s in members:
+        if members >> s & 1:
             continue
         gens.append(s)
-        row = add[s]
-        cosets = [map(row.__getitem__, members)]
-        t = row[s]
-        while t not in members:
-            cosets.append(map(add[t].__getitem__, members))
-            t = row[t]
-        members = members.union(*cosets)
-        if inside is not None and not members <= inside:
+        t = s
+        while not members >> t & 1:
+            members |= shift(members, t)
+            t = add[t][t]
+        if inside is not None and members & ~inside:
             return None
     return members, gens
+
+
+def _mask(codes: Iterable[int]) -> int:
+    """The member mask of a set of codes: bit c set for each code c."""
+    mask = 0
+    for c in codes:
+        mask |= 1 << c
+    return mask
+
+
+def _members(mask: int) -> frozenset:
+    """The codes of a member mask.  Built as the union of two halves, which
+    sizes the table of a set of 2^k codes as small as a grown one's."""
+    codes = []
+    while mask:
+        low = mask & -mask
+        codes.append(low.bit_length() - 1)
+        mask ^= low
+    half = len(codes) // 2
+    return frozenset(codes[:half]).union(codes[half:])
+
+
+def _translator(ring: FiniteRing):
+    """``shift(mask, s)``: the mask of s + H for H given by ``mask`` (cached
+    per ring; module docstring, "Member masks").  Two masked shifts per
+    nonzero digit of s when the ring has a radix, else one table lookup per
+    member of H."""
+    def compute():
+        if ring.radix is None:
+            add = ring.add
+
+            def shift(mask, s):
+                row, out = add[s], 0
+                while mask:
+                    low = mask & -mask
+                    out |= 1 << row[low.bit_length() - 1]
+                    mask ^= low
+                return out
+            return shift
+        full = (1 << ring.size) - 1
+        plan = [()]  # plan[s]: (lo, hi, up, down) per nonzero digit of s
+        place = 1
+        for r in ring.radix:
+            block = full // ((1 << r * place) - 1)  # bit 0 of each run of r*place codes
+            steps = [()]
+            for d in range(1, r):
+                # the codes whose digit is below r - d
+                lo = ((1 << (r - d) * place) - 1) * block
+                steps.append(((lo, full & ~lo, d * place, (r - d) * place),))
+            plan = [p + step for step in steps for p in plan]
+            place *= r
+
+        def shift(mask, s):
+            for lo, hi, up, down in plan[s]:
+                mask = (mask & lo) << up | (mask & hi) >> down
+            return mask
+        return shift
+    return _memo(ring, "translator", compute)
 
 
 def _memo(owner, key, compute):
@@ -537,17 +627,17 @@ def _memo(owner, key, compute):
 def _additive_generators(ring: FiniteRing) -> tuple:
     """Additive generators of the whole ring (cached)."""
     return _memo(ring, "additive_generators", lambda: tuple(
-        _grow_subgroup(ring.add, (ring.zero,), range(ring.size))[1]))
+        _subgroup_generators(ring, range(ring.size))))
 
 
 def additive_closure(ring: FiniteRing, codes: Iterable[int]) -> frozenset:
     """Smallest additive subgroup containing ``codes``."""
-    return _grow_subgroup(ring.add, (ring.zero,), codes)[0]
+    return _members(_grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, codes)[0])
 
 
-def _subgroup_generators(add, zero: int, members: Iterable[int]) -> list:
+def _subgroup_generators(ring: FiniteRing, members: Iterable[int]) -> list:
     """Additive generators of the subgroup generated by ``members``."""
-    return _grow_subgroup(add, (zero,), members)[1]
+    return _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, members)[1]
 
 
 def span_seeds(ring: FiniteRing, multipliers: tuple, x: int) -> tuple:
@@ -578,7 +668,8 @@ def is_stable_set(ring: FiniteRing, multipliers: tuple, members: frozenset) -> b
     (module docstring)."""
     if ring.zero not in members:
         return False
-    grown = _grow_subgroup(ring.add, (ring.zero,), members, members)
+    grown = _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, members,
+                           _mask(members))
     if grown is None:
         return False
     mul = ring.mul
@@ -607,7 +698,7 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
     for x in labels:
         first.setdefault(span(x), x)
     return [(x, members, tuple(_subgroup_generators(
-                ring.add, ring.zero, span_seeds(ring, multipliers, x))))
+                ring, span_seeds(ring, multipliers, x))))
             for members, x in sorted(first.items(), key=lambda kv: canonical_key(kv[0]))]
 
 
@@ -618,28 +709,34 @@ def _ideal_spans(ring: FiniteRing, labels: Iterable[int]) -> list:
                        _additive_generators(ring))
 
 
-def _subgroup_lattice(ring: FiniteRing, spans: list) -> set:
-    """Every sum of the spans, as a set of member sets.
+def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
+    """Every sum of the spans, as a list of member sets.
 
-    ``spans`` come from ``_span_order``.  Breadth-first from {0} (module
-    docstring): a child new to the lattice joins the FIFO queue.
+    ``spans`` come from ``_span_order``.  Breadth-first from {0} on member
+    masks (module docstring, "Lattice enumeration"): a child new to the
+    lattice joins the FIFO queue.
     """
-    add = ring.add
-    bottom = frozenset({ring.zero})
+    add, shift = ring.add, _translator(ring)
+    by_label = [None] * ring.size
+    for x, members, seeds in spans:
+        by_label[x] = _mask(members), seeds
+    labels = _mask(x for x, _, _ in spans)
+    bottom = 1 << ring.zero
     found = {bottom}
     queue = deque([bottom])
     while queue:
         node = queue.popleft()
-        tried = set(node)
-        for x, members, seeds in spans:
-            if x in tried:
-                continue
-            child = members if node <= members else _grow_subgroup(add, node, seeds)[0]
+        untried = labels & ~node
+        while untried:
+            x = (untried & -untried).bit_length() - 1
+            members, seeds = by_label[x]
+            child = members if not node & ~members else _grow_subgroup(
+                add, shift, node, seeds)[0]
             if child not in found:
                 found.add(child)
                 queue.append(child)
-            tried.update(map(add[x].__getitem__, node))
-    return found
+            untried &= ~shift(node, x)
+    return [_members(mask) for mask in found]
 
 
 def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> tuple:
@@ -650,38 +747,45 @@ def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> t
     ``spans`` come from ``_span_order`` with the sorted members of
     ``target`` as labels: the spans inside it are the Mx with x in it, and
     Mx = My puts x and y in it together, so this keeps each span's label.
-    Iterative deepening: depth-first in span order with 0, 1, 2, ... steps,
-    so the first path found is the answer.  A node H with k steps left is
-    pruned when even k of the widest spans cannot grow it to the target
-    (|H + S| <= |H| * |S|), and a (node, steps left) pair that failed once
-    is never searched again.  With no path of at most log2 |target| steps,
-    ``target`` is not ``what`` (such as "an ideal of Z/6"):
-    ``InvalidInputError``.
+    Their sum contains ``target`` (x lies in Mx), so it is ``target``
+    exactly when ``target`` is M-stable, which one growth inside it decides
+    first.  Iterative deepening on member masks: depth-first in span order
+    with 0, 1, 2, ... steps, so the first path found is the answer.  A node
+    H with k steps left is pruned when even k of the widest spans cannot
+    grow it to the target (|H + S| <= |H| * |S|), and a (node, steps left)
+    pair that failed once is never searched again.  A set that is not
+    ``what`` (such as "an ideal of Z/6") raises ``InvalidInputError``.
     """
-    add = ring.add
+    add, shift = ring.add, _translator(ring)
+    goal = _mask(target)
+    bottom = 1 << ring.zero
+    masks = [(x, _mask(members), seeds) for x, members, seeds in spans]
+    stable = _grow_subgroup(add, shift, bottom,
+                            (s for _, _, seeds in spans for s in seeds), goal)
     widest = max((len(members) for _, members, _ in spans), default=1)
     dead = set()
 
     def search(node, left):
         if left == 0:
-            return () if node == target else None
-        if (node, left) in dead or len(node) * widest ** left < len(target):
+            return () if node == goal else None
+        if (node, left) in dead or node.bit_count() * widest ** left < len(target):
             return None
-        for x, members, seeds in spans:
-            if members <= node:
+        for x, members, seeds in masks:
+            if not members & ~node:
                 continue
-            child = members if node <= members else _grow_subgroup(add, node, seeds)[0]
+            child = members if not node & ~members else _grow_subgroup(
+                add, shift, node, seeds)[0]
             path = search(child, left - 1)
             if path is not None:
                 return (x,) + path
         dead.add((node, left))
         return None
 
-    bottom = frozenset({ring.zero})
-    for depth in range(len(target).bit_length()):
-        path = search(bottom, depth)
-        if path is not None:
-            return path
+    if stable is not None and stable[0] == goal:
+        for depth in range(len(target).bit_length()):
+            path = search(bottom, depth)
+            if path is not None:
+                return path
     raise InvalidInputError(f"a set of {len(target)} codes is not {what}")
 
 
@@ -710,6 +814,17 @@ def prime_violation(ring: FiniteRing, members: frozenset) -> tuple | None:
     """First pair (r, s) in code order with rs in the set but r, s outside."""
     return _pair_inside(ring.mul, [c for c in range(ring.size) if c not in members],
                         members)
+
+
+def _no_pair_inside(mul, codes: Iterable[int], members: frozenset) -> bool:
+    """True when no pair (r, s) of ``codes`` outside ``members`` has rs
+    inside: exactly ``_pair_inside`` finding none, but the pairs (r, r)
+    come first, one lookup each, and stop at the first square inside (in
+    most ideals that are not prime, a few codes in).  Only a set that no
+    square enters gets the full pair scan."""
+    if any(mul[r][r] in members for r in codes if r not in members):
+        return False
+    return _pair_inside(mul, [c for c in codes if c not in members], members) is None
 
 
 def _pair_inside(mul, outside: list, members: frozenset) -> tuple | None:

@@ -30,6 +30,7 @@ from .grading import (
 from .rings import (
     Ideal,
     _memo,
+    _no_pair_inside,
     _pair_inside,
     _same_ring,
     canonical_key,
@@ -87,7 +88,8 @@ def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
     """Definitional test: proper, and homogeneous rs in J forces r or s in J."""
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
-    return j.is_proper and homogeneous_prime_violation(g, j.flat_members) is None
+    return j.is_proper and _no_pair_inside(g.ring.mul, g.homogeneous_codes(),
+                                           j.flat_members)
 
 
 def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:

@@ -52,6 +52,7 @@ from .maxfield import (
     _norm_code,
 )
 from .rings import (
+    _no_pair_inside,
     additive_closure,
     enumerate_ideals,
     ideal_from_members,
@@ -232,7 +233,8 @@ def _suite_spectrum(g: GradedRing, bound) -> list:
         for name, ring in (("R", g.ring), ("R0", g.r0_ring)):
             # spec builds no lattice: the prime and the maximal ideals are its oracles
             proper = [i.members for i in enumerate_ideals(ring, bound) if i.is_proper]
-            primes = {m for m in proper if prime_violation(ring, m) is None}
+            primes = {m for m in proper
+                      if _no_pair_inside(ring.mul, range(ring.size), m)}
             maximal = maximal_sets(proper)
             points = {p.members for p in spec(ring, bound)}
             if not points == primes == maximal:

@@ -2,10 +2,13 @@
 compatibility tests against all-pairs references: ideals, submodules, graded
 pairs, residuals and odd parts on every catalog ring and two larger ones."""
 
+import math
 import re
+import time
 
 import pytest
 
+from instance_cases import INSTANCE_CASES
 from naive_closure import (
     naive_additive_closure,
     naive_compatible,
@@ -37,10 +40,16 @@ from z2spec.grading import (
 )
 from z2spec.maxfield import graded_max
 from z2spec.rings import (
+    FiniteRing,
     Ideal,
     _grow_subgroup,
     _ideal_spans,
+    _mask,
+    _members,
+    _subgroup_lattice,
+    _translator,
     additive_closure,
+    canonical_key,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
@@ -67,8 +76,8 @@ CATALOG_IDS = [entry.instance_id for entry in CATALOG]
 ])
 def test_growth_from_a_subgroup_takes_every_coset(base, seeds):
     ring = product_ring(zmod(3), zmod(9))  # code of (a, b) is 9a + b
-    grown, gens = _grow_subgroup(ring.add, frozenset(base), seeds)
-    assert grown == naive_additive_closure(ring, base | set(seeds))
+    grown, gens = _grow_subgroup(ring.add, _translator(ring), _mask(base), seeds)
+    assert _members(grown) == naive_additive_closure(ring, base | set(seeds))
     assert gens == seeds
 
 
@@ -152,12 +161,68 @@ def _galois_number(k: int, q: int = 2) -> int:
     return total
 
 
-@pytest.mark.parametrize("k, count", [(3, 17), (4, 68), (5, 375)])
+@pytest.mark.parametrize("k, count", [(3, 17), (4, 68), (5, 375), (6, 2826)])
 def test_deep_catalog_lattices_count_every_subspace(k, count):
     # Z/2 (+) F2^k: every subspace of the square-zero odd part is an ideal,
-    # and the whole ring is the one ideal outside it
-    g = RINGS[f"trivext-2-f2x{k}"]()
+    # and the whole ring is the one ideal outside it; the subspaces are
+    # also the submodules
+    g = trivial_extension(zmod(2), [2] * k)
     assert len(enumerate_ideals(g.ring)) == _galois_number(k) + 1 == count
+    assert len(submodules(g)) == _galois_number(k)
+
+
+def _digits(code, radix):
+    digits = []
+    for r in radix:
+        code, d = divmod(code, r)
+        digits.append(d)
+    return digits
+
+
+@pytest.mark.parametrize("build", INSTANCE_CASES)
+def test_constructor_radix_adds_digitwise(build):
+    """Each constructor's radix is the digit radix of its add table: u + v
+    adds the digits of u and v, each modulo its radix.  A relabelled even
+    part has no radix, so its lattices translate by the add table."""
+    g, _ = build()
+    assert g.ring.radix is not None
+    assert (g.r0_ring.radix is None) == (g.r0_ring is not g.ring)
+    ring = g.ring
+    radix = ring.radix
+    assert math.prod(radix) == ring.size
+    places = [math.prod(radix[:k]) for k in range(len(radix))]
+    digits = [_digits(c, radix) for c in range(ring.size)]
+    for u, row in enumerate(ring.add):
+        du = digits[u]
+        assert row == tuple(
+            sum((a + b) % r * w for a, b, r, w in zip(du, dv, radix, places))
+            for dv in digits), u
+
+
+@pytest.mark.parametrize("case", CATALOG_IDS)
+def test_lattice_without_radix_matches_all_pairs_closure(case):
+    """The same tables with the radix stripped: the lattice translates by
+    the add table and finds the same ideals."""
+    ring = RINGS[case]().ring
+    bare = FiniteRing(ring.size, ring.add, ring.mul, ring.zero, ring.one,
+                      ring.provenance, ring.names)
+    found = _subgroup_lattice(bare, _ideal_spans(bare, range(bare.size)))
+    assert sorted(found, key=canonical_key) == [m for m, _ in naive_enumerate_ideals(ring)]
+
+
+def test_a_set_that_is_not_stable_is_rejected_before_the_search():
+    # Z/2 (+) F2^7: a subspace of 64 codes with one member swapped for an
+    # outside code once took over a second to reject, by a full span search
+    g = trivial_extension(zmod(2), [2] * 7)
+    subspace = sorted(c for c in g.r1 if not c >> 7 & 1)
+    outside = min(g.r1.difference(subspace))
+    target = frozenset(subspace[:-1] + [outside])
+    started = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="a set of 64 codes is not a submodule"):
+        Submodule(g, target).label()
+    with pytest.raises(InvalidInputError, match="a set of 64 codes is not an ideal"):
+        Ideal(g.ring, target).generators
+    assert time.perf_counter() - started < 0.5
 
 
 @pytest.mark.parametrize("case", CATALOG_IDS)

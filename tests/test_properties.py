@@ -15,6 +15,10 @@ from z2spec.instances import (
 )
 from z2spec.maxfield import norm
 from z2spec.rings import (
+    FiniteRing,
+    _mask,
+    _members,
+    _translator,
     classify_ideal,
     enumerate_ideals,
     ideal_generate,
@@ -81,6 +85,29 @@ def test_ideal_closure_laws(data):
     assert all(add[a][b] in members for a in members for b in members)
     assert all(mul[r][a] in members
                for a in members for r in range(ring.size))
+
+
+@st.composite
+def ring_with_mask(draw):
+    """A ring with a radix (a plain ring, or R or R0 of a catalog entry) or
+    the same tables with the radix stripped, a member mask and a code."""
+    if draw(st.booleans()):
+        ring = draw(plain_rings())
+    else:
+        g = draw(st.sampled_from(GRADED_RINGS))
+        ring = draw(st.sampled_from([g.ring, g.r0_ring]))
+    if draw(st.booleans()):
+        ring = FiniteRing(ring.size, ring.add, ring.mul, ring.zero, ring.one,
+                          ring.provenance, ring.names)
+    mask = draw(st.integers(0, (1 << ring.size) - 1))
+    return ring, mask, draw(st.integers(0, ring.size - 1))
+
+
+@given(ring_with_mask())
+def test_translating_a_mask_adds_the_code_to_each_member(data):
+    ring, mask, s = data
+    row = ring.add[s]
+    assert _translator(ring)(mask, s) == _mask(row[h] for h in _members(mask))
 
 
 @given(ring_with_elements(count=1))

@@ -94,6 +94,26 @@ def test_only_the_generators_property_searches_for_a_witness():
                                ("rings.py", "Ideal.generators")]
 
 
+def test_only_the_translation_builder_reads_the_radix():
+    """A ring's radix is set by its constructor and trusted: it is read to
+    plan the mask translations (``rings._translator``) and, by the
+    constructors, only to compose the radix of the ring they build, never
+    to check it (a test checks each radix against its add table)."""
+    composed, readers = set(), set()
+    for path in MODULES:
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "FiniteRing"):
+                composed.update(id(inner) for kw in node.keywords if kw.arg == "radix"
+                                for inner in ast.walk(kw.value))
+        for scope, node in _scoped_nodes(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "radix"
+                    and isinstance(node.ctx, ast.Load) and id(node) not in composed):
+                readers.add((path.name, scope))
+    assert readers == {("rings.py", "_translator.compute")}
+
+
 def test_a_passing_verify_searches_for_no_witness(monkeypatch):
     """A passing run prints no ideal or submodule label, so on cold caches
     it never calls the witness search."""
