@@ -140,7 +140,6 @@ another way.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -714,7 +713,10 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
 
     ``spans`` come from ``_span_order``.  Breadth-first from {0} on member
     masks (module docstring, "Lattice enumeration"): a child new to the
-    lattice joins the FIFO queue.
+    lattice joins the end of the node list.  The member sets are decoded in
+    that order, close to the canonical order callers sort them into; decoded
+    in the hash order of ``found``, they lay scattered in memory, and
+    walking them in canonical order took twice as long.
     """
     add, shift = ring.add, _translator(ring)
     by_label = [None] * ring.size
@@ -723,9 +725,8 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
     labels = _mask(x for x, _, _ in spans)
     bottom = 1 << ring.zero
     found = {bottom}
-    queue = deque([bottom])
-    while queue:
-        node = queue.popleft()
+    nodes = [bottom]
+    for node in nodes:  # breadth-first: children join the end of the list
         untried = labels & ~node
         while untried:
             x = (untried & -untried).bit_length() - 1
@@ -734,9 +735,9 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
                 add, shift, node, seeds)[0]
             if child not in found:
                 found.add(child)
-                queue.append(child)
+                nodes.append(child)
             untried &= ~shift(node, x)
-    return [_members(mask) for mask in found]
+    return [_members(mask) for mask in nodes]
 
 
 def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> tuple:
