@@ -564,13 +564,17 @@ def _mask(codes: Iterable[int]) -> int:
     return mask
 
 
-def _members(mask: int) -> frozenset:
-    """The codes of a member mask.  Built as the union of two halves, which
-    sizes the table of a set of 2^k codes as small as a grown one's."""
+def _members(ring: FiniteRing, mask: int) -> frozenset:
+    """The codes of a member mask.  Each code is the int object stored in
+    the add table (row of zero), so decoded sets share their ints with the
+    table rather than allocate one per member above 256.  Built as the
+    union of two halves, which sizes the table of a set of 2^k codes as
+    small as a grown one's."""
+    row = ring.add[ring.zero]
     codes = []
     while mask:
         low = mask & -mask
-        codes.append(low.bit_length() - 1)
+        codes.append(row[low.bit_length() - 1])
         mask ^= low
     half = len(codes) // 2
     return frozenset(codes[:half]).union(codes[half:])
@@ -631,7 +635,8 @@ def _additive_generators(ring: FiniteRing) -> tuple:
 
 def additive_closure(ring: FiniteRing, codes: Iterable[int]) -> frozenset:
     """Smallest additive subgroup containing ``codes``."""
-    return _members(_grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, codes)[0])
+    return _members(ring, _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero,
+                                         codes)[0])
 
 
 def _subgroup_generators(ring: FiniteRing, members: Iterable[int]) -> list:
@@ -737,7 +742,7 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
                 found.add(child)
                 nodes.append(child)
             untried &= ~shift(node, x)
-    return [_members(mask) for mask in nodes]
+    return [_members(ring, mask) for mask in nodes]
 
 
 def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> tuple:

@@ -77,7 +77,7 @@ CATALOG_IDS = [entry.instance_id for entry in CATALOG]
 def test_growth_from_a_subgroup_takes_every_coset(base, seeds):
     ring = product_ring(zmod(3), zmod(9))  # code of (a, b) is 9a + b
     grown, gens = _grow_subgroup(ring.add, _translator(ring), _mask(base), seeds)
-    assert _members(grown) == naive_additive_closure(ring, base | set(seeds))
+    assert _members(ring, grown) == naive_additive_closure(ring, base | set(seeds))
     assert gens == seeds
 
 

@@ -107,7 +107,7 @@ def ring_with_mask(draw):
 def test_translating_a_mask_adds_the_code_to_each_member(data):
     ring, mask, s = data
     row = ring.add[s]
-    assert _translator(ring)(mask, s) == _mask(row[h] for h in _members(mask))
+    assert _translator(ring)(mask, s) == _mask(row[h] for h in _members(ring, mask))
 
 
 @given(ring_with_elements(count=1))
