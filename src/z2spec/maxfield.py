@@ -29,13 +29,13 @@ from .grading import (
 from .rings import (
     RingElement,
     _memo,
+    _no_pair_inside,
     as_code,
     is_field,
     maximal_sets,
-    prime_violation,
     spec,
 )
-from .spectrum import homogeneous_prime_violation, is_prime_submodule
+from .spectrum import is_prime_submodule
 
 
 def is_graded_maximal(g: GradedRing, j: GradedIdeal,
@@ -90,10 +90,11 @@ def is_graded_domain(g: GradedRing, method: str = "definitional") -> bool:
     """
     zero = g.ring.zero
     if method == "definitional":
-        return homogeneous_prime_violation(g, frozenset({zero})) is None
+        return _no_pair_inside(g.ring.mul, g.homogeneous_codes(), frozenset({zero}))
     if method == "structural":
         if g.r1 == {zero}:
-            return prime_violation(g.r0_ring, frozenset({g.r0_ring.zero})) is None
+            r0 = g.r0_ring
+            return _no_pair_inside(r0.mul, range(r0.size), frozenset({r0.zero}))
         zero_sub = Submodule(g, frozenset({zero}))
         return (is_prime_submodule(g, zero_sub)
                 and residual(g, zero_sub).members == {g.r0_ring.zero}
@@ -204,7 +205,7 @@ class DomainEquivalenceReport:
 
 def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
     ring = g.ring
-    flat_domain = prime_violation(ring, frozenset({ring.zero})) is None
+    flat_domain = _no_pair_inside(ring.mul, range(ring.size), frozenset({ring.zero}))
     graded_domain = is_graded_domain(g)
     kernel_trivial = norm_set(g) == {ring.zero}
     equivalence = flat_domain == (graded_domain and kernel_trivial)

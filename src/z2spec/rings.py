@@ -693,15 +693,15 @@ def _check_bound(ring: FiniteRing, bound, what: str) -> None:
 
 def _span_order(ring: FiniteRing, labels: Iterable[int], span,
                 multipliers: tuple) -> list:
-    """The distinct spans ``span(x)`` in lattice order, as (label, members,
-    additive seeds): each labelled by the first x of ``labels`` giving it,
-    and ordered by ``canonical_key``.  The seeds are the span's own
-    additive generators, picked from x times the multipliers, so each of
-    them enlarges the subgroup grown from the ones before it."""
+    """The distinct spans ``span(x)`` in lattice order, as (label, member
+    mask, additive seeds): each labelled by the first x of ``labels`` giving
+    it, and ordered by ``canonical_key`` of its members.  The seeds are the
+    span's own additive generators, picked from x times the multipliers, so
+    each of them enlarges the subgroup grown from the ones before it."""
     first = {}
     for x in labels:
         first.setdefault(span(x), x)
-    return [(x, members, tuple(_subgroup_generators(
+    return [(x, _mask(members), tuple(_subgroup_generators(
                 ring, span_seeds(ring, multipliers, x))))
             for members, x in sorted(first.items(), key=lambda kv: canonical_key(kv[0]))]
 
@@ -726,7 +726,7 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
     add, shift = ring.add, _translator(ring)
     by_label = [None] * ring.size
     for x, members, seeds in spans:
-        by_label[x] = _mask(members), seeds
+        by_label[x] = members, seeds
     labels = _mask(x for x, _, _ in spans)
     bottom = 1 << ring.zero
     found = {bottom}
@@ -765,10 +765,9 @@ def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> t
     add, shift = ring.add, _translator(ring)
     goal = _mask(target)
     bottom = 1 << ring.zero
-    masks = [(x, _mask(members), seeds) for x, members, seeds in spans]
     stable = _grow_subgroup(add, shift, bottom,
                             (s for _, _, seeds in spans for s in seeds), goal)
-    widest = max((len(members) for _, members, _ in spans), default=1)
+    widest = max((members.bit_count() for _, members, _ in spans), default=1)
     dead = set()
 
     def search(node, left):
@@ -776,7 +775,7 @@ def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> t
             return () if node == goal else None
         if (node, left) in dead or node.bit_count() * widest ** left < len(target):
             return None
-        for x, members, seeds in masks:
+        for x, members, seeds in spans:
             if not members & ~node:
                 continue
             child = members if not node & ~members else _grow_subgroup(
@@ -827,10 +826,14 @@ def _no_pair_inside(mul, codes: Iterable[int], members: frozenset) -> bool:
     inside: exactly ``_pair_inside`` finding none, but the pairs (r, r)
     come first, one lookup each, and stop at the first square inside (in
     most ideals that are not prime, a few codes in).  Only a set that no
-    square enters gets the full pair scan."""
-    if any(mul[r][r] in members for r in codes if r not in members):
-        return False
-    return _pair_inside(mul, [c for c in codes if c not in members], members) is None
+    square enters gets the full pair scan.  Reads ``codes`` once."""
+    outside = []
+    for r in codes:
+        if r not in members:
+            if mul[r][r] in members:
+                return False
+            outside.append(r)
+    return _pair_inside(mul, outside, members) is None
 
 
 def _pair_inside(mul, outside: list, members: frozenset) -> tuple | None:

@@ -31,10 +31,8 @@ from .rings import (
     Ideal,
     _memo,
     _no_pair_inside,
-    _pair_inside,
     _same_ring,
     canonical_key,
-    prime_violation,
     radical,
     radical_members,
     spec,
@@ -76,12 +74,6 @@ class GradedPrime:
 
     def __repr__(self):
         return f"GradedPrime[{self.label()}; {self.kind.value}]"
-
-
-def homogeneous_prime_violation(g: GradedRing, flat: frozenset) -> tuple | None:
-    """First homogeneous pair (r, s) with rs inside but r, s outside."""
-    outside = [c for c in g.homogeneous_codes() if c not in flat]
-    return _pair_inside(g.ring.mul, outside, flat)
 
 
 def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
@@ -134,7 +126,8 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     that the result is a graded prime is the theorem that
     ``spectrum.methods-agree`` and ``homeo.methods-agree`` check."""
     _same_ring(g.r0_ring, p.ring)
-    if not p.is_proper or prime_violation(g.r0_ring, p.members) is not None:
+    if not p.is_proper or not _no_pair_inside(g.r0_ring.mul, range(g.r0_ring.size),
+                                               p.members):
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
     odd = _pair_bounds(g, g.embed_ideal(p))[1]
     return _tagged(g, GradedIdeal(g, p, Submodule(g, odd)))
