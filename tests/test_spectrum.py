@@ -28,6 +28,7 @@ from z2spec.grading import (
 )
 from z2spec.rings import (
     IdealClassification,
+    _no_pair_inside,
     classify_ideal,
     enumerate_ideals,
     ideal_from_members,
@@ -297,6 +298,27 @@ def test_spec_from_idempotents_matches_the_prime_filter(case, monkeypatch):
         paths = dict(naive_enumerate_ideals(ring))
         assert [p.generators for p in points] == [paths[p.members] for p in points]
         assert list(points) == naive_maximal_ideals(ideals)
+
+
+@pytest.mark.parametrize("g", [entry.build() for entry in CATALOG],
+                         ids=[entry.instance_id for entry in CATALOG])
+def test_squares_first_test_agrees_with_the_pair_scan(g):
+    """The boolean primality test answers exactly as the first-pair scan
+    does, over all codes and over the homogeneous ones, and reads its codes
+    once: a one-shot iterator gives the same answer."""
+    mul = g.ring.mul
+    homogeneous = g.homogeneous_codes()
+    for ring in dict.fromkeys((g.ring, g.r0_ring)):
+        for i in enumerate_ideals(ring):
+            m = i.members
+            expected = prime_violation(ring, m) is None
+            assert _no_pair_inside(ring.mul, range(ring.size), m) == expected
+            assert _no_pair_inside(ring.mul, iter(range(ring.size)), m) == expected
+    for j in enumerate_graded_ideals(g):
+        m = j.flat_members
+        outside = [c for c in homogeneous if c not in m]
+        expected = all(mul[r][s] not in m for r in outside for s in outside)
+        assert _no_pair_inside(mul, iter(homogeneous), m) == expected
 
 
 BOUNDED_CALLS = {
