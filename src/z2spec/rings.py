@@ -70,24 +70,34 @@ through its add table instead.
 
 Lattice enumeration.  The M-stable subgroups are exactly the sums of spans
 Mx, and ``_subgroup_lattice`` walks them breadth-first from {0}.  A node H
-is extended by spans S = Mx; the child H + S is S itself when S contains
-H, and otherwise H grown by the seeds of S, which costs a few translations
-instead of the |H| * |S| pairwise sums.  The seeds of S are
-its own additive generators, picked once per span from x times the
-multipliers by a growth from {0} (``_span_order``): each enlarges the span
-grown from the ones before it, so a growth visits one seed per generator of
-S rather than one per multiplier.  Exact coset skip: within one node, a
-label y in x + H for an x already tried there is not tried, because
-y - x = h lies in H, so My <= Mx + Mh <= H + Mx and symmetrically
-Mx <= H + My, that is H + My = H + Mx, a child already known.  This needs
-only that x lies in Mx (M contains 1).  Lowest-bit step: a node keeps the
-mask of its untried span labels, at first those outside H (the span of a
-label in H lies in H).  It takes the lowest one as the next x and clears
-the whole coset x + H from the mask, one translation, so it visits one
-label per coset of H that holds a label rather than scanning every span.
-The set found does not depend on the order in which spans are tried, and
-the lattice keeps no labels: a label is a function of the member set (see
-"Labels").
+is extended by spans S = Mx, each with a label x, and ``_span_child``
+builds the child H + S in one of three ways.  It is S itself when S
+contains H.  Otherwise it starts from the coset x + H, the one translation
+the lowest-bit step below makes anyway: G_2 = H | (x + H) is the first
+doubling step of H + <x> ("Closure tests").  When S lies in G_2, the child
+is G_2: 2x lies in S, hence in G_2, so G_2 = H + <x> is a subgroup; it
+lies in H + S because x lies in S (M contains 1), and it contains H + S
+because it contains S.  Otherwise one growth from G_2 by 2x, then by the
+seeds of S, doubles on to H + <x> and takes H + <x> + S = H + S; a seed
+already inside costs no translation.  So a child whose span lies in G_2
+costs one translation, shared with the coset skip, and any other child a
+few more, never the |H| * |S| pairwise sums.  On Z/2 (+) F2^k every span
+Rx or R0x is R or {0, x}, so every child costs exactly one translation.
+The seeds of S are its own additive generators, picked once per span from
+x times the multipliers by a growth from {0} (``_span_order``): each
+enlarges the span grown from the ones before it, so a growth visits one
+seed per generator of S rather than one per multiplier.  Exact coset skip:
+within one node, a label y in x + H for an x already tried there is not
+tried, because y - x = h lies in H, so My <= Mx + Mh <= H + Mx and
+symmetrically Mx <= H + My, that is H + My = H + Mx, a child already
+known.  This needs only that x lies in Mx (M contains 1).  Lowest-bit
+step: a node keeps the mask of its untried span labels, at first those
+outside H (the span of a label in H lies in H).  It takes the lowest one
+as the next x and clears the whole coset x + H from the mask, the
+translation the child starts from, so it visits one label per coset of H
+that holds a label rather than scanning every span.  The set found does
+not depend on the order in which spans are tried, and the lattice keeps no
+labels: a label is a function of the member set (see "Labels").
 
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
 The powers x, x^2, ... of an element of a finite ring are eventually
@@ -536,7 +546,9 @@ def _grow_subgroup(add, shift, base: int, seeds: Iterable[int],
 
     Grows H from ``base`` (the mask of an additive subgroup, such as
     ``1 << zero``) one seed s at a time, doubling the run of cosets
-    H + k*s until it closes (module docstring, "Closure tests").  ``add`` is
+    H + k*s until it closes (module docstring, "Closure tests").  ``base``
+    may also be G_2 = H | (x + H) when the first seed is 2x: that run goes
+    on doubling to H + <x> (``_span_child``).  ``add`` is
     the ring's add table and ``shift`` its ``_translator``.  Returns (the
     mask of H, the seeds that enlarged H), or None as soon as H leaves the
     mask ``inside`` when that is given.
@@ -713,6 +725,24 @@ def _ideal_spans(ring: FiniteRing, labels: Iterable[int]) -> list:
                        _additive_generators(ring))
 
 
+def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
+                coset: int | None = None) -> int:
+    """The child H + Mx of the node H by the span Mx of label x, as a member
+    mask (module docstring, "Lattice enumeration").  ``members`` and
+    ``seeds`` are the span's mask and seeds from ``_span_order``, and
+    ``coset`` is the mask of x + H when the caller has it (the lattice clears
+    it from its untried labels); else it is translated here, and only when
+    needed.  The child is the span itself when that contains H; else
+    H | coset when the span lies in it; else that grown by 2x, then by the
+    seeds."""
+    if not node & ~members:
+        return members
+    child = node | (shift(node, x) if coset is None else coset)
+    if members & ~child:
+        child = _grow_subgroup(add, shift, child, (add[x][x],) + seeds)[0]
+    return child
+
+
 def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
     """Every sum of the spans, as a list of member sets.
 
@@ -735,13 +765,12 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
         untried = labels & ~node
         while untried:
             x = (untried & -untried).bit_length() - 1
-            members, seeds = by_label[x]
-            child = members if not node & ~members else _grow_subgroup(
-                add, shift, node, seeds)[0]
+            coset = shift(node, x)
+            untried &= ~coset
+            child = _span_child(add, shift, node, x, *by_label[x], coset)
             if child not in found:
                 found.add(child)
                 nodes.append(child)
-            untried &= ~shift(node, x)
     return [_members(ring, mask) for mask in nodes]
 
 
@@ -778,8 +807,7 @@ def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> t
         for x, members, seeds in spans:
             if not members & ~node:
                 continue
-            child = members if not node & ~members else _grow_subgroup(
-                add, shift, node, seeds)[0]
+            child = _span_child(add, shift, node, x, members, seeds)
             path = search(child, left - 1)
             if path is not None:
                 return (x,) + path

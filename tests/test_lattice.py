@@ -42,10 +42,12 @@ from z2spec.maxfield import graded_max
 from z2spec.rings import (
     FiniteRing,
     Ideal,
+    _additive_generators,
     _grow_subgroup,
     _ideal_spans,
     _mask,
     _members,
+    _span_child,
     _subgroup_lattice,
     _translator,
     additive_closure,
@@ -169,6 +171,74 @@ def test_deep_catalog_lattices_count_every_subspace(k, count):
     g = trivial_extension(zmod(2), [2] * k)
     assert len(enumerate_ideals(g.ring)) == _galois_number(k) + 1 == count
     assert len(submodules(g)) == _galois_number(k)
+
+
+def _counting(shift):
+    """``shift`` and the list of labels it has been called with."""
+    calls = []
+
+    def counting(mask, s):
+        calls.append(s)
+        return shift(mask, s)
+    return counting, calls
+
+
+@pytest.mark.parametrize("k, count", [(5, 4596), (6, 50082), (7, 747024)])
+def test_deep_lattices_take_one_translation_per_child(k, count, monkeypatch):
+    """Z/2 (+) F2^k: every child starts from the coset its node clears, so
+    building both span lists and walking both lattices makes ``count``
+    translations of member masks; a second translation per child would
+    nearly double it.  k = 7 runs in its own process in CI."""
+    g = trivial_extension(zmod(2), [2] * k)
+    ring = g.ring
+    _additive_generators(ring)  # known before counting, whichever test ran first
+    counting, calls = _counting(_translator(ring))
+    monkeypatch.setitem(ring._cache, "translator", counting)
+    ideals = _subgroup_lattice(ring, _ideal_spans(ring, range(ring.size)))
+    found = _subgroup_lattice(ring, _submodule_spans(g, sorted(g.r1)))
+    assert (len(ideals), len(found)) == (_galois_number(k) + 1, _galois_number(k))
+    assert len(calls) == count
+
+
+def test_each_child_branch_takes_its_translations():
+    """``_span_child`` at every node of every lattice of the catalog rings,
+    against the all-pairs sum H + Mx: the span itself when it contains H,
+    with no translation; H | (x + H) when the span lies in that, with one;
+    else a growth, by 2x alone or by further seeds, with two or more, and
+    never more than the coset's one plus a growth from H by the seeds.
+    Each of the four occurs."""
+    seen = set()
+    for case in sorted(RINGS):
+        g = RINGS[case]()
+        lattices = [(ring, _ideal_spans(ring, range(ring.size)))
+                    for ring in dict.fromkeys((g.ring, g.r0_ring))]
+        lattices.append((g.ring, _submodule_spans(g, sorted(g.r1))))
+        for ring, spans in lattices:
+            add, shift = ring.add, _translator(ring)
+            counting, calls = _counting(shift)
+            for node in map(_mask, _subgroup_lattice(ring, spans)):
+                h = _members(ring, node)
+                for x, members, seeds in spans:
+                    if not members & ~node:
+                        continue  # the span lies in H: no child
+                    calls.clear()
+                    child = _span_child(add, counting, node, x, members, seeds)
+                    span = _members(ring, members)
+                    assert _members(ring, child) == {add[a][b] for a in h for b in span}
+                    if not node & ~members:
+                        branch, cost = "span", len(calls) == 0
+                    elif not members & ~(node | shift(node, x)):
+                        branch, cost = "coset", len(calls) == 1
+                    elif span <= naive_additive_closure(ring, h | {x}):
+                        branch, cost = "doubled", len(calls) >= 2
+                    else:
+                        branch, cost = "seeded", len(calls) >= 2
+                    assert cost, (case, branch, sorted(h), x, calls)
+                    from_node, grows = _counting(shift)
+                    _grow_subgroup(add, from_node, node, seeds)
+                    assert len(calls) <= 1 + len(grows), (case, sorted(h), x, calls)
+                    seen.add(branch)
+    assert seen == {"span", "coset", "doubled", "seeded"}
 
 
 def _digits(code, radix):
