@@ -195,8 +195,8 @@ def test_deep_lattices_take_one_translation_per_child(k, count, monkeypatch):
     counting, calls = _counting(_translator(ring))
     monkeypatch.setitem(ring._cache, "translator", counting)
     ideals = _subgroup_lattice(ring, _ideal_spans(ring, range(ring.size)))
-    found = _subgroup_lattice(ring, _submodule_spans(g, sorted(g.r1)))
-    assert (len(ideals), len(found)) == (_galois_number(k) + 1, _galois_number(k))
+    modules = _subgroup_lattice(ring, _submodule_spans(g, sorted(g.r1)))
+    assert (len(ideals), len(modules)) == (_galois_number(k) + 1, _galois_number(k))
     assert len(calls) == count
 
 
