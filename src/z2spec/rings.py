@@ -100,13 +100,16 @@ not depend on the order in which spans are tried, and the lattice keeps no
 labels: a label is a function of the member set (see "Labels").
 
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
-The powers x, x^2, ... of an element of a finite ring are eventually
-periodic, so walking them to the first repeat yields the whole power orbit
-{x^n : n >= 1}, and x lies in the radical exactly when its orbit meets I.
-``_power_orbits`` walks every orbit once per ring and caches the tuple of
-orbits (a pure function of the tables); the radical of each ideal is then
-one disjointness test per code (``radical_members``), not one power walk per
-code and ideal.
+The powers of x in a finite ring are eventually periodic, and their cycle
+holds exactly one idempotent, x^omega (Howie, Fundamentals of Semigroup
+Theory, 1995): the first of x, x^2, ... that squares to itself.  For an
+ideal I, some power of x lies in I exactly when x^omega does: if x^k lies
+in I, then x^omega = x^j for some j >= k, and x^j = x^k * x^(j-k) lies in
+I.  So the radical of I is the union of the fibres {x : x^omega = e} over
+the idempotents e in I.  ``_idempotent_fibres`` walks each x to x^omega
+once per ring and caches the fibre of each idempotent; the radical of an
+ideal is then one union of fibres (``radical_members``), not one power walk
+per code and ideal.
 
 Spectra.  A finite commutative ring is Artinian, so it is the product of
 the local rings Re over its primitive idempotents e (the nonzero e with
@@ -114,9 +117,10 @@ f*e in {0, e} for every idempotent f), and every prime is maximal
 (Atiyah-Macdonald, Thm 8.7).  The primes are therefore the kernels of the
 projections onto the residue fields of the Re: P_e = {x : xe lies in the
 maximal ideal of Re}, and that maximal ideal is the set of nilpotents of Re,
-so P_e = {x : xe in N} with N the nilradical (``radical_members`` of {0}).
-``spec`` builds these sets and no lattice.  As every prime is maximal, the
-same list answers Max R (``classify_ideal``, ``graded_max``).
+so P_e = {x : xe in N} with N the nilradical, the x with x^omega = 0.
+``spec`` reads the idempotents and N, the fibre of zero, off
+``_idempotent_fibres`` and builds no lattice.  As every prime is maximal,
+the same list answers Max R (``classify_ideal``, ``graded_max``).
 
 Labels.  An ``Ideal``'s or a ``Submodule``'s generator witness is a
 function of its member set: the lexicographically least shortest sequence of
@@ -888,29 +892,26 @@ def classify_ideal(ring: FiniteRing, ideal: Ideal,
     return IdealClassification(proper, prime, maximal, is_rad, witness)
 
 
-def _power_orbits(ring: FiniteRing) -> tuple:
-    """orbit[x] = {x, x^2, x^3, ...} for every code x (cached per ring).
-
-    Power sequences in a finite ring are eventually periodic, so each orbit
-    is walked until its first repeat, once per ring.
-    """
+def _idempotent_fibres(ring: FiniteRing) -> dict:
+    """{e: {x : x^omega = e}} over the idempotents e, in code order (cached
+    per ring; module docstring, "Radicals").  x^omega is the first of x,
+    x^2, ... that squares to itself."""
     def compute():
-        orbits = []
-        for x, row in enumerate(ring.mul):
-            power, seen = x, set()
-            while power not in seen:
-                seen.add(power)
+        mul, fibres = ring.mul, {}
+        for x, row in enumerate(mul):
+            power = x
+            while mul[power][power] != power:
                 power = row[power]
-            orbits.append(frozenset(seen))
-        return tuple(orbits)
-    return _memo(ring, "power_orbits", compute)
+            fibres.setdefault(power, []).append(x)
+        return {e: frozenset(fibres[e]) for e in sorted(fibres)}
+    return _memo(ring, "idempotent_fibres", compute)
 
 
 def radical_members(ring: FiniteRing, members: frozenset) -> frozenset:
-    """{x : some power of x lies in ``members``}: the codes whose power
-    orbit meets the set."""
-    return frozenset(x for x, orbit in enumerate(_power_orbits(ring))
-                     if not orbit.isdisjoint(members))
+    """{x : some power of x lies in ``members``}, for ``members`` an ideal
+    (such as {0}): the union of the fibres of the idempotents in it."""
+    return frozenset().union(*(fibre for e, fibre in _idempotent_fibres(ring).items()
+                               if e in members))
 
 
 def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
@@ -928,8 +929,8 @@ def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
 
     def compute():
         mul, zero = ring.mul, ring.zero
-        idempotents = [e for e in range(ring.size) if mul[e][e] == e]
-        nilradical = radical_members(ring, frozenset({zero}))
+        idempotents = _idempotent_fibres(ring)
+        nilradical = idempotents[zero]
         primes = []
         for e in idempotents:
             if e == zero or any(mul[f][e] not in (zero, e) for f in idempotents):

@@ -74,6 +74,8 @@ from .spectrum import (
 
 SUITE_NAMES = ("field", "homeo", "ideals", "maximal", "norm", "radical",
                "spectrum")
+COUNT_NAMES = ("ideals", "primes", "graded_ideals", "graded_primes",
+               "graded_maximals")
 
 PASS = "pass"
 FAIL = "fail"
@@ -649,7 +651,7 @@ def _instance_summary(spec: InstanceSpec, g: GradedRing | None) -> dict:
 
 
 def _counts(g: GradedRing, bound) -> dict:
-    counts = {}
+    counts = dict.fromkeys(COUNT_NAMES)  # None where a bound stopped the count
     try:
         counts["ideals"] = len(enumerate_ideals(g.ring, bound))
         counts["primes"] = len(spec(g.ring, bound))
@@ -658,9 +660,7 @@ def _counts(g: GradedRing, bound) -> dict:
             graded_spec(g, "definitional", bound).graded_points)
         counts["graded_maximals"] = len(graded_max(g, "definitional", bound))
     except EnumerationLimitError:
-        for key in ("ideals", "primes", "graded_ideals", "graded_primes",
-                    "graded_maximals"):
-            counts.setdefault(key, None)
+        pass
     return counts
 
 
@@ -687,8 +687,7 @@ def run_verify(spec: InstanceSpec, suites=("all",),
                              time.perf_counter() - start)
         return VerificationReport(
             _instance_summary(spec, None),
-            {key: None for key in ("ideals", "primes", "graded_ideals",
-                                   "graded_primes", "graded_maximals")},
+            dict.fromkeys(COUNT_NAMES),
             chosen, [record], RESOURCE_LIMIT)
     start = time.perf_counter()
     counts = _counts(g, limit)  # every lattice, so no record is billed for one

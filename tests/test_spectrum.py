@@ -260,25 +260,25 @@ def test_graded_radical_three_way_and_laws(g):
         assert graded_radical(g, by_def, "formula") == by_def
 
 
-@pytest.mark.parametrize("g", [entry.build() for entry in CATALOG],
-                         ids=[entry.instance_id for entry in CATALOG])
-def test_radicals_match_the_power_walk_cold_and_warm(g, monkeypatch):
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_radicals_match_the_power_walk_cold_and_warm(case, monkeypatch):
     # empty caches: the first call of each radical computes it, the second
-    # one may read the power orbits and memos the first call left behind
+    # one may read the idempotent fibres and memos the first call left behind
+    g, bound = case()
     for owner in (g, g.ring, g.r0_ring):
         monkeypatch.setattr(owner, "_cache", {})
     for ring in dict.fromkeys((g.ring, g.r0_ring)):
-        for ideal in enumerate_ideals(ring):
+        for ideal in enumerate_ideals(ring, bound):
             first = radical(ring, ideal)
             assert first.members == naive_radical(ring, ideal.members), ideal
             again = radical(ring, ideal)
             assert again == first and again.generators == first.generators
-    for j in enumerate_graded_ideals(g):
+    for j in enumerate_graded_ideals(g, bound):
         expected = naive_graded_radical(g, j.flat_members)
         for method in ("definitional", "intersection", "formula"):
-            first = graded_radical(g, j, method)
+            first = graded_radical(g, j, method, bound)
             assert first.flat_members == expected, (j.label(), method)
-            again = graded_radical(g, j, method)
+            again = graded_radical(g, j, method, bound)
             assert again == first and again.label() == first.label()
 
 

@@ -199,7 +199,7 @@ def test_broken_theorem_fails_its_named_record(breakage, recipe, suites, records
     spec_ = InstanceSpec(dict(recipe))
     assert run_verify(spec_, suites).status == "pass"
     # the rings are interned: give the broken run its own caches, including
-    # the power orbits and ideal lattices cached on the ambient and even rings
+    # the idempotent fibres and ideal lattices cached on the ambient and even rings
     g = build_instance(spec_)
     for owner in (g, g.ring, g.r0_ring):
         monkeypatch.setattr(owner, "_cache", {})
