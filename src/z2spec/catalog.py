@@ -13,6 +13,7 @@ R1 = {0, 1+x}.  42 instances in all.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .grading import GradedRing
@@ -25,7 +26,9 @@ class CatalogEntry:
     recipe: dict
 
     def spec(self) -> InstanceSpec:
-        return InstanceSpec(dict(self.recipe))
+        """A spec with its own copy of the recipe: entries share sub-recipes
+        (the F4 base), so a caller's edit must not reach the catalog."""
+        return InstanceSpec(copy.deepcopy(self.recipe))
 
     def build(self) -> GradedRing:
         return build_instance(self.spec())

@@ -1,6 +1,12 @@
 """Graphviz rendering of the contraction between the graded spectrum and the
-spectrum of the even part: two ranked clusters, inclusion edges inside each
-(covering relations only), dashed pairing edges between them."""
+spectrum of the even part: two ranked clusters of points, and dashed pairing
+edges between them.
+
+Neither cluster holds an inclusion.  Every prime of a finite commutative
+ring is maximal (``rings`` docstring, "Spectra"; checked by
+``spectrum.methods-agree``), so Spec R0 is an antichain; the contraction
+preserves inclusion and is a bijection onto Spec R0
+(``homeo.contraction-bijective``), so the graded points are one too."""
 
 from __future__ import annotations
 
@@ -13,22 +19,11 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _cover_edges(member_sets) -> list[tuple[int, int]]:
-    edges = []
-    for i, small in enumerate(member_sets):
-        for j, big in enumerate(member_sets):
-            if not small < big:
-                continue
-            if any(small < mid < big for mid in member_sets):
-                continue
-            edges.append((i, j))
-    return edges
-
-
 def render_dot(g: GradedRing, bound: int | None = None) -> str:
     """DOT text of the correspondence, its graded points pulled back from
-    Spec R0.  No lattice is built: Spec R0 comes from the idempotents of R0,
-    and the bound applies to |R0|, so it may be smaller than |R|."""
+    Spec R0, one pairing edge per point and no inclusion edges (module
+    docstring).  No lattice is built: Spec R0 comes from the idempotents of
+    R0, and the bound applies to |R0|, so it may be smaller than |R|."""
     report = graded_spec(g, "constructive", bound)
     graded = list(report.graded_points)
     base = list(report.base_points)
@@ -46,10 +41,6 @@ def render_dot(g: GradedRing, bound: int | None = None) -> str:
     for k, p in enumerate(base):
         lines.append(f"    b{k} [label={_quote(p.label())}];")
     lines.append("  }")
-    for i, j in _cover_edges([gp.flat_members for gp in graded]):
-        lines.append(f"  g{i} -> g{j};")
-    for i, j in _cover_edges([p.members for p in base]):
-        lines.append(f"  b{i} -> b{j};")
     for k, gp in enumerate(graded):
         lines.append(f"  g{k} -> b{base_index[gp.p.members]} [style=dashed];")
     lines.append("}")

@@ -2,15 +2,17 @@
 
 An ideal J of the ambient ring is graded exactly when it splits as
 (J intersect R0) + (J intersect R1); the pair form is the canonical
-representation and the flat member set is derived from it.
+representation, a frozen record, and the flat member set is derived from
+it once, as the union of the cosets a + R' over a in I0 (``_pair_sum``).
 
 Both compatibility conditions are bounds on R' that depend on I0 alone.
 The first is I0*R1 <= R'.  The second, R1*R' <= I0, holds exactly when
 every m in R' has m*R1 <= I0, that is when R' lies in the colon
 (I0 : R1) intersect R1.  So (I0, R') is compatible exactly when
-I0*R1 <= R' <= (I0 : R1) intersect R1.  The two bounds are formed once per
-even ideal (``grading._pair_bounds``, on additive generators), and a pair
-costs two subset tests; no submodule's generators are grown.  Only when a
+I0*R1 <= R' <= (I0 : R1) intersect R1.  The two bounds and the ambient
+codes of I0 are formed once per even ideal (``grading._pair_bounds``, on
+additive generators), and a pair costs two subset tests; no submodule's
+generators are grown and no even ideal is embedded again.  Only when a
 test fails is a product escaping its target looked up, by a scan over all
 pairs.
 
@@ -21,6 +23,8 @@ J = A + B, iff |A| * |B| = |J|.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 from .grading import (
@@ -41,39 +45,30 @@ from .rings import (
 )
 
 
+@dataclass(frozen=True)
 class GradedIdeal:
-    """A compatible pair (even-part ideal, odd-part submodule).
+    """A compatible pair (even-part ideal, odd-part submodule) with its flat
+    member set I0 + R', derived from the pair; two graded ideals are equal
+    when they live in the identical graded ring and have the same flat set.
 
     Only compatibility is checked here; that I0 + R' is then an ideal is
     checked by the verify record ``ideals.pair-enumeration-oracle``."""
 
-    def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
-        _same_ring(graded_ring.r0_ring, i0.ring)
-        if r_part.graded_ring is not graded_ring:
+    graded_ring: GradedRing
+    i0: Ideal = field(compare=False)
+    r_part: Submodule = field(compare=False)
+    flat_members: frozenset = field(init=False)
+
+    def __post_init__(self):
+        g, odd = self.graded_ring, self.r_part.members
+        i0_ambient, low, high = _pair_bounds(g, self.i0)
+        if self.r_part.graded_ring is not g:
             raise InvalidInputError("submodule belongs to a different graded ring")
-        self.graded_ring = graded_ring
-        self.i0 = i0
-        self.r_part = r_part
-        g = graded_ring
-        add = g.ring.add
-        i0_ambient = g.embed_ideal(i0)
-        odd = frozenset(r_part.members)
-        cosets = [map(add[a].__getitem__, odd) for a in i0_ambient if a != g.ring.zero]
-        self.flat_members = odd.union(*cosets) if cosets else odd  # I0 = 0 shares R'
-        low, high = _pair_bounds(g, i0_ambient)
         if not low <= odd:
             _escape(g, "I0*R1 escapes the odd part", i0_ambient, g.r1, odd)
         if not odd <= high:
             _escape(g, "R1*R' escapes the even part", g.r1, odd, i0_ambient)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedIdeal):
-            return NotImplemented
-        return (self.graded_ring is other.graded_ring
-                and self.flat_members == other.flat_members)
-
-    def __hash__(self):
-        return hash((id(self.graded_ring), self.flat_members))
+        object.__setattr__(self, "flat_members", _pair_sum(g, i0_ambient, odd))
 
     def __contains__(self, value) -> bool:
         return as_code(self.graded_ring.ring, value) in self.flat_members
@@ -90,6 +85,14 @@ class GradedIdeal:
 
     def __repr__(self):
         return f"GradedIdeal[{self.label()}] of {self.graded_ring.provenance}"
+
+
+def _pair_sum(g: GradedRing, even: frozenset, odd: frozenset) -> frozenset:
+    """The flat set even + odd of ambient codes: the union of the cosets
+    a + odd over the nonzero a in even, or odd itself when even = {0}."""
+    add = g.ring.add
+    cosets = [map(add[a].__getitem__, odd) for a in even if a != g.ring.zero]
+    return odd.union(*cosets) if cosets else odd
 
 
 def _escape(g: GradedRing, what: str, left, right, target: frozenset):
@@ -150,7 +153,7 @@ def _as_ideal_members(g: GradedRing, members) -> frozenset:
 
 def graded_ideal_from_ideal(g: GradedRing, i: Ideal) -> GradedIdeal:
     """The graded ideal (I, I*R1) attached to an even-part ideal."""
-    return GradedIdeal(g, i, Submodule(g, _pair_bounds(g, g.embed_ideal(i))[0]))
+    return GradedIdeal(g, i, Submodule(g, _pair_bounds(g, i)[1]))
 
 
 def graded_ideal_from_submodule(g: GradedRing, rp: Submodule) -> GradedIdeal:
@@ -170,10 +173,10 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
     subs = submodules(g, bound)
 
     def compute():
-        evens = [(i0, _pair_bounds(g, g.embed_ideal(i0))) for i0 in even_ideals]
+        evens = [(i0, _pair_bounds(g, i0)) for i0 in even_ideals]
         result = []
         for rp in subs:
-            for i0, (low, high) in evens:
+            for i0, (_, low, high) in evens:
                 if low <= rp.members <= high:
                     result.append(GradedIdeal(g, i0, rp))
         return tuple(sorted(result, key=GradedIdeal.key))

@@ -396,14 +396,19 @@ def _r1_colon(g: GradedRing, part: Iterable[int], target: frozenset) -> frozense
     return frozenset(e for e in part if target.issuperset(map(mul[e].__getitem__, r1_gens)))
 
 
-def _pair_bounds(g: GradedRing, i0_ambient: frozenset) -> tuple[frozenset, frozenset]:
-    """(I0*R1, (I0 : R1) intersect R1) for an even ideal I0 given by its
-    ambient codes: a submodule R' makes (I0, R') a graded pair exactly when
-    it lies between the two (``graded_ideals`` docstring).  Memoized by
-    the member set, so there is at most one entry per ideal of R0."""
-    return _memo(g, ("pair_bounds", i0_ambient), lambda: (
-        additive_closure(g.ring, _r1_products(g, i0_ambient)),
-        _r1_colon(g, g.r1, i0_ambient)))
+def _pair_bounds(g: GradedRing, i0: Ideal) -> tuple[frozenset, frozenset, frozenset]:
+    """(I0 in ambient codes, I0*R1, (I0 : R1) intersect R1) for an even
+    ideal I0: a submodule R' makes (I0, R') a graded pair exactly when it
+    lies between the last two (``graded_ideals`` docstring).  The ring is
+    checked first, then the three sets are memoized by the member set of I0,
+    so each ideal of R0 is embedded and bounded once."""
+    _same_ring(g.r0_ring, i0.ring)
+
+    def compute():
+        ambient = g.embed_ideal(i0)
+        return (ambient, additive_closure(g.ring, _r1_products(g, ambient)),
+                _r1_colon(g, g.r1, ambient))
+    return _memo(g, ("pair_bounds", i0.members), compute)
 
 
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
@@ -470,8 +475,7 @@ def r1_squared(g: GradedRing) -> Ideal:
 
 def r1_cubed(g: GradedRing) -> Submodule:
     """The submodule (R1^2) * R1 of the odd part."""
-    return _memo(g, "r1_cubed", lambda: Submodule(g, additive_closure(
-        g.ring, _r1_products(g, g.embed_ideal(r1_squared(g))))))
+    return _memo(g, "r1_cubed", lambda: Submodule(g, _pair_bounds(g, r1_squared(g))[1]))
 
 
 def is_strongly_graded(g: GradedRing) -> bool:

@@ -12,12 +12,13 @@ exhaustively, once, by a named record of ``z2spec.verify``, not here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import InvalidInputError
 from .graded_ideals import (
     GradedIdeal,
+    _pair_sum,
     decompose_codes,
     enumerate_graded_ideals,
 )
@@ -46,13 +47,15 @@ class PrimeKind(enum.Enum):
     PRIME_SUBMODULE = "prime-submodule"    # odd part prime, R1^3 not inside
 
 
+@dataclass(frozen=True)
 class GradedPrime:
-    """A graded prime ideal with its classification tag."""
+    """A graded prime ideal with its classification tag and its contraction
+    p, an ideal of the even ring; two primes are equal when their ideals
+    are."""
 
-    def __init__(self, ideal: GradedIdeal, kind: PrimeKind, p: Ideal):
-        self.ideal = ideal
-        self.kind = kind
-        self.p = p  # contraction, an ideal of the even ring
+    ideal: GradedIdeal
+    kind: PrimeKind = field(compare=False)
+    p: Ideal = field(compare=False)
 
     @property
     def flat_members(self) -> frozenset:
@@ -63,14 +66,6 @@ class GradedPrime:
 
     def label(self) -> str:
         return self.ideal.label()
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedPrime):
-            return NotImplemented
-        return self.ideal == other.ideal
-
-    def __hash__(self):
-        return hash(self.ideal)
 
     def __repr__(self):
         return f"GradedPrime[{self.label()}; {self.kind.value}]"
@@ -129,8 +124,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     if not p.is_proper or not _no_pair_inside(g.r0_ring.mul, range(g.r0_ring.size),
                                                p.members):
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
-    odd = _pair_bounds(g, g.embed_ideal(p))[1]
-    return _tagged(g, GradedIdeal(g, p, Submodule(g, odd)))
+    return _tagged(g, GradedIdeal(g, p, Submodule(g, _pair_bounds(g, p)[2])))
 
 
 @dataclass(frozen=True)
@@ -183,11 +177,13 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
                    bound: int | None = None) -> GradedIdeal:
     """Elements whose even and odd components both lie in the radical of J.
 
-    definitional: split against the radical of the flat ideal in the ambient
-    ring.  intersection: intersect the graded primes containing J.  formula:
-    closed form sqrt(J0) + {x in R1 : x^2 in sqrt(J0)} (the bracket is taken
-    against the radical of J0; taking it against J0 itself is not sound for
-    non-radical J0).
+    definitional: the pair sum of rad intersect R0 and rad intersect R1, rad
+    the radical of the flat ideal in the ambient ring; as R0 intersect R1 = 0,
+    these are the elements whose two components lie in rad.  intersection:
+    intersect the graded primes containing J.  formula: closed form
+    sqrt(J0) + {x in R1 : x^2 in sqrt(J0)} (the bracket is taken against the
+    radical of J0; taking it against J0 itself is not sound for non-radical
+    J0).
 
     The formula reads only ``j.i0`` and is memoized by it per graded ring;
     the other two split their member sets through ``decompose_codes``, which
@@ -197,11 +193,7 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
         raise InvalidInputError("graded ideal belongs to a different graded ring")
     if method == "definitional":
         rad = radical_members(g.ring, j.flat_members)
-        members = frozenset(
-            x for x, (even, odd) in g._decomposition.items()
-            if even in rad and odd in rad
-        )
-        return decompose_codes(g, members)
+        return decompose_codes(g, _pair_sum(g, rad & g.r0, rad & g.r1))
     if method == "intersection":
         containing = [
             gp.flat_members

@@ -1,6 +1,7 @@
 """Graded ideal pairs: decomposition criterion, the two construction classes,
 enumeration, and the strongly graded bijection."""
 
+import dataclasses
 import sys
 
 import pytest
@@ -19,6 +20,7 @@ from z2spec.graded_ideals import (
     is_graded_ideal,
 )
 from z2spec.grading import (
+    GradedRing,
     Submodule,
     _pair_bounds,
     gaussian_integers,
@@ -28,8 +30,9 @@ from z2spec.grading import (
     trivially_graded,
     truncated_poly,
 )
-from z2spec.instances import InstanceSpec
-from z2spec.rings import enumerate_ideals, ideal_generate, zmod
+from z2spec.instances import InstanceSpec, build_instance
+from z2spec.rings import Ideal, enumerate_ideals, ideal_generate, zmod
+from z2spec.spectrum import graded_spec
 from z2spec.verify import _suite_ideals, run_verify
 
 
@@ -203,11 +206,11 @@ def test_pair_bounds_decide_compatibility(case):
     g, bound = case()
     subs = submodules(g, bound)
     for i0 in enumerate_ideals(g.r0_ring, bound):
-        i0_ambient = g.embed_ideal(i0)
-        bounds = _pair_bounds(g, i0_ambient)
-        low, high = bounds
+        bounds = _pair_bounds(g, i0)
+        i0_ambient, low, high = bounds
+        assert i0_ambient == g.embed_ideal(i0)
         assert type(low) is frozenset and type(high) is frozenset
-        assert _pair_bounds(g, g.embed_ideal(i0)) is bounds
+        assert _pair_bounds(g, Ideal(i0.ring, i0.members)) is bounds
         for rp in subs:
             assert (low <= rp.members <= high) == naive_compatible(g, i0_ambient, rp.members)
 
@@ -233,3 +236,37 @@ def test_pair_checks_grow_no_submodule(monkeypatch):
     assert {r.status for r in _suite_ideals(g, None)} <= {"pass", "not-applicable"}
     inner = {m.members for m in submodules(g) if m.is_proper and len(m.members) > 1}
     assert seen and inner.isdisjoint(seen)
+
+
+def test_cached_graded_ideals_and_primes_are_frozen():
+    """Rebinding a field of a cached graded ideal or prime raises, so the
+    next call returns the same objects unchanged."""
+    g = gaussian_integers(10)
+    ideals, points = enumerate_graded_ideals(g), graded_spec(g).graded_points
+    j, gp = ideals[0], points[0]
+    before = (j.flat_members, j.i0, gp.kind, gp.p)
+    for obj, name in ((j, "flat_members"), (j, "i0"), (gp, "kind"), (gp, "p")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    assert enumerate_graded_ideals(g) is ideals
+    assert graded_spec(g).graded_points is points
+    assert (j.flat_members, j.i0, gp.kind, gp.p) == before
+
+
+def test_cold_verify_embeds_no_even_ideal_per_graded_ideal(monkeypatch):
+    """A cold full verify of Z/2 x F2^6 (2,826 graded ideals over 2 even
+    ideals) embeds even ideals a bounded number of times: each pair reads
+    its even ideal's embedding from ``grading._pair_bounds``."""
+    spec_ = InstanceSpec({"kind": "trivial_extension", "n": 2, "orders": [2] * 6})
+    g = build_instance(spec_)
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    calls = []
+    embed = GradedRing.embed_ideal
+
+    def counting(self, ideal):
+        calls.append(ideal)
+        return embed(self, ideal)
+    monkeypatch.setattr(GradedRing, "embed_ideal", counting)
+    assert run_verify(spec_).status == "pass"
+    assert 0 < len(calls) <= 16

@@ -106,6 +106,18 @@ def test_round_trip():
     assert parse_instance(serialize_instance(bounded)) == bounded
 
 
+def test_catalog_specs_own_their_nested_recipes(monkeypatch):
+    """product-4-f4 and quadratic-f4-i share one F4 recipe: editing a
+    spec's nested recipe reaches neither the catalog nor the other entry."""
+    before = json.dumps([entry.recipe for entry in CATALOG])
+    other = catalog_entry("product-4-f4").spec()
+    edited = catalog_entry("quadratic-f4-i").spec()
+    monkeypatch.setitem(edited.recipe["base"], "modulus", [1, 0, 1])
+    assert json.dumps([entry.recipe for entry in CATALOG]) == before
+    assert catalog_entry("product-4-f4").spec() == other
+    assert other.recipe["b"]["modulus"] == [1, 1, 1]
+
+
 def test_graded_manual_recipe():
     spec = parse_instance(json.dumps({
         "ring": {"kind": "graded_manual",

@@ -18,7 +18,6 @@ import z2spec.rings as rings
 import z2spec.spectrum as spectrum
 import z2spec.verify as verify
 from z2spec.cli import main
-from z2spec.graded_ideals import GradedIdeal
 from z2spec.grading import Submodule
 from z2spec.instances import InstanceSpec, build_instance
 from z2spec.rings import Ideal, spec
@@ -38,13 +37,12 @@ def _drop_largest(members: frozenset) -> frozenset:
 
 
 def flat_set_not_an_ideal(monkeypatch):
-    original = GradedIdeal.__init__
+    original = graded_ideals._pair_sum
 
-    def broken(self, g, i0, r_part):
-        original(self, g, i0, r_part)
-        if len(self.flat_members) == g.ring.size:
-            self.flat_members = _drop_largest(self.flat_members)
-    monkeypatch.setattr(GradedIdeal, "__init__", broken)
+    def broken(g, even, odd):
+        members = original(g, even, odd)
+        return _drop_largest(members) if len(members) == g.ring.size else members
+    monkeypatch.setattr(graded_ideals, "_pair_sum", broken)
 
 
 def odd_part_not_a_submodule(monkeypatch):
