@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .errors import AlgebraError, EnumerationLimitError
+from .errors import AlgebraError, EnumerationLimitError, InstanceParseError
 from .instances import build_instance, effective_bound, parse_instance
 from .dot import export_dot
 from .rings import spec as ring_spec
@@ -36,7 +36,12 @@ from .verify import (
 
 def _read_instance(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceParseError(
+                "", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_instance(text)
 
 
 def _emit_json(payload) -> None:

@@ -25,6 +25,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingElement,
+    _StableSubgroup,
     _same_ring,
     additive_closure,
     as_code,
@@ -33,16 +34,12 @@ from .rings import (
     _free_symbol,
     _memo,
     _subgroup_generators,
-    _span_order,
-    _span_path,
     _subgroup_lattice,
     _tables_by_digits,
-    canonical_key,
-    generator_label,
     ideal_members,
     is_stable_set,
     poly_quotient,
-    span_seeds,
+    stable_members,
     zmod,
 )
 
@@ -313,8 +310,8 @@ def trivial_extension(base: FiniteRing, module_orders: Sequence[int]) -> GradedR
 # submodules of the odd part
 
 
-@dataclass(frozen=True)
-class Submodule:
+@dataclass(frozen=True, repr=False)
+class Submodule(_StableSubgroup):
     """An R0-submodule of R1 as a set of ambient codes; two submodules are
     equal when they live in the identical graded ring and have the same
     members.  Its label is the witness of the member set, as an ideal's
@@ -329,29 +326,14 @@ class Submodule:
             raise InvalidParameterError(
                 f"{g.ring.names[min(self.members - g.r1)]} is not in the odd part")
 
-    @property
-    def generators(self) -> tuple:
-        """The least shortest sequence of spans R0x summing to the members."""
+    def _family(self) -> tuple:
         g = self.graded_ring
-        return _memo(g, ("submodule_path", self.members), lambda: _span_path(
-            g.ring, _submodule_spans(g, sorted(self.members)), self.members,
-            f"a submodule of the odd part of {g.provenance}"))
-
-    def __contains__(self, value) -> bool:
-        return as_code(self.graded_ring.ring, value) in self.members
+        return (g, g.ring, partial(cyclic_span, g), _r0_generators(g),
+                f"a submodule of the odd part of {g.provenance}")
 
     @property
     def is_proper(self) -> bool:
         return self.members != self.graded_ring.r1
-
-    def key(self):
-        return canonical_key(self.members)
-
-    def label(self) -> str:
-        return generator_label(self.graded_ring.ring.names, self.generators)
-
-    def __repr__(self):
-        return f"Submodule{self.label()} of {self.graded_ring.provenance}"
 
 
 def cyclic_span(g: GradedRing, x: int) -> frozenset:
@@ -412,9 +394,8 @@ def _pair_bounds(g: GradedRing, i0: Ideal) -> tuple[frozenset, frozenset, frozen
 
 
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
-    gens = _r0_generators(g)
-    return additive_closure(
-        g.ring, (s for x in gen_codes for s in span_seeds(g.ring, gens, x)))
+    """Member set of the submodule generated by ``gen_codes`` (codes of R1)."""
+    return stable_members(g.ring, _r0_generators(g), gen_codes)
 
 
 def submodule_generate(g: GradedRing, gens: Iterable) -> Submodule:
@@ -433,12 +414,6 @@ def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
     return members <= g.r1 and is_stable_set(g.ring, _r0_generators(g), members)
 
 
-def _submodule_spans(g: GradedRing, labels: Iterable[int]) -> list:
-    """The cyclic spans R0x for x in ``labels`` (codes of R1), in lattice
-    order (``_span_order``)."""
-    return _span_order(g.ring, labels, partial(cyclic_span, g), _r0_generators(g))
-
-
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
     """All R0-submodules of R1, canonically ordered.
 
@@ -448,7 +423,8 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
 
     def compute():
-        found = _subgroup_lattice(g.ring, _submodule_spans(g, sorted(g.r1)))
+        found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
+                                  _r0_generators(g))
         return tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
     return _memo(g, "submodules", compute)
 

@@ -27,10 +27,11 @@ Stable subgroups.  For a subring M of R, an M-stable subgroup is an
 additive subgroup S of R with M * S <= S.  The ideals of R are its R-stable
 subgroups and the submodules of a grading's odd part R1 are the R0-stable
 subgroups inside R1, so both are handled here, once: one lattice walk, one
-canonical order (``canonical_key``) and one label rule.  M is passed as its
-additive generators, the multipliers (R's for ideals, R0's as ambient codes
-for submodules); x times the multipliers generate the span Mx additively
-(``span_seeds``).
+canonical order (``canonical_key``), one label rule and one record base
+(``_StableSubgroup``).  A family is its span function x -> Mx
+(``principal_span`` or ``grading.cyclic_span``) and its multipliers, the
+additive generators of M (R's, or R0's as ambient codes); x times the
+multipliers generate the span Mx additively (``span_seeds``).
 
 Closure tests by subgroup growth.  ``_grow_subgroup`` builds the additive
 subgroup H generated by a subgroup and a sequence of codes, adding one
@@ -135,8 +136,8 @@ the set: by induction on the depth, a FIFO queue takes the nodes of each
 depth in lexicographic order of their first-found paths, because every
 prefix of a shortest span sequence for a node is a node at exactly its own
 depth.  The spans inside S sum to S exactly when S is M-stable (x lies in
-Mx), so one growth inside S decides that before the search, and a set that
-is not M-stable is rejected in O(|S|) steps.
+Mx), so ``is_stable_set`` decides that before any span is built, and a set
+that is not M-stable is rejected in O(|S|) steps.
 
 Caches.  Every cached result here and in ``grading``, ``graded_ideals``,
 ``spectrum`` and ``maxfield`` is a pure function of one ring or graded ring
@@ -155,7 +156,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -271,24 +272,45 @@ class RingElement:
         return self.ring.names[self.code]
 
 
-@dataclass(frozen=True)
-class Ideal:
+class _StableSubgroup:
+    """An M-stable subgroup as its member set.  ``_family()`` gives (memo
+    owner, named in the repr; ring of the codes; span x -> Mx; multipliers;
+    noun for error messages)."""
+
+    @property
+    def generators(self) -> tuple:
+        """The witness of the member set (module docstring, "Labels")."""
+        owner, ring, span, multipliers, what = self._family()
+        return _memo(owner, ("span_path", self.members), lambda: _span_path(
+            ring, span, multipliers, self.members, what))
+
+    def __contains__(self, value) -> bool:
+        return as_code(self._family()[1], value) in self.members
+
+    def key(self):
+        return canonical_key(self.members)
+
+    def label(self) -> str:
+        """``(g1, g2, ...)`` in element names, or ``(0)`` for no generators."""
+        names, gens = self._family()[1].names, self.generators
+        return "(" + ", ".join(names[x] for x in gens) + ")" if gens else "(0)"
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.label()} of {self._family()[0].provenance}"
+
+
+@dataclass(frozen=True, repr=False)
+class Ideal(_StableSubgroup):
     """An ideal as a closed member set; two ideals are equal when they live
     in the identical ring and have the same members."""
 
     ring: FiniteRing
     members: frozenset
 
-    @property
-    def generators(self) -> tuple:
-        """The witness of the member set (module docstring, "Labels")."""
+    def _family(self) -> tuple:
         ring = self.ring
-        return _memo(ring, ("ideal_path", self.members), lambda: _span_path(
-            ring, _ideal_spans(ring, sorted(self.members)), self.members,
-            f"an ideal of {ring.provenance}"))
-
-    def __contains__(self, value) -> bool:
-        return as_code(self.ring, value) in self.members
+        return (ring, ring, partial(principal_span, ring), _additive_generators(ring),
+                f"an ideal of {ring.provenance}")
 
     def __le__(self, other: "Ideal") -> bool:
         _same_ring(self.ring, other.ring)
@@ -302,27 +324,11 @@ class Ideal:
     def is_proper(self) -> bool:
         return self.ring.one not in self.members
 
-    def key(self):
-        return canonical_key(self.members)
-
-    def label(self) -> str:
-        return generator_label(self.ring.names, self.generators)
-
-    def __repr__(self):
-        return f"Ideal{self.label()} of {self.ring.provenance}"
-
 
 def canonical_key(members: frozenset) -> tuple:
     """The canonical order of member sets: cardinality, then the sorted
     member tuple."""
     return (len(members), tuple(sorted(members)))
-
-
-def generator_label(names: Sequence[str], generators: tuple) -> str:
-    """``(g1, g2, ...)`` in element names, or ``(0)`` for no generators."""
-    if not generators:
-        return "(0)"
-    return "(" + ", ".join(names[x] for x in generators) + ")"
 
 
 def _same_ring(a: FiniteRing, b: FiniteRing):
@@ -412,7 +418,8 @@ def _free_symbol(base: FiniteRing, symbol: str | None) -> str:
     """The variable name for a polynomial ring over ``base``: ``symbol``, or
     when it is None the first of x, y, z, t and then the other letters that
     occurs in no element name of ``base``.  A symbol inside a base name
-    would give two elements one name, so an explicit one is rejected."""
+    would give two elements one name, so an explicit one is rejected, as
+    is the empty string."""
     def clashes(s):
         return any(s in name for name in base.names)
     if symbol is None:
@@ -420,6 +427,8 @@ def _free_symbol(base: FiniteRing, symbol: str | None) -> str:
         if symbol is None:
             raise InvalidParameterError(
                 f"every letter occurs in an element name of {base.provenance}")
+    elif not symbol:
+        raise InvalidParameterError("symbol must be a non-empty string")
     elif clashes(symbol):
         raise InvalidParameterError(
             f"symbol {symbol!r} occurs in an element name of {base.provenance}")
@@ -665,11 +674,20 @@ def span_seeds(ring: FiniteRing, multipliers: tuple, x: int) -> tuple:
     return tuple(map(ring.mul[x].__getitem__, multipliers))
 
 
+def principal_span(ring: FiniteRing, x: int) -> frozenset:
+    """The principal ideal Rx: the row of x."""
+    return frozenset(ring.mul[x])
+
+
+def stable_members(ring: FiniteRing, multipliers: tuple, codes: Iterable[int]) -> frozenset:
+    """Member set of the M-stable subgroup generated by ``codes``."""
+    return additive_closure(
+        ring, (s for x in codes for s in span_seeds(ring, multipliers, x)))
+
+
 def ideal_members(ring: FiniteRing, gen_codes: Iterable[int]) -> frozenset:
     """Member set of the ideal generated by ``gen_codes``."""
-    gens = _additive_generators(ring)
-    return additive_closure(
-        ring, (s for x in gen_codes for s in span_seeds(ring, gens, x)))
+    return stable_members(ring, _additive_generators(ring), gen_codes)
 
 
 def ideal_generate(ring: FiniteRing, gens: Iterable) -> Ideal:
@@ -722,13 +740,6 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
             for members, x in sorted(first.items(), key=lambda kv: canonical_key(kv[0]))]
 
 
-def _ideal_spans(ring: FiniteRing, labels: Iterable[int]) -> list:
-    """The principal ideals Rx (the row of x) for x in ``labels``, in
-    lattice order (``_span_order``)."""
-    return _span_order(ring, labels, lambda x: frozenset(ring.mul[x]),
-                       _additive_generators(ring))
-
-
 def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
                 coset: int | None = None) -> int:
     """The child H + Mx of the node H by the span Mx of label x, as a member
@@ -747,16 +758,19 @@ def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
     return child
 
 
-def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
-    """Every sum of the spans, as a list of member sets.
+def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
+                      multipliers: tuple) -> list:
+    """Every sum of the spans ``span(x)`` for x in ``labels``, as a list of
+    member sets.
 
-    ``spans`` come from ``_span_order``.  Breadth-first from {0} on member
+    The spans come from ``_span_order``.  Breadth-first from {0} on member
     masks (module docstring, "Lattice enumeration"): a child new to the
     lattice joins the end of the node list.  The member sets are decoded in
     that order, close to the canonical order callers sort them into; decoded
     in the hash order of ``found``, they lay scattered in memory, and
     walking them in canonical order took twice as long.
     """
+    spans = _span_order(ring, labels, span, multipliers)
     add, shift = ring.add, _translator(ring)
     by_label = [None] * ring.size
     for x, members, seeds in spans:
@@ -778,29 +792,29 @@ def _subgroup_lattice(ring: FiniteRing, spans: list) -> list:
     return [_members(ring, mask) for mask in nodes]
 
 
-def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> tuple:
+def _span_path(ring: FiniteRing, span, multipliers: tuple, target: frozenset,
+               what: str) -> tuple:
     """The generator witness of the M-stable set ``target``: the
-    lexicographically least shortest sequence of ``spans`` summing to it
-    (module docstring, "Labels").
+    lexicographically least shortest sequence of spans ``span(x)`` summing
+    to it (module docstring, "Labels").
 
-    ``spans`` come from ``_span_order`` with the sorted members of
-    ``target`` as labels: the spans inside it are the Mx with x in it, and
-    Mx = My puts x and y in it together, so this keeps each span's label.
-    Their sum contains ``target`` (x lies in Mx), so it is ``target``
-    exactly when ``target`` is M-stable, which one growth inside it decides
-    first.  Iterative deepening on member masks: depth-first in span order
-    with 0, 1, 2, ... steps, so the first path found is the answer.  A node
-    H with k steps left is pruned when even k of the widest spans cannot
-    grow it to the target (|H + S| <= |H| * |S|), and a (node, steps left)
-    pair that failed once is never searched again.  A set that is not
-    ``what`` (such as "an ideal of Z/6") raises ``InvalidInputError``.
+    A set that is not M-stable (``is_stable_set``), and so not ``what``
+    (such as "an ideal of Z/6"), raises ``InvalidInputError`` before any
+    span is built.  The spans inside an M-stable set are the Mx with x in
+    it, so ``_span_order`` takes its sorted members as labels: Mx = My puts
+    x and y in it together, so this keeps each span's label.  Iterative
+    deepening on member masks: depth-first in span order with 0, 1, 2, ...
+    steps, so the first path found is the answer.  A node H with k steps
+    left is pruned when even k of the widest spans cannot grow it to the
+    target (|H + S| <= |H| * |S|), and a (node, steps left) pair that failed
+    once is never searched again.
     """
+    if not is_stable_set(ring, multipliers, target):
+        raise InvalidInputError(f"a set of {len(target)} codes is not {what}")
+    spans = _span_order(ring, sorted(target), span, multipliers)
     add, shift = ring.add, _translator(ring)
     goal = _mask(target)
-    bottom = 1 << ring.zero
-    stable = _grow_subgroup(add, shift, bottom,
-                            (s for _, _, seeds in spans for s in seeds), goal)
-    widest = max((members.bit_count() for _, members, _ in spans), default=1)
+    widest = max(members.bit_count() for _, members, _ in spans)
     dead = set()
 
     def search(node, left):
@@ -818,12 +832,9 @@ def _span_path(ring: FiniteRing, spans: list, target: frozenset, what: str) -> t
         dead.add((node, left))
         return None
 
-    if stable is not None and stable[0] == goal:
-        for depth in range(len(target).bit_length()):
-            path = search(bottom, depth)
-            if path is not None:
-                return path
-    raise InvalidInputError(f"a set of {len(target)} codes is not {what}")
+    # the spans sum to the target, each step at least doubling the sum
+    return next(path for depth in range(len(target).bit_length())
+                if (path := search(1 << ring.zero, depth)) is not None)
 
 
 def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
@@ -833,7 +844,8 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
 
     def compute():
-        found = _subgroup_lattice(ring, _ideal_spans(ring, range(ring.size)))
+        found = _subgroup_lattice(ring, range(ring.size), partial(principal_span, ring),
+                                  _additive_generators(ring))
         return tuple(sorted((Ideal(ring, members) for members in found), key=Ideal.key))
     return _memo(ring, "ideals", compute)
 

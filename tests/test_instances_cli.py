@@ -463,6 +463,27 @@ def test_cli_names_the_variable_after_a_free_letter(tmp_path, capsys):
     assert "symbol 'x' occurs in an element name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_cli_reports_a_file_that_is_not_utf8_as_an_input_error(tmp_path, capsys, command):
+    # a UTF-16 byte order mark: once a UnicodeDecodeError traceback and exit 1
+    path = tmp_path / "instance.json"
+    path.write_bytes(b"\xff\xfe" + '{"ring": {"kind": "zmod", "n": 4}}'.encode("utf-16-le"))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize("recipe", [
+    {"kind": "poly_quotient", "base": {"kind": "zmod", "n": 2}, "modulus": [1, 1, 1]},
+    {"kind": "quadratic", "base": {"kind": "zmod", "n": 2}, "alpha": 1},
+], ids=["poly_quotient", "quadratic"])
+def test_cli_rejects_an_empty_symbol(tmp_path, capsys, recipe):
+    path = write_instance(tmp_path, {"ring": {**recipe, "symbol": ""}})
+    assert main(["build", path]) == 2
+    assert capsys.readouterr().err == "error: symbol must be a non-empty string\n"
+
+
 # ---------------------------------------------------------------------------
 # DOT output
 

@@ -5,9 +5,11 @@ pairs, residuals and odd parts on every catalog ring and two larger ones."""
 import math
 import re
 import time
+from functools import partial
 
 import pytest
 
+import z2spec.rings as rings
 from instance_cases import INSTANCE_CASES
 from naive_closure import (
     naive_additive_closure,
@@ -21,7 +23,7 @@ from naive_closure import (
     naive_submodules,
 )
 from z2spec.catalog import CATALOG
-from z2spec.errors import InvalidInputError
+from z2spec.errors import InvalidInputError, RingMismatchError
 from z2spec.graded_ideals import (
     GradedIdeal,
     enumerate_graded_ideals,
@@ -29,9 +31,10 @@ from z2spec.graded_ideals import (
 )
 from z2spec.grading import (
     Submodule,
+    _r0_generators,
     _r1_colon,
     _r1_products,
-    _submodule_spans,
+    cyclic_span,
     gaussian_integers,
     residual,
     submodule_generate,
@@ -44,10 +47,10 @@ from z2spec.rings import (
     Ideal,
     _additive_generators,
     _grow_subgroup,
-    _ideal_spans,
     _mask,
     _members,
     _span_child,
+    _span_order,
     _subgroup_lattice,
     _translator,
     additive_closure,
@@ -57,6 +60,7 @@ from z2spec.rings import (
     ideal_from_members,
     ideal_generate,
     maximal_sets,
+    principal_span,
     product_ring,
     radical,
     spec,
@@ -69,6 +73,21 @@ RINGS.update({
     "Z/4 (+) (Z/2 (+) Z/4)": lambda: trivial_extension(zmod(4), [2, 4]),
 })
 CATALOG_IDS = [entry.instance_id for entry in CATALOG]
+
+
+def _ideal_family(ring):
+    """(ring, labels, span, multipliers) of the ideals of ``ring``."""
+    return ring, range(ring.size), partial(principal_span, ring), _additive_generators(ring)
+
+
+def _submodule_family(g):
+    """(ring, labels, span, multipliers) of the R0-submodules of R1."""
+    return g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g)
+
+
+def _families(g):
+    """The families of the ideals of R and R0 and of the submodules of R1."""
+    return [*map(_ideal_family, dict.fromkeys((g.ring, g.r0_ring))), _submodule_family(g)]
 
 
 @pytest.mark.parametrize("base, seeds", [
@@ -88,11 +107,8 @@ def test_span_seeds_are_additive_generators(case):
     """Each lattice span's seeds generate exactly its members, and each seed
     enlarges the subgroup generated by the seeds before it."""
     g = RINGS[case]()
-    spans = [(ring, _ideal_spans(ring, range(ring.size)))
-             for ring in dict.fromkeys((g.ring, g.r0_ring))]
-    spans.append((g.ring, _submodule_spans(g, sorted(g.r1))))
-    for ring, order in spans:
-        for x, members, seeds in order:
+    for ring, *family in _families(g):
+        for x, members, seeds in _span_order(ring, *family):
             assert _mask(additive_closure(ring, seeds)) == members, x
             built = frozenset({ring.zero})
             for s in seeds:
@@ -154,6 +170,24 @@ def test_equal_submodules_print_one_label():
     assert [m.label() for m in submodules(g)] == ["(0)", "((1,0)i)", "((0,1)i)", "(i)"]
 
 
+def test_ideals_and_submodules_share_one_record_behaviour():
+    """Membership, ring checks, repr and key come from one record base; the
+    repr names the owner: the ring for an ideal, the graded ring (here a
+    manual grading of Z/2[x]/(x^2+1)) for a submodule.  Code 3 is 1+x."""
+    g = RINGS["manual-2-x2p1"]()
+    ideal = ideal_generate(g.ring, [3])
+    module = submodule_generate(g, [3])
+    for record in (ideal, module):
+        assert record.members == {0, 3}
+        assert 3 in record and g.ring(3) in record
+        assert 1 not in record and g.ring(1) not in record
+        with pytest.raises(RingMismatchError):
+            g.r0_ring(1) in record
+        assert record.key() == canonical_key(record.members) == (2, (0, 3))
+    assert repr(ideal) == "Ideal(1+x) of Z/2[x]/(x^2+1)"
+    assert repr(module) == "Submodule(1+x) of Z/2[x]/(x^2+1) (manual grading)"
+
+
 def _galois_number(k: int, q: int = 2) -> int:
     """G_q(k): the number of subspaces of F_q^k, a sum of Gaussian binomials."""
     total, binomial = 0, 1
@@ -194,8 +228,8 @@ def test_deep_lattices_take_one_translation_per_child(k, count, monkeypatch):
     _additive_generators(ring)  # known before counting, whichever test ran first
     counting, calls = _counting(_translator(ring))
     monkeypatch.setitem(ring._cache, "translator", counting)
-    ideals = _subgroup_lattice(ring, _ideal_spans(ring, range(ring.size)))
-    modules = _subgroup_lattice(ring, _submodule_spans(g, sorted(g.r1)))
+    ideals = _subgroup_lattice(*_ideal_family(ring))
+    modules = _subgroup_lattice(*_submodule_family(g))
     assert (len(ideals), len(modules)) == (_galois_number(k) + 1, _galois_number(k))
     assert len(calls) == count
 
@@ -210,13 +244,11 @@ def test_each_child_branch_takes_its_translations():
     seen = set()
     for case in sorted(RINGS):
         g = RINGS[case]()
-        lattices = [(ring, _ideal_spans(ring, range(ring.size)))
-                    for ring in dict.fromkeys((g.ring, g.r0_ring))]
-        lattices.append((g.ring, _submodule_spans(g, sorted(g.r1))))
-        for ring, spans in lattices:
+        for ring, *family in _families(g):
+            spans = _span_order(ring, *family)
             add, shift = ring.add, _translator(ring)
             counting, calls = _counting(shift)
-            for node in map(_mask, _subgroup_lattice(ring, spans)):
+            for node in map(_mask, _subgroup_lattice(ring, *family)):
                 h = _members(ring, node)
                 for x, members, seeds in spans:
                     if not members & ~node:
@@ -276,13 +308,21 @@ def test_lattice_without_radix_matches_all_pairs_closure(case):
     ring = RINGS[case]().ring
     bare = FiniteRing(ring.size, ring.add, ring.mul, ring.zero, ring.one,
                       ring.provenance, ring.names)
-    found = _subgroup_lattice(bare, _ideal_spans(bare, range(bare.size)))
+    found = _subgroup_lattice(*_ideal_family(bare))
     assert sorted(found, key=canonical_key) == [m for m, _ in naive_enumerate_ideals(ring)]
 
 
-def test_a_set_that_is_not_stable_is_rejected_before_the_search():
+def test_a_set_that_is_not_stable_is_rejected_before_the_search(monkeypatch):
     # Z/2 (+) F2^7: a subspace of 64 codes with one member swapped for an
-    # outside code once took over a second to reject, by a full span search
+    # outside code once took over a second to reject, by a full span search;
+    # the stability test now rejects it before any span is built
+    spans = []
+    span_order = rings._span_order
+
+    def spy(*args):
+        spans.append(args)
+        return span_order(*args)
+    monkeypatch.setattr(rings, "_span_order", spy)
     g = trivial_extension(zmod(2), [2] * 7)
     subspace = sorted(c for c in g.r1 if not c >> 7 & 1)
     outside = min(g.r1.difference(subspace))
@@ -293,6 +333,7 @@ def test_a_set_that_is_not_stable_is_rejected_before_the_search():
     with pytest.raises(InvalidInputError, match="a set of 64 codes is not an ideal"):
         Ideal(g.ring, target).generators
     assert time.perf_counter() - started < 0.5
+    assert spans == []
 
 
 @pytest.mark.parametrize("case", CATALOG_IDS)

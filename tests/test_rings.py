@@ -127,6 +127,17 @@ def test_default_symbol_is_the_first_letter_free_in_the_base_names():
         poly_quotient(zmod(2), (1, 1), "1")
 
 
+def test_an_empty_symbol_is_rejected_as_such():
+    # "" occurs in every element name, so it once read as a clash
+    from z2spec.grading import quadratic_extension
+
+    for build in (lambda: poly_quotient(zmod(2), [1, 1, 1], symbol=""),
+                  lambda: quadratic_extension(zmod(3), 1, "")):
+        with pytest.raises(InvalidParameterError,
+                           match="^symbol must be a non-empty string$"):
+            build()
+
+
 def test_table_builders_require_zero_code_zero():
     from z2spec.rings import FiniteRing
 

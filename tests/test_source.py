@@ -5,7 +5,6 @@ import ast
 import re
 from pathlib import Path
 
-import z2spec.grading as grading
 import z2spec.rings as rings
 from z2spec.catalog import CATALOG, catalog_entry
 from z2spec.verify import SUITE_NAMES, run_verify
@@ -82,16 +81,15 @@ def test_only_verify_and_the_graded_lattice_enumerate_ideals():
 def test_only_the_generators_property_searches_for_a_witness():
     """An ideal's or a submodule's label is a function of its member set,
     found when it is read (``rings`` docstring, "Labels"): no constructor
-    forms one, and ``grading`` imports the search only for its submodules."""
+    forms one, and the one ``generators`` of the shared record base serves
+    both families."""
     readers = []
     for path in MODULES:
         for scope, node in _scoped_nodes(_tree(path)):
             if (isinstance(node, ast.Name) and node.id == "_span_path"
                     or isinstance(node, ast.alias) and node.name == "_span_path"):
                 readers.append((path.name, scope or "<module>"))
-    assert sorted(readers) == [("grading.py", "<module>"),
-                               ("grading.py", "Submodule.generators"),
-                               ("rings.py", "Ideal.generators")]
+    assert readers == [("rings.py", "_StableSubgroup.generators")]
 
 
 def test_only_the_translation_builder_reads_the_radix():
@@ -124,7 +122,6 @@ def test_a_passing_verify_searches_for_no_witness(monkeypatch):
         calls.append(ring)
         return search(ring, *args)
     monkeypatch.setattr(rings, "_span_path", spy)
-    monkeypatch.setattr(grading, "_span_path", spy)
     for instance_id in ("gaussian-10", "trivext-2-f2x3"):
         entry = catalog_entry(instance_id)
         g = entry.build()
