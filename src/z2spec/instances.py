@@ -32,29 +32,16 @@ from .rings import (
     zmod,
 )
 
-RING_KINDS = ("zmod", "product", "poly_quotient")
-GRADED_KINDS = ("quadratic", "gaussian", "trivial_extension",
-                "truncated_poly", "graded_manual")
-
-_KIND_KEYS = {
-    "zmod": {"n"},
-    "product": {"a", "b"},
-    "poly_quotient": {"base", "modulus", "symbol"},
-    "quadratic": {"base", "alpha", "symbol"},
-    "gaussian": {"n"},
-    "trivial_extension": {"n", "orders"},
-    "truncated_poly": {"base", "k"},
-    "graded_manual": {"base", "r0", "r1"},
-}
-_REQUIRED_KEYS = {
-    "zmod": ("n",),
-    "product": ("a", "b"),
-    "poly_quotient": ("base", "modulus"),
-    "quadratic": ("base", "alpha"),
-    "gaussian": ("n",),
-    "trivial_extension": ("n", "orders"),
-    "truncated_poly": ("base", "k"),
-    "graded_manual": ("base", "r0", "r1"),
+# each recipe kind: (builds a graded ring, required keys, optional keys)
+_KINDS = {
+    "zmod": (False, ("n",), ()),
+    "product": (False, ("a", "b"), ()),
+    "poly_quotient": (False, ("base", "modulus"), ("symbol",)),
+    "quadratic": (True, ("base", "alpha"), ("symbol",)),
+    "gaussian": (True, ("n",), ()),
+    "trivial_extension": (True, ("n", "orders"), ()),
+    "truncated_poly": (True, ("base", "k"), ()),
+    "graded_manual": (True, ("base", "r0", "r1"), ()),
 }
 
 
@@ -88,14 +75,15 @@ def _validate_recipe(recipe, path: str, graded_ok: bool) -> None:
     kind = recipe.get("kind")
     if kind is None:
         _fail(path, 'missing "kind"')
-    if kind not in _KIND_KEYS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
         _fail(f"{path}.kind", f"unknown kind {kind!r}")
-    if not graded_ok and kind in GRADED_KINDS:
+    graded, required, optional = _KINDS[kind]
+    if graded and not graded_ok:
         _fail(path, f"{kind} builds a graded ring and cannot be a base")
-    extra = set(recipe) - _KIND_KEYS[kind] - {"kind"}
+    extra = set(recipe) - set(required) - set(optional) - {"kind"}
     if extra:
         _fail(path, f"unknown keys for {kind}: {sorted(extra)}")
-    for key in _REQUIRED_KEYS[kind]:
+    for key in required:
         if key not in recipe:
             _fail(path, f'missing "{key}"')
     if kind in ("zmod", "gaussian"):
@@ -241,7 +229,7 @@ def build_instance(spec: InstanceSpec, bound: int | None = None) -> GradedRing:
         raise EnumerationLimitError("instance construction",
                                     recipe_size(spec.recipe, 10 ** 100), limit)
     kind = spec.recipe["kind"]
-    if kind in RING_KINDS:
+    if not _KINDS[kind][0]:
         return trivially_graded(_build_ring(spec.recipe))
     if kind == "quadratic":
         return quadratic_extension(_build_ring(spec.recipe["base"]),

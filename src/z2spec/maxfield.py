@@ -204,6 +204,11 @@ class DomainEquivalenceReport:
 
 
 def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
+    """The report, computed once per graded ring."""
+    return _memo(g, "domain_equivalence", lambda: _domain_equivalence(g))
+
+
+def _domain_equivalence(g: GradedRing) -> DomainEquivalenceReport:
     ring = g.ring
     flat_domain = _no_pair_inside(ring.mul, range(ring.size), frozenset({ring.zero}))
     graded_domain = is_graded_domain(g)
@@ -214,18 +219,21 @@ def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
     mul = ring.mul
     witness = None
     multiplicative = True
+    pairs = 0  # compared: the scan stops at the first failing pair
     for x in range(ring.size):
         row, norm_row = mul[x], mul[norms[x]]
         y = next((y for y in range(ring.size)
                   if norms[row[y]] != norm_row[norms[y]]), None)
         if y is not None:
             multiplicative = False
+            pairs += y + 1
             witness = f"N({ring.names[x]} * {ring.names[y]}) != N*N"
             break
+        pairs += ring.size
     if witness is None and not equivalence:
         witness = (f"domain={flat_domain}, graded domain={graded_domain},"
                    f" trivial norm kernel={kernel_trivial}")
     return DomainEquivalenceReport(
         flat_domain, graded_domain, kernel_trivial, equivalence,
-        multiplicative, ring.size * ring.size, witness)
+        multiplicative, pairs, witness)
 

@@ -703,11 +703,15 @@ def ideal_from_members(ring: FiniteRing, members: Iterable) -> Ideal:
 def is_stable_set(ring: FiniteRing, multipliers: tuple, members: frozenset) -> bool:
     """Decide whether a member set is an M-stable subgroup, exactly: grow
     its subgroup inside it, then test its generators times the multipliers
-    (module docstring)."""
-    if ring.zero not in members:
+    (module docstring).  A code outside 0..|R|-1 makes it False."""
+    try:
+        inside = _mask(members)
+    except ValueError:  # a negative shift count: a negative code
+        return False
+    if ring.zero not in members or inside >> ring.size:
         return False
     grown = _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, members,
-                           _mask(members))
+                           inside)
     if grown is None:
         return False
     mul = ring.mul

@@ -72,6 +72,8 @@ def test_parse_missing_parameter():
 def test_parse_error_paths():
     cases = [
         ('{"ring":{"kind":"wat","n":3}}', "ring.kind"),
+        ('{"ring":{"kind":[]}}', "ring.kind"),
+        ('{"ring":{"kind":"product","a":{"kind":{}},"b":1}}', "ring.a.kind"),
         ('{"ring":{"kind":"zmod","n":1}}', "ring.n"),
         ('{"ring":{"kind":"trivial_extension","n":4,"orders":[3]}}',
          "ring.orders[0]"),

@@ -320,6 +320,18 @@ def test_witness_of_a_set_that_is_no_ideal_is_an_input_error():
         ideal_from_members(z6, [0, 1]).label()
 
 
+@pytest.mark.parametrize("code", [99, 6, -1])
+def test_a_code_outside_the_ring_makes_no_ideal(code):
+    from z2spec.rings import is_ideal_set
+
+    z6 = zmod(6)
+    members = frozenset({0, code})
+    assert not is_ideal_set(z6, members)
+    assert not is_ideal_set(z6, frozenset(range(6)) | {code})
+    with pytest.raises(InvalidInputError, match="not an ideal of Z/6"):
+        Ideal(z6, members).generators
+
+
 def test_catalog_flat_ideals_satisfy_invariants():
     from z2spec.catalog import CATALOG
     from z2spec.rings import ideal_members, is_ideal_set
