@@ -27,7 +27,7 @@ def render_dot(g: GradedRing, bound: int | None = None) -> str:
     report = graded_spec(g, "constructive", bound)
     graded = list(report.graded_points)
     base = list(report.base_points)
-    base_index = {p.members: k for k, p in enumerate(base)}
+    base_index = {p.mask: k for k, p in enumerate(base)}
 
     lines = ["digraph spectrum_correspondence {", "  rankdir=LR;",
              "  node [shape=box];"]
@@ -42,7 +42,7 @@ def render_dot(g: GradedRing, bound: int | None = None) -> str:
         lines.append(f"    b{k} [label={_quote(p.label())}];")
     lines.append("  }")
     for k, gp in enumerate(graded):
-        lines.append(f"  g{k} -> b{base_index[gp.p.members]} [style=dashed];")
+        lines.append(f"  g{k} -> b{base_index[gp.p.mask]} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

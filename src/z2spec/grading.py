@@ -27,15 +27,21 @@ from .rings import (
     RingElement,
     _StableSubgroup,
     _same_ring,
-    additive_closure,
     as_code,
     _additive_generators,
     _check_bound,
+    _code_mask,
+    _codes,
     _free_symbol,
+    _grow_subgroup,
+    _mask,
+    _mask_key,
+    _members,
     _memo,
     _subgroup_generators,
     _subgroup_lattice,
     _tables_by_digits,
+    _translator,
     ideal_members,
     is_stable_set,
     poly_quotient,
@@ -50,13 +56,16 @@ def _require(condition: bool, message: str) -> None:
 
 
 class GradedRing:
-    """A finite ring with a validated parity decomposition."""
+    """A finite ring with a validated parity decomposition; ``r0_mask`` and
+    ``r1_mask`` are the member masks of its parts."""
 
     def __init__(self, ring: FiniteRing, r0: frozenset, r1: frozenset,
                  provenance: str, decomposition: dict):
         self.ring = ring
         self.r0 = r0
         self.r1 = r1
+        self.r0_mask = _mask(r0)
+        self.r1_mask = _mask(r1)
         self.provenance = provenance
         self._decomposition = decomposition  # ambient code -> (even, odd) codes
         self._cache: dict = {}
@@ -75,6 +84,9 @@ class GradedRing:
                 f"even part of {provenance}", names)
             self._r0_embed = tuple(codes)
             self._r0_index = index
+        # R0 holds the codes 0..|R0|-1 (the trivial, quadratic and square-zero
+        # gradings): then an even mask is the same int in R and in R0
+        self._r0_first = self._r0_embed[-1] == len(self._r0_embed) - 1
 
     def __repr__(self):
         return f"GradedRing({self.provenance}, |R0|={len(self.r0)}, |R1|={len(self.r1)})"
@@ -91,15 +103,20 @@ class GradedRing:
 
     def embed_ideal(self, ideal: Ideal) -> frozenset:
         """Member set of an even-part ideal as ambient codes."""
-        _same_ring(self.r0_ring, ideal.ring)
-        if self.r0_ring is self.ring:
-            return ideal.members
-        return frozenset(self._r0_embed[c] for c in ideal.members)
+        return _members(self.ring, self._embed_mask(ideal))
 
-    def restrict_ideal(self, ambient_members: Iterable[int]) -> Ideal:
-        """Even-part ideal from a set of ambient codes (must lie in R0)."""
-        return Ideal(self.r0_ring,
-                     frozenset(map(self._r0_index.__getitem__, ambient_members)))
+    def _embed_mask(self, ideal: Ideal) -> int:
+        """``embed_ideal`` as a member mask."""
+        _same_ring(self.r0_ring, ideal.ring)
+        if self._r0_first:
+            return ideal.mask
+        return _mask(map(self._r0_embed.__getitem__, _codes(ideal.mask)))
+
+    def _restrict_mask(self, mask: int) -> Ideal:
+        """Even-part ideal from a member mask of ambient codes inside R0."""
+        if not self._r0_first:
+            mask = _mask(map(self._r0_index.__getitem__, _codes(mask)))
+        return Ideal._of(self.r0_ring, mask)
 
     def homogeneous_codes(self) -> tuple:
         return _memo(self, "homogeneous", lambda: tuple(sorted(self.r0 | self.r1)))
@@ -310,21 +327,28 @@ def trivial_extension(base: FiniteRing, module_orders: Sequence[int]) -> GradedR
 # submodules of the odd part
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, init=False)
 class Submodule(_StableSubgroup):
-    """An R0-submodule of R1 as a set of ambient codes; two submodules are
-    equal when they live in the identical graded ring and have the same
-    members.  Its label is the witness of the member set, as an ideal's
-    (``rings`` docstring, "Labels")."""
+    """An R0-submodule of R1 as the member mask of its ambient codes; two
+    submodules are equal when they live in the identical graded ring and
+    have the same members.  Built from a set of codes of R1.  Its label is
+    the witness of the member set, as an ideal's (``rings`` docstring,
+    "Labels")."""
 
+    __slots__ = ("graded_ring", "mask")
+    _OWNER = "graded_ring"
     graded_ring: GradedRing
-    members: frozenset
+    mask: int
 
-    def __post_init__(self):
-        g = self.graded_ring
-        if not self.members <= g.r1:
-            raise InvalidParameterError(
-                f"{g.ring.names[min(self.members - g.r1)]} is not in the odd part")
+    def __init__(self, graded_ring: GradedRing, members: frozenset):
+        g = graded_ring
+        mask = _code_mask(g.ring, members)
+        if mask is None or mask & ~g.r1_mask:
+            code = min(members - g.r1)
+            name = g.ring.names[code] if 0 <= code < g.ring.size else f"code {code}"
+            raise InvalidParameterError(f"{name} is not in the odd part")
+        object.__setattr__(self, "graded_ring", g)
+        object.__setattr__(self, "mask", mask)
 
     def _family(self) -> tuple:
         g = self.graded_ring
@@ -333,7 +357,7 @@ class Submodule(_StableSubgroup):
 
     @property
     def is_proper(self) -> bool:
-        return self.members != self.graded_ring.r1
+        return self.mask != self.graded_ring.r1_mask
 
 
 def cyclic_span(g: GradedRing, x: int) -> frozenset:
@@ -367,30 +391,39 @@ def _r1_products(g: GradedRing, members: Iterable[int]) -> set:
             for x in r1_gens}
 
 
-def _r1_colon(g: GradedRing, part: Iterable[int], target: frozenset) -> frozenset:
-    """{e in part : e*R1 <= target} for an additive group ``target``.
+def _r1_colon(g: GradedRing, part: Iterable[int], target: int) -> int:
+    """The mask of {e in part : e*R1 <= target} for the member mask
+    ``target`` of an additive group.
 
     e*x is additive in x, so e*R1 <= target exactly when e times each
     additive generator of R1 lies in target (``_r1_products``).
     """
-    mul = g.ring.mul
-    r1_gens = _r1_generators(g)
-    return frozenset(e for e in part if target.issuperset(map(mul[e].__getitem__, r1_gens)))
+    mul, r1_gens, colon = g.ring.mul, _r1_generators(g), 0
+    for e in part:
+        row = mul[e]
+        for x in r1_gens:
+            if not target >> row[x] & 1:
+                break
+        else:
+            colon |= 1 << e
+    return colon
 
 
-def _pair_bounds(g: GradedRing, i0: Ideal) -> tuple[frozenset, frozenset, frozenset]:
-    """(I0 in ambient codes, I0*R1, (I0 : R1) intersect R1) for an even
-    ideal I0: a submodule R' makes (I0, R') a graded pair exactly when it
-    lies between the last two (``graded_ideals`` docstring).  The ring is
-    checked first, then the three sets are memoized by the member set of I0,
-    so each ideal of R0 is embedded and bounded once."""
+def _pair_bounds(g: GradedRing, i0: Ideal) -> tuple[int, int, int]:
+    """The member masks of I0 in ambient codes, I0*R1 and
+    (I0 : R1) intersect R1 for an even ideal I0: a submodule R' makes
+    (I0, R') a graded pair exactly when it lies between the last two
+    (``graded_ideals`` docstring).  The ring is checked first, then the
+    three masks are memoized by the mask of I0, so each ideal of R0 is
+    embedded and bounded once."""
     _same_ring(g.r0_ring, i0.ring)
 
     def compute():
-        ambient = g.embed_ideal(i0)
-        return (ambient, additive_closure(g.ring, _r1_products(g, ambient)),
-                _r1_colon(g, g.r1, ambient))
-    return _memo(g, ("pair_bounds", i0.members), compute)
+        ring, ambient = g.ring, g._embed_mask(i0)
+        low = _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero,
+                             _r1_products(g, _codes(ambient)))[0]
+        return ambient, low, _r1_colon(g, g.r1, ambient)
+    return _memo(g, ("pair_bounds", i0.mask), compute)
 
 
 def submodule_members(g: GradedRing, gen_codes: Iterable[int]) -> frozenset:
@@ -425,7 +458,7 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     def compute():
         found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
                                   _r0_generators(g))
-        return tuple(sorted((Submodule(g, m) for m in found), key=Submodule.key))
+        return tuple(Submodule._of(g, mask) for mask in sorted(found, key=_mask_key(g.ring)))
     return _memo(g, "submodules", compute)
 
 
@@ -436,7 +469,7 @@ def residual(g: GradedRing, rp: Submodule) -> Ideal:
     """
     if rp.graded_ring is not g:
         raise InvalidParameterError("submodule belongs to a different graded ring")
-    return g.restrict_ideal(_r1_colon(g, g.r0, rp.members))
+    return g._restrict_mask(_r1_colon(g, g.r0, rp.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +484,12 @@ def r1_squared(g: GradedRing) -> Ideal:
 
 def r1_cubed(g: GradedRing) -> Submodule:
     """The submodule (R1^2) * R1 of the odd part."""
-    return _memo(g, "r1_cubed", lambda: Submodule(g, _pair_bounds(g, r1_squared(g))[1]))
+    return _memo(g, "r1_cubed", lambda: Submodule._of(g, _pair_bounds(g, r1_squared(g))[1]))
 
 
 def is_strongly_graded(g: GradedRing) -> bool:
     """True when the square of the odd part is the whole even part."""
-    return len(r1_squared(g).members) == g.r0_ring.size
+    return r1_squared(g).mask.bit_count() == g.r0_ring.size
 
 
 def strong_grading_certificate(g: GradedRing) -> tuple:

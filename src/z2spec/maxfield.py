@@ -61,15 +61,15 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
         graded = enumerate_graded_ideals(g, bound)
 
         def compute():
-            top = maximal_sets(j.flat_members for j in graded if j.is_proper)
-            return [j for j in graded if j.flat_members in top]
+            top = maximal_sets(j.flat_mask for j in graded if j.is_proper)
+            return [j for j in graded if j.flat_mask in top]
     elif method == "constructive":
         base_max = spec(g.r0_ring, bound)
 
         def compute():
-            sq = r1_squared(g).members
-            return [GradedIdeal(g, p, Submodule(g, g.r1)) if sq <= p.members
-                    else graded_ideal_from_ideal(g, p) for p in base_max]
+            sq = r1_squared(g).mask
+            return [graded_ideal_from_ideal(g, p) if sq & ~p.mask
+                    else GradedIdeal(g, p, Submodule._of(g, g.r1_mask)) for p in base_max]
     else:
         raise InvalidInputError(f"unknown method: {method!r}")
     return _memo(g, ("graded_max", method),
@@ -90,15 +90,15 @@ def is_graded_domain(g: GradedRing, method: str = "definitional") -> bool:
     """
     zero = g.ring.zero
     if method == "definitional":
-        return _no_pair_inside(g.ring.mul, g.homogeneous_codes(), frozenset({zero}))
+        return _no_pair_inside(g.ring.mul, g.homogeneous_codes(), 1 << zero)
     if method == "structural":
         if g.r1 == {zero}:
             r0 = g.r0_ring
-            return _no_pair_inside(r0.mul, range(r0.size), frozenset({r0.zero}))
-        zero_sub = Submodule(g, frozenset({zero}))
+            return _no_pair_inside(r0.mul, range(r0.size), 1 << r0.zero)
+        zero_sub = Submodule._of(g, 1 << zero)
         return (is_prime_submodule(g, zero_sub)
-                and residual(g, zero_sub).members == {g.r0_ring.zero}
-                and r1_cubed(g).members != {zero})
+                and residual(g, zero_sub).mask == 1 << g.r0_ring.zero
+                and r1_cubed(g).mask != 1 << zero)
     raise InvalidInputError(f"unknown method: {method!r}")
 
 
@@ -118,7 +118,7 @@ def is_graded_field(g: GradedRing, method: str = "definitional") -> bool:
             return False
         if g.r1 == {g.ring.zero}:
             return True
-        return r1_squared(g).members != {g.r0_ring.zero}
+        return r1_squared(g).mask != 1 << g.r0_ring.zero
     raise InvalidInputError(f"unknown method: {method!r}")
 
 
@@ -210,7 +210,7 @@ def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
 
 def _domain_equivalence(g: GradedRing) -> DomainEquivalenceReport:
     ring = g.ring
-    flat_domain = _no_pair_inside(ring.mul, range(ring.size), frozenset({ring.zero}))
+    flat_domain = _no_pair_inside(ring.mul, range(ring.size), 1 << ring.zero)
     graded_domain = is_graded_domain(g)
     kernel_trivial = norm_set(g) == {ring.zero}
     equivalence = flat_domain == (graded_domain and kernel_trivial)

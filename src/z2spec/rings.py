@@ -52,11 +52,21 @@ for x = sum n_j g_j and r = sum m_i r_i, and that sum lies in S because S is
 an additive group.  ``is_stable_set`` is an exact decision this way, at
 O(|S| + #gens(S) * #multipliers) table lookups.
 
-Member masks.  Every growth, the lattice walk and the label search work on
-member masks: the int with bit c set for each member code c.  They decode
-to frozensets only where they return (``_members``), so ``Ideal``,
-``Submodule`` and every caller see frozensets.  In every ring built by
-digits, addition is digitwise modular in the radix: u + v adds the digits
+Member masks.  Every member set is stored and handled as its member mask:
+the int with bit c set for each member code c.  ``Ideal``, ``Submodule``
+and ``graded_ideals.GradedIdeal`` keep only the mask; their ``members``
+(``flat_members``) decode it on each read (``_members``) and are never
+cached, as a set of 2^k codes takes about ten times the memory of its mask.
+Subset is ``a & ~b == 0``, size is ``int.bit_count`` and membership is a
+bit test, so the lattices, the pair scan and the records decode nothing.
+Canonical order on masks: among sets of one size, the sorted-tuple order of
+``canonical_key`` puts first the set that holds the lowest code c of the
+symmetric difference a ^ b, because both tuples agree below c, and there
+one has c and the other a larger code.  Reversing the bits of a mask (at
+one width per ring) makes c the highest bit in which a and b differ, so the
+set holding it has the larger reversal: sorting by (size, -bitreverse) is
+sorting by ``canonical_key``, with no decode (``_mask_key``).  In every
+ring built by digits, addition is digitwise modular in the radix: u + v adds the digits
 of u and v, each modulo its radix, with no carry (a test checks each
 constructor's radix against its add table; no constructor re-checks it).
 So translating a mask H by s takes one step per nonzero digit d of s, at
@@ -156,7 +166,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -273,19 +284,37 @@ class RingElement:
 
 
 class _StableSubgroup:
-    """An M-stable subgroup as its member set.  ``_family()`` gives (memo
+    """An M-stable subgroup as its member mask (module docstring, "Member
+    masks"); ``members`` decodes it on each read.  ``_family()`` gives (memo
     owner, named in the repr; ring of the codes; span x -> Mx; multipliers;
-    noun for error messages)."""
+    noun for error messages); ``_OWNER`` is the owner's field."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, owner, mask: int):
+        """The record of a mask that is known to be one of ``cls``."""
+        record = object.__new__(cls)
+        object.__setattr__(record, cls._OWNER, owner)
+        object.__setattr__(record, "mask", mask)
+        return record
+
+    def __reduce__(self):  # copy and pickle through ``_of``: the fields are frozen
+        return type(self)._of, (getattr(self, self._OWNER), self.mask)
+
+    @property
+    def members(self) -> frozenset:
+        return _members(self._family()[1], self.mask)
 
     @property
     def generators(self) -> tuple:
         """The witness of the member set (module docstring, "Labels")."""
         owner, ring, span, multipliers, what = self._family()
-        return _memo(owner, ("span_path", self.members), lambda: _span_path(
-            ring, span, multipliers, self.members, what))
+        return _memo(owner, ("span_path", self.mask), lambda: _span_path(
+            ring, span, multipliers, self.mask, what))
 
     def __contains__(self, value) -> bool:
-        return as_code(self._family()[1], value) in self.members
+        return bool(self.mask >> as_code(self._family()[1], value) & 1)
 
     def key(self):
         return canonical_key(self.members)
@@ -299,13 +328,24 @@ class _StableSubgroup:
         return f"{type(self).__name__}{self.label()} of {self._family()[0].provenance}"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, init=False)
 class Ideal(_StableSubgroup):
-    """An ideal as a closed member set; two ideals are equal when they live
-    in the identical ring and have the same members."""
+    """An ideal as its member mask, built from a set of codes of the ring;
+    two ideals are equal when they live in the identical ring and have the
+    same members."""
 
+    __slots__ = ("ring", "mask")
+    _OWNER = "ring"
     ring: FiniteRing
-    members: frozenset
+    mask: int
+
+    def __init__(self, ring: FiniteRing, members: frozenset):
+        mask = _code_mask(ring, members)
+        if mask is None:
+            raise InvalidInputError(
+                f"a set of {len(members)} codes is not an ideal of {ring.provenance}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "mask", mask)
 
     def _family(self) -> tuple:
         ring = self.ring
@@ -314,21 +354,34 @@ class Ideal(_StableSubgroup):
 
     def __le__(self, other: "Ideal") -> bool:
         _same_ring(self.ring, other.ring)
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
     def __lt__(self, other: "Ideal") -> bool:
-        _same_ring(self.ring, other.ring)
-        return self.members < other.members
+        return self <= other and self.mask != other.mask
 
     @property
     def is_proper(self) -> bool:
-        return self.ring.one not in self.members
+        return not self.mask >> self.ring.one & 1
 
 
 def canonical_key(members: frozenset) -> tuple:
     """The canonical order of member sets: cardinality, then the sorted
     member tuple."""
     return (len(members), tuple(sorted(members)))
+
+
+# byte b -> 255 minus b with its bits reversed (``_mask_key``)
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mask_key(ring: FiniteRing):
+    """The sort key (size, -bitreverse(mask)) on member masks of ``ring``,
+    which is the order of ``canonical_key`` (module docstring, "Member
+    masks"): as w bytes, least significant first, each reversed and
+    complemented, a mask reads as 2^(8w) - 1 - bitreverse(mask)."""
+    width = ring.size // 8 + 1
+    return lambda mask: (mask.bit_count(),
+                         mask.to_bytes(width, "little").translate(_REVERSED_COMPLEMENT))
 
 
 def _same_ring(a: FiniteRing, b: FiniteRing):
@@ -589,18 +642,30 @@ def _mask(codes: Iterable[int]) -> int:
     return mask
 
 
+def _code_mask(ring: FiniteRing, codes: Iterable) -> int | None:
+    """The member mask of ``codes``, or None if one is no code of the ring."""
+    try:
+        mask = _mask(codes)
+    except (TypeError, ValueError):  # not an int, or a negative shift count
+        return None
+    return None if mask >> ring.size else mask
+
+
+def _codes(mask: int) -> Iterator[int]:
+    """The codes of a member mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _members(ring: FiniteRing, mask: int) -> frozenset:
     """The codes of a member mask.  Each code is the int object stored in
     the add table (row of zero), so decoded sets share their ints with the
     table rather than allocate one per member above 256.  Built as the
     union of two halves, which sizes the table of a set of 2^k codes as
     small as a grown one's."""
-    row = ring.add[ring.zero]
-    codes = []
-    while mask:
-        low = mask & -mask
-        codes.append(row[low.bit_length() - 1])
-        mask ^= low
+    codes = list(map(ring.add[ring.zero].__getitem__, _codes(mask)))
     half = len(codes) // 2
     return frozenset(codes[:half]).union(codes[half:])
 
@@ -701,21 +766,23 @@ def ideal_from_members(ring: FiniteRing, members: Iterable) -> Ideal:
 
 
 def is_stable_set(ring: FiniteRing, multipliers: tuple, members: frozenset) -> bool:
-    """Decide whether a member set is an M-stable subgroup, exactly: grow
-    its subgroup inside it, then test its generators times the multipliers
-    (module docstring).  A code outside 0..|R|-1 makes it False."""
-    try:
-        inside = _mask(members)
-    except ValueError:  # a negative shift count: a negative code
+    """Decide whether a member set is an M-stable subgroup, exactly.  A code
+    outside 0..|R|-1 makes it False."""
+    inside = _code_mask(ring, members)
+    return inside is not None and _is_stable_mask(ring, multipliers, inside)
+
+
+def _is_stable_mask(ring: FiniteRing, multipliers: tuple, inside: int) -> bool:
+    """``is_stable_set`` of a member mask: grow its subgroup inside it, then
+    test its generators times the multipliers (module docstring)."""
+    if not inside >> ring.zero & 1:
         return False
-    if ring.zero not in members or inside >> ring.size:
-        return False
-    grown = _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, members,
+    grown = _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, _codes(inside),
                            inside)
     if grown is None:
         return False
     mul = ring.mul
-    return all(mul[g][m] in members for g in grown[1] for m in multipliers)
+    return all(inside >> mul[g][m] & 1 for g in grown[1] for m in multipliers)
 
 
 def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
@@ -733,15 +800,17 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
                 multipliers: tuple) -> list:
     """The distinct spans ``span(x)`` in lattice order, as (label, member
     mask, additive seeds): each labelled by the first x of ``labels`` giving
-    it, and ordered by ``canonical_key`` of its members.  The seeds are the
-    span's own additive generators, picked from x times the multipliers, so
-    each of them enlarges the subgroup grown from the ones before it."""
+    it, and in canonical order (``_mask_key``).  The seeds are the span's
+    own additive generators, picked from x times the multipliers, so each of
+    them enlarges the subgroup grown from the ones before it."""
     first = {}
     for x in labels:
         first.setdefault(span(x), x)
-    return [(x, _mask(members), tuple(_subgroup_generators(
+    key = _mask_key(ring)
+    return [(x, members, tuple(_subgroup_generators(
                 ring, span_seeds(ring, multipliers, x))))
-            for members, x in sorted(first.items(), key=lambda kv: canonical_key(kv[0]))]
+            for members, x in sorted(((_mask(members), x) for members, x in first.items()),
+                                     key=lambda mx: key(mx[0]))]
 
 
 def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
@@ -765,14 +834,11 @@ def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
 def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
                       multipliers: tuple) -> list:
     """Every sum of the spans ``span(x)`` for x in ``labels``, as a list of
-    member sets.
+    member masks, in the order found.
 
     The spans come from ``_span_order``.  Breadth-first from {0} on member
     masks (module docstring, "Lattice enumeration"): a child new to the
-    lattice joins the end of the node list.  The member sets are decoded in
-    that order, close to the canonical order callers sort them into; decoded
-    in the hash order of ``found``, they lay scattered in memory, and
-    walking them in canonical order took twice as long.
+    lattice joins the end of the node list, and the list is the result.
     """
     spans = _span_order(ring, labels, span, multipliers)
     add, shift = ring.add, _translator(ring)
@@ -793,19 +859,19 @@ def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
             if child not in found:
                 found.add(child)
                 nodes.append(child)
-    return [_members(ring, mask) for mask in nodes]
+    return nodes
 
 
-def _span_path(ring: FiniteRing, span, multipliers: tuple, target: frozenset,
+def _span_path(ring: FiniteRing, span, multipliers: tuple, goal: int,
                what: str) -> tuple:
-    """The generator witness of the M-stable set ``target``: the
+    """The generator witness of the M-stable set of mask ``goal``: the
     lexicographically least shortest sequence of spans ``span(x)`` summing
     to it (module docstring, "Labels").
 
     A set that is not M-stable (``is_stable_set``), and so not ``what``
     (such as "an ideal of Z/6"), raises ``InvalidInputError`` before any
     span is built.  The spans inside an M-stable set are the Mx with x in
-    it, so ``_span_order`` takes its sorted members as labels: Mx = My puts
+    it, so ``_span_order`` takes its members in code order as labels: Mx = My puts
     x and y in it together, so this keeps each span's label.  Iterative
     deepening on member masks: depth-first in span order with 0, 1, 2, ...
     steps, so the first path found is the answer.  A node H with k steps
@@ -813,18 +879,18 @@ def _span_path(ring: FiniteRing, span, multipliers: tuple, target: frozenset,
     target (|H + S| <= |H| * |S|), and a (node, steps left) pair that failed
     once is never searched again.
     """
-    if not is_stable_set(ring, multipliers, target):
-        raise InvalidInputError(f"a set of {len(target)} codes is not {what}")
-    spans = _span_order(ring, sorted(target), span, multipliers)
+    size = goal.bit_count()
+    if not _is_stable_mask(ring, multipliers, goal):
+        raise InvalidInputError(f"a set of {size} codes is not {what}")
+    spans = _span_order(ring, _codes(goal), span, multipliers)
     add, shift = ring.add, _translator(ring)
-    goal = _mask(target)
     widest = max(members.bit_count() for _, members, _ in spans)
     dead = set()
 
     def search(node, left):
         if left == 0:
             return () if node == goal else None
-        if (node, left) in dead or node.bit_count() * widest ** left < len(target):
+        if (node, left) in dead or node.bit_count() * widest ** left < size:
             return None
         for x, members, seeds in spans:
             if not members & ~node:
@@ -837,7 +903,7 @@ def _span_path(ring: FiniteRing, span, multipliers: tuple, target: frozenset,
         return None
 
     # the spans sum to the target, each step at least doubling the sum
-    return next(path for depth in range(len(target).bit_length())
+    return next(path for depth in range(size.bit_length())
                 if (path := search(1 << ring.zero, depth)) is not None)
 
 
@@ -850,7 +916,7 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     def compute():
         found = _subgroup_lattice(ring, range(ring.size), partial(principal_span, ring),
                                   _additive_generators(ring))
-        return tuple(sorted((Ideal(ring, members) for members in found), key=Ideal.key))
+        return tuple(Ideal._of(ring, mask) for mask in sorted(found, key=_mask_key(ring)))
     return _memo(ring, "ideals", compute)
 
 
@@ -869,19 +935,20 @@ def prime_violation(ring: FiniteRing, members: frozenset) -> tuple | None:
                         members)
 
 
-def _no_pair_inside(mul, codes: Iterable[int], members: frozenset) -> bool:
-    """True when no pair (r, s) of ``codes`` outside ``members`` has rs
-    inside: exactly ``_pair_inside`` finding none, but the pairs (r, r)
-    come first, one lookup each, and stop at the first square inside (in
-    most ideals that are not prime, a few codes in).  Only a set that no
-    square enters gets the full pair scan.  Reads ``codes`` once."""
+def _no_pair_inside(mul, codes: Iterable[int], inside: int) -> bool:
+    """True when no pair (r, s) of ``codes`` outside the member mask
+    ``inside`` has rs inside: exactly ``_pair_inside`` finding none, but the
+    pairs (r, r) come first, one lookup each, and stop at the first square
+    inside (in most ideals that are not prime, a few codes in).  Only a set
+    that no square enters gets the full pair scan, on the set of its codes.
+    Reads ``codes`` once."""
     outside = []
     for r in codes:
-        if r not in members:
-            if mul[r][r] in members:
+        if not inside >> r & 1:
+            if inside >> mul[r][r] & 1:
                 return False
             outside.append(r)
-    return _pair_inside(mul, outside, members) is None
+    return _pair_inside(mul, outside, frozenset(_codes(inside))) is None
 
 
 def _pair_inside(mul, outside: list, members: frozenset) -> tuple | None:
@@ -904,36 +971,37 @@ def classify_ideal(ring: FiniteRing, ideal: Ideal,
     witness = prime_violation(ring, ideal.members) if proper else None
     prime = proper and witness is None
     maximal = ideal in points
-    is_rad = radical_members(ring, ideal.members) == ideal.members
+    is_rad = radical_members(ring, ideal.mask) == ideal.mask
     return IdealClassification(proper, prime, maximal, is_rad, witness)
 
 
 def _idempotent_fibres(ring: FiniteRing) -> dict:
-    """{e: {x : x^omega = e}} over the idempotents e, in code order (cached
-    per ring; module docstring, "Radicals").  x^omega is the first of x,
-    x^2, ... that squares to itself."""
+    """{e: mask of {x : x^omega = e}} over the idempotents e, in code order
+    (cached per ring; module docstring, "Radicals").  x^omega is the first
+    of x, x^2, ... that squares to itself."""
     def compute():
         mul, fibres = ring.mul, {}
         for x, row in enumerate(mul):
             power = x
             while mul[power][power] != power:
                 power = row[power]
-            fibres.setdefault(power, []).append(x)
-        return {e: frozenset(fibres[e]) for e in sorted(fibres)}
+            fibres[power] = fibres.get(power, 0) | 1 << x
+        return {e: fibres[e] for e in sorted(fibres)}
     return _memo(ring, "idempotent_fibres", compute)
 
 
-def radical_members(ring: FiniteRing, members: frozenset) -> frozenset:
-    """{x : some power of x lies in ``members``}, for ``members`` an ideal
-    (such as {0}): the union of the fibres of the idempotents in it."""
-    return frozenset().union(*(fibre for e, fibre in _idempotent_fibres(ring).items()
-                               if e in members))
+def radical_members(ring: FiniteRing, inside: int) -> int:
+    """The mask of {x : some power of x lies in the set of mask ``inside``},
+    for an ideal (such as {0}): the union of the fibres of the idempotents
+    in it."""
+    return reduce(or_, (fibre for e, fibre in _idempotent_fibres(ring).items()
+                        if inside >> e & 1), 0)
 
 
 def radical(ring: FiniteRing, ideal: Ideal) -> Ideal:
     """{x : x^n lies in the ideal for some n >= 1} (``radical_members``)."""
     _same_ring(ring, ideal.ring)
-    return Ideal(ring, radical_members(ring, ideal.members))
+    return Ideal._of(ring, radical_members(ring, ideal.mask))
 
 
 def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
@@ -951,21 +1019,21 @@ def spec(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal, ...]:
         for e in idempotents:
             if e == zero or any(mul[f][e] not in (zero, e) for f in idempotents):
                 continue  # not primitive
-            members = frozenset(x for x in range(ring.size) if mul[x][e] in nilradical)
-            primes.append(Ideal(ring, members))
-        return tuple(sorted(primes, key=Ideal.key))
+            primes.append(_mask(x for x in range(ring.size) if nilradical >> mul[x][e] & 1))
+        return tuple(Ideal._of(ring, mask) for mask in sorted(primes, key=_mask_key(ring)))
     return _memo(ring, "spec", compute)
 
 
-def maximal_sets(sets: Iterable[frozenset]) -> frozenset:
-    """The sets that no other of the given sets strictly contains.
+def maximal_sets(masks: Iterable[int]) -> frozenset:
+    """The member masks whose sets no other of the given sets strictly
+    contains.
 
     Largest first, a set is kept when no kept set strictly contains it: a
     strictly larger set lies in a maximal one, visited and kept earlier.
     """
     kept = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(s < k for k in kept):
+    for s in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(s != k and not s & ~k for k in kept):
             kept.append(s)
     return frozenset(kept)
 

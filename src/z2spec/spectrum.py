@@ -14,12 +14,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import and_
 
 from .errors import InvalidInputError
 from .graded_ideals import (
     GradedIdeal,
     _pair_sum,
-    decompose_codes,
+    decompose_mask,
     enumerate_graded_ideals,
 )
 from .grading import (
@@ -30,6 +31,7 @@ from .grading import (
 )
 from .rings import (
     Ideal,
+    _mask,
     _memo,
     _no_pair_inside,
     _same_ring,
@@ -76,7 +78,7 @@ def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
     return j.is_proper and _no_pair_inside(g.ring.mul, g.homogeneous_codes(),
-                                           j.flat_members)
+                                           j.flat_mask)
 
 
 def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
@@ -85,17 +87,18 @@ def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
         raise InvalidInputError("submodule belongs to a different graded ring")
     if not rp.is_proper:
         return False
-    inside, mul = rp.members, g.ring.mul
-    outside = [m for m in g.r1 if m not in inside]
-    return not any(mul[a][m] in inside
-                   for a in g.r0 - _r1_colon(g, g.r0, inside) for m in outside)
+    inside, mul = rp.mask, g.ring.mul
+    outside = [m for m in g.r1 if not inside >> m & 1]
+    colon = _r1_colon(g, g.r0, inside)
+    return not any(inside >> mul[a][m] & 1
+                   for a in g.r0 if not colon >> a & 1 for m in outside)
 
 
 def _tagged(g: GradedRing, q: GradedIdeal) -> GradedPrime:
     """A graded prime q with its shape: full odd part when R1 <= q, prime
     submodule otherwise; q is not tested."""
-    kind = (PrimeKind.FULL_ODD_PART if g.r1 <= q.flat_members
-            else PrimeKind.PRIME_SUBMODULE)
+    kind = (PrimeKind.PRIME_SUBMODULE if g.r1_mask & ~q.flat_mask
+            else PrimeKind.FULL_ODD_PART)
     return GradedPrime(q, kind, q.i0)
 
 
@@ -122,9 +125,9 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     ``spectrum.methods-agree`` and ``homeo.methods-agree`` check."""
     _same_ring(g.r0_ring, p.ring)
     if not p.is_proper or not _no_pair_inside(g.r0_ring.mul, range(g.r0_ring.size),
-                                               p.members):
+                                               p.mask):
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
-    return _tagged(g, GradedIdeal(g, p, Submodule(g, _pair_bounds(g, p)[2])))
+    return _tagged(g, GradedIdeal(g, p, Submodule._of(g, _pair_bounds(g, p)[2])))
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,8 @@ def r1_bracket(g: GradedRing, i0: Ideal) -> Submodule:
     set, and its closure is a measured observation
     (``radical.bracket-closure-observation``), not a promise.
     """
-    _same_ring(g.r0_ring, i0.ring)
-    i0_ambient = g.embed_ideal(i0)
-    mul = g.ring.mul
-    return Submodule(g, frozenset(x for x in g.r1 if mul[x][x] in i0_ambient))
+    i0_ambient, mul = g._embed_mask(i0), g.ring.mul
+    return Submodule._of(g, _mask(x for x in g.r1 if i0_ambient >> mul[x][x] & 1))
 
 
 def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
@@ -186,30 +187,25 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     J0).
 
     The formula reads only ``j.i0`` and is memoized by it per graded ring;
-    the other two split their member sets through ``decompose_codes``, which
-    is memoized per set.  Each method still computes its member set itself.
+    the other two split their member masks through ``decompose_mask``, which
+    is memoized per mask.  Each method still computes its member set itself.
     """
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
     if method == "definitional":
-        rad = radical_members(g.ring, j.flat_members)
-        return decompose_codes(g, _pair_sum(g, rad & g.r0, rad & g.r1))
+        rad = radical_members(g.ring, j.flat_mask)
+        return decompose_mask(g, _pair_sum(g, rad & g.r0_mask, rad & g.r1_mask))
     if method == "intersection":
-        containing = [
-            gp.flat_members
-            for gp in graded_spec(g, "definitional", bound).graded_points
-            if j.flat_members <= gp.flat_members
-        ]
-        if not containing:
-            members = frozenset(range(g.ring.size))
-        else:
-            members = reduce(frozenset.__and__, containing)
-        return decompose_codes(g, members)
+        flats = (gp.ideal.flat_mask
+                 for gp in graded_spec(g, "definitional", bound).graded_points)
+        whole = (1 << g.ring.size) - 1
+        return decompose_mask(g, reduce(
+            and_, (flat for flat in flats if not j.flat_mask & ~flat), whole))
     if method == "formula":
         def compute():
             sqrt_j0 = radical(g.r0_ring, j.i0)
             return GradedIdeal(g, sqrt_j0, r1_bracket(g, sqrt_j0))
-        return _memo(g, ("formula_radical", j.i0.members), compute)
+        return _memo(g, ("formula_radical", j.i0.mask), compute)
     raise InvalidInputError(f"unknown radical method: {method!r}")
 
 

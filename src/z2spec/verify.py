@@ -121,9 +121,9 @@ def _run(name: str, check, g: GradedRing, bound) -> CheckRecord:
 
 
 def _ideals_oracle(g, bound):
-    pair_flats = {j.flat_members for j in enumerate_graded_ideals(g, bound)}
+    pair_flats = {j.flat_mask for j in enumerate_graded_ideals(g, bound)}
     # distinct ideals: equal counts and containment make the sets equal
-    filtered = [i.members for i in enumerate_ideals(g.ring, bound)
+    filtered = [i.mask for i in enumerate_ideals(g.ring, bound)
                 if is_graded_ideal(g, i)]
     if len(pair_flats) != len(filtered) or not pair_flats.issuperset(filtered):
         return FAIL, (f"{len(pair_flats)} pair-built vs {len(filtered)}"
@@ -136,7 +136,7 @@ def _ideals_roundtrip(g, bound):
         again = decompose_graded(g, j)
         if again.i0 != j.i0 or again.r_part != j.r_part:
             return FAIL, f"{j.label()} does not decompose back to its pair"
-        if j.is_proper != (g.ring.one not in j.flat_members):
+        if j.is_proper != (not j.flat_mask >> g.ring.one & 1):
             return FAIL, f"{j.label()} has an inconsistent properness flag"
     return PASS, None
 
@@ -199,10 +199,10 @@ def _ideals_strong_span_cancellation(g, bound):
     if not is_strongly_graded(g):
         return NOT_APPLICABLE, "not strongly graded"
     ideals = enumerate_ideals(g.r0_ring, bound)
-    spans = [graded_ideal_from_ideal(g, i).r_part.members for i in ideals]
+    spans = [graded_ideal_from_ideal(g, i).r_part.mask for i in ideals]
     for i, si in zip(ideals, spans):
         for k, sk in zip(ideals, spans):
-            if si <= sk and not i.members <= k.members:
+            if not si & ~sk and i.mask & ~k.mask:
                 return FAIL, (f"I*R1 <= I'*R1 but I !<= I' for"
                               f" I={i.label()}, I'={k.label()}")
     return PASS, None
@@ -221,17 +221,17 @@ def _points(g, bound):
 
 
 def _spectrum_methods_agree(g, bound):
-    d = {p.flat_members for p in _points(g, bound)}
-    c = {p.flat_members for p in graded_spec(g, "constructive", bound).graded_points}
+    d = {p.ideal.flat_mask for p in _points(g, bound)}
+    c = {p.ideal.flat_mask for p in graded_spec(g, "constructive", bound).graded_points}
     if d != c:
         return FAIL, f"{len(d)} definitional vs {len(c)} constructive points"
     for name, ring in (("R", g.ring), ("R0", g.r0_ring)):
         # spec builds no lattice: the prime and the maximal ideals are its oracles
-        proper = [i.members for i in enumerate_ideals(ring, bound) if i.is_proper]
+        proper = [i.mask for i in enumerate_ideals(ring, bound) if i.is_proper]
         primes = {m for m in proper
                   if _no_pair_inside(ring.mul, range(ring.size), m)}
         maximal = maximal_sets(proper)
-        points = {p.members for p in spec(ring, bound)}
+        points = {p.mask for p in spec(ring, bound)}
         if not points == primes == maximal:
             return FAIL, (f"Spec {name}: {len(points)} points from idempotents vs"
                           f" {len(primes)} prime, {len(maximal)} maximal ideals")
@@ -240,9 +240,9 @@ def _spectrum_methods_agree(g, bound):
 
 def _spectrum_classification(g, bound):
     primes = set(spec(g.r0_ring, bound))
-    square, cube = r1_squared(g).members, r1_cubed(g).members
+    square, cube = r1_squared(g).mask, r1_cubed(g).mask
     for gp in _points(g, bound):
-        full_odd = g.r1 <= gp.flat_members
+        full_odd = not g.r1_mask & ~gp.ideal.flat_mask
         if (gp.kind is PrimeKind.FULL_ODD_PART) != full_odd:
             return FAIL, f"{gp.label()} has the wrong case tag"
         if gp.p != gp.ideal.i0:
@@ -250,9 +250,9 @@ def _spectrum_classification(g, bound):
         if gp.p not in primes:
             return FAIL, f"{gp.label()} contracts to a non-prime"
         rp = gp.ideal.r_part
-        if not (square <= gp.p.members if full_odd else
+        if not (not square & ~gp.p.mask if full_odd else
                 residual(g, rp) == gp.p and is_prime_submodule(g, rp)
-                and not cube <= rp.members):
+                and cube & ~rp.mask):
             return FAIL, f"{gp.label()} does not have the shape of its case"
     return PASS, None
 
@@ -270,12 +270,12 @@ def _spectrum_odd_part_bracket(g, bound):
 
 
 def _spectrum_residual_recovery(g, bound):
-    sq = r1_squared(g).members
+    sq = r1_squared(g).mask
     for p in spec(g.r0_ring, bound):
-        if sq <= p.members:
+        if not sq & ~p.mask:
             continue
         span = graded_ideal_from_ideal(g, p).r_part
-        if residual(g, span).members != p.members:
+        if residual(g, span) != p:
             return FAIL, f"(pR1 : R1) != p for p={p.label()}"
     return PASS, None
 
@@ -295,15 +295,15 @@ def _spectrum_unit_sum_form(g, bound):
 def _spectrum_nil_case(g, bound):
     # R1^2 inside the nilradical of R0: the graded primes are the primes
     # of R, and each contains the whole odd part
-    nilradical = radical_members(g.r0_ring, frozenset({g.r0_ring.zero}))
-    if not r1_squared(g).members <= nilradical:
+    nilradical = radical_members(g.r0_ring, 1 << g.r0_ring.zero)
+    if r1_squared(g).mask & ~nilradical:
         return NOT_APPLICABLE, "odd part squared is not nilpotent"
     points = _points(g, bound)
-    if ({gp.flat_members for gp in points}
-            != {i.members for i in spec(g.ring, bound)}):
+    if ({gp.ideal.flat_mask for gp in points}
+            != {i.mask for i in spec(g.ring, bound)}):
         return FAIL, "graded primes and flat primes differ as sets"
     for gp in points:
-        if gp.ideal.r_part.members != g.r1:
+        if gp.ideal.r_part.mask != g.r1_mask:
             return FAIL, f"{gp.label()} does not contain the odd part"
     return PASS, None
 
@@ -324,8 +324,8 @@ def _spectrum_dimension(g, bound):
 
 
 def _homeo_methods_agree(g, bound):
-    d = {gp.flat_members for gp in _points(g, bound)}
-    c = {gp.flat_members
+    d = {gp.ideal.flat_mask for gp in _points(g, bound)}
+    c = {gp.ideal.flat_mask
          for gp in graded_spec(g, "constructive", bound).graded_points}
     if d != c:
         return FAIL, f"{len(d ^ c)} points differ between methods"
@@ -333,24 +333,23 @@ def _homeo_methods_agree(g, bound):
 
 
 def _homeo_bijective(g, bound):
-    images = [gp.p.members for gp in _points(g, bound)]
+    images = [gp.p.mask for gp in _points(g, bound)]
     if (len(set(images)) != len(images)
-            or set(images) != {p.members for p in spec(g.r0_ring, bound)}):
+            or set(images) != {p.mask for p in spec(g.r0_ring, bound)}):
         return FAIL, "contraction is not a bijection onto the base spectrum"
     return PASS, None
 
 
 def _homeo_roundtrip(g, bound):
     base = spec(g.r0_ring, bound)
-    base_sets = {p.members for p in base}
     for gp in _points(g, bound):
         p = phi(g, gp)
-        if p.members not in base_sets:  # phi_inverse would reject it
+        if p not in base:  # phi_inverse would reject it
             return FAIL, f"phi({gp.label()}) is not a prime of the even part"
-        if phi_inverse(g, p).flat_members != gp.flat_members:
+        if phi_inverse(g, p).ideal != gp.ideal:
             return FAIL, f"phi_inverse(phi({gp.label()})) differs"
     for p in base:
-        if phi(g, phi_inverse(g, p)).members != p.members:
+        if phi(g, phi_inverse(g, p)) != p:
             return FAIL, f"phi(phi_inverse({p.label()})) differs"
     return PASS, None
 
@@ -358,9 +357,8 @@ def _homeo_roundtrip(g, bound):
 def _homeo_even_pullback(g, bound):
     graded = _points(g, bound)
     for a in sorted(g.r0):
-        direct = {gp.flat_members for gp in graded if a in gp.flat_members}
-        via_base = {gp.flat_members for gp in graded
-                    if g.to_r0(a) in gp.p.members}
+        direct = {gp for gp in graded if gp.ideal.flat_mask >> a & 1}
+        via_base = {gp for gp in graded if gp.p.mask >> g.to_r0(a) & 1}
         if direct != via_base:
             return FAIL, f"closed set of {g.ring.names[a]} does not pull back"
     return PASS, None
@@ -369,9 +367,9 @@ def _homeo_even_pullback(g, bound):
 def _homeo_homogeneous_image(g, bound):
     graded, base, mul = _points(g, bound), spec(g.r0_ring, bound), g.ring.mul
     for r in g.homogeneous_codes():
-        image = {gp.p.members for gp in graded if r in gp.flat_members}
+        image = {gp.p for gp in graded if gp.ideal.flat_mask >> r & 1}
         square = g.to_r0(mul[r][r])
-        if image != {p.members for p in base if square in p.members}:
+        if image != {p for p in base if p.mask >> square & 1}:
             return FAIL, (f"image of the closed set of {g.ring.names[r]}"
                           f" is not the closed set of its square")
     return PASS, None
@@ -400,7 +398,7 @@ def _radical_idempotent(g, bound):
 
 def _radical_contains(g, bound):
     for j in enumerate_graded_ideals(g, bound):
-        if not j.flat_members <= graded_radical(g, j, "formula", bound).flat_members:
+        if j.flat_mask & ~graded_radical(g, j, "formula", bound).flat_mask:
             return FAIL, f"{j.label()} escapes its radical"
     return PASS, None
 
@@ -409,9 +407,9 @@ def _radical_bracket_observation(g, bound):
     graded = enumerate_graded_ideals(g, bound)
     closed = {}  # the literal bracket depends on J0 alone: test it once per J0
     for j in graded:
-        if j.i0.members not in closed:
-            closed[j.i0.members] = is_submodule_set(g, r1_bracket(g, j.i0).members)
-    flags = [closed[j.i0.members] for j in graded]
+        if j.i0 not in closed:
+            closed[j.i0] = is_submodule_set(g, r1_bracket(g, j.i0).members)
+    flags = [closed[j.i0] for j in graded]
     example = next((j.i0.label() for j, flag in zip(graded, flags) if not flag), None)
     note = f"literal bracket closed for {sum(flags)}/{len(graded)} even parts"
     if example is not None:
@@ -432,20 +430,19 @@ def _maximal_submodule_residual(g, bound):
     # over the submodules not containing R1^3: maximal exactly when the
     # residual is maximal, and then equal to residual*R1
     subs = submodules(g, bound)
-    cube = r1_cubed(g).members
-    applicable = [rp for rp in subs if not cube <= rp.members]
+    cube = r1_cubed(g).mask
+    applicable = [rp for rp in subs if cube & ~rp.mask]
     if not applicable:
         return NOT_APPLICABLE, "no applicable submodules"
-    top = maximal_sets(rp.members for rp in subs if rp.is_proper)
-    base_max = {m.members for m in spec(g.r0_ring, bound)}
+    top = maximal_sets(rp.mask for rp in subs if rp.is_proper)
+    base_max = set(spec(g.r0_ring, bound))
     for rp in applicable:
         res = residual(g, rp)
-        is_max_sub, res_max = rp.members in top, res.members in base_max
+        is_max_sub, res_max = rp.mask in top, res in base_max
         if is_max_sub != res_max:
             return FAIL, (f"{rp.label()}: maximal-submodule={is_max_sub},"
                           f" residual-maximal={res_max}")
-        if is_max_sub and (graded_ideal_from_ideal(g, res).r_part.members
-                           != rp.members):
+        if is_max_sub and graded_ideal_from_ideal(g, res).r_part != rp:
             return FAIL, f"{rp.label()} is not residual*R1"
     return PASS, f"{len(applicable)} applicable submodule(s)"
 
@@ -460,17 +457,17 @@ def _maximal_local(g, bound):
 
 
 def _maximal_prime(g, bound):
-    prime_flats = {p.flat_members for p in _points(g, bound)}
+    prime_flats = {p.ideal for p in _points(g, bound)}
     for j in graded_max(g, "definitional", bound):
-        if j.flat_members not in prime_flats:
+        if j not in prime_flats:
             return FAIL, f"{j.label()} is graded maximal but not graded prime"
     return PASS, None
 
 
 def _maximal_contraction_bijective(g, bound):
     maximals = graded_max(g, "definitional", bound)
-    images = [j.i0.members for j in maximals]
-    targets = {p.members for p in spec(g.r0_ring, bound)}
+    images = [j.i0 for j in maximals]
+    targets = set(spec(g.r0_ring, bound))
     if len(set(images)) != len(images) or set(images) != targets:
         return FAIL, ("contraction of the graded maximal ideals is not a"
                       " bijection onto the maximal ideals of the even part")
@@ -542,7 +539,7 @@ def _field_strong_domain(g, bound):
     if not is_strongly_graded(g):
         return NOT_APPLICABLE, "not strongly graded"
     r0 = g.r0_ring
-    base_domain = _no_pair_inside(r0.mul, range(r0.size), frozenset({r0.zero}))
+    base_domain = _no_pair_inside(r0.mul, range(r0.size), 1 << r0.zero)
     if is_graded_domain(g) != base_domain:
         return FAIL, "graded domain flag disagrees with the even part"
     return PASS, None

@@ -31,7 +31,7 @@ from z2spec.grading import (
     truncated_poly,
 )
 from z2spec.instances import InstanceSpec, build_instance
-from z2spec.rings import Ideal, enumerate_ideals, ideal_generate, zmod
+from z2spec.rings import Ideal, _mask, enumerate_ideals, ideal_generate, zmod
 from z2spec.spectrum import graded_spec
 from z2spec.verify import RECORDS, _run, run_verify
 
@@ -208,11 +208,12 @@ def test_pair_bounds_decide_compatibility(case):
     for i0 in enumerate_ideals(g.r0_ring, bound):
         bounds = _pair_bounds(g, i0)
         i0_ambient, low, high = bounds
-        assert i0_ambient == g.embed_ideal(i0)
-        assert type(low) is frozenset and type(high) is frozenset
+        assert i0_ambient == _mask(g.embed_ideal(i0))
+        assert type(low) is int and type(high) is int  # member masks
         assert _pair_bounds(g, Ideal(i0.ring, i0.members)) is bounds
         for rp in subs:
-            assert (low <= rp.members <= high) == naive_compatible(g, i0_ambient, rp.members)
+            between = not low & ~rp.mask and not rp.mask & ~high
+            assert between == naive_compatible(g, g.embed_ideal(i0), rp.members)
 
 
 def test_pair_checks_grow_no_submodule(monkeypatch):
@@ -258,17 +259,18 @@ def test_cached_graded_ideals_and_primes_are_frozen():
 def test_cold_verify_embeds_no_even_ideal_per_graded_ideal(monkeypatch):
     """A cold full verify of Z/2 x F2^6 (2,826 graded ideals over 2 even
     ideals) embeds even ideals a bounded number of times: each pair reads
-    its even ideal's embedding from ``grading._pair_bounds``."""
+    its even ideal's embedding from ``grading._pair_bounds``.  Every
+    embedding, ``embed_ideal`` included, goes through ``_embed_mask``."""
     spec_ = InstanceSpec({"kind": "trivial_extension", "n": 2, "orders": [2] * 6})
     g = build_instance(spec_)
     for owner in (g, g.ring, g.r0_ring):
         monkeypatch.setattr(owner, "_cache", {})
     calls = []
-    embed = GradedRing.embed_ideal
+    embed = GradedRing._embed_mask
 
     def counting(self, ideal):
         calls.append(ideal)
         return embed(self, ideal)
-    monkeypatch.setattr(GradedRing, "embed_ideal", counting)
+    monkeypatch.setattr(GradedRing, "_embed_mask", counting)
     assert run_verify(spec_).status == "pass"
     assert 0 < len(calls) <= 16

@@ -260,6 +260,13 @@ def test_submodule_rejects_members_outside_the_odd_part():
     assert Submodule(g, frozenset({0})).members == g.r1
 
 
+@pytest.mark.parametrize("code", [99, 16, -1])
+def test_submodule_rejects_a_code_outside_the_ring(code):
+    # Z/4[i] has the codes 0..15; the member mask is built at construction
+    with pytest.raises(InvalidParameterError, match=f"code {code} is not in the odd part"):
+        Submodule(GAUSSIAN4, frozenset({0, code}))
+
+
 def test_label_of_a_set_that_is_no_submodule_is_an_input_error():
     # {0, i} lies in R1 of Z/4[i] but is no submodule: R0*i is all of R1
     with pytest.raises(InvalidInputError,

@@ -48,6 +48,7 @@ from z2spec.rings import (
     _additive_generators,
     _grow_subgroup,
     _mask,
+    _mask_key,
     _members,
     _span_child,
     _span_order,
@@ -71,6 +72,8 @@ RINGS = {entry.instance_id: entry.build for entry in CATALOG}
 RINGS.update({
     "Z/16 (+) Z/16": lambda: trivial_extension(zmod(16), [16]),
     "Z/4 (+) (Z/2 (+) Z/4)": lambda: trivial_extension(zmod(4), [2, 4]),
+    # odd characteristic: its masks translate by radix-3 digits, d = 1 and 2
+    "Z/3 (+) F3^3": lambda: trivial_extension(zmod(3), [3] * 3),
 })
 CATALOG_IDS = [entry.instance_id for entry in CATALOG]
 
@@ -207,6 +210,31 @@ def test_deep_catalog_lattices_count_every_subspace(k, count):
     assert len(submodules(g)) == _galois_number(k)
 
 
+@pytest.mark.parametrize("k, count", [(3, 29), (4, 213)])
+def test_odd_characteristic_lattices_count_every_subspace(k, count):
+    # Z/3 (+) F3^k: the subspaces of F3^k again, with each coset translation
+    # a shift by one or two places of a radix-3 digit; the all-pairs closure
+    # checks k = 3 member by member (RINGS)
+    g = trivial_extension(zmod(3), [3] * k)
+    assert len(enumerate_ideals(g.ring)) == _galois_number(k, 3) + 1 == count
+    assert len(submodules(g)) == _galois_number(k, 3)
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_mask_key_is_canonical_order(case):
+    """On every lattice (the ideals of R and of R0, the submodules, the
+    graded ideals), sorting member masks by ``_mask_key`` sorts their sets
+    as ``canonical_key`` does, and each lattice comes in that order."""
+    g, bound = case()
+    lattices = [(ring, [i.mask for i in enumerate_ideals(ring, bound)])
+                for ring in dict.fromkeys((g.ring, g.r0_ring))]
+    lattices.append((g.ring, [m.mask for m in submodules(g, bound)]))
+    lattices.append((g.ring, [j.flat_mask for j in enumerate_graded_ideals(g, bound)]))
+    for ring, masks in lattices:
+        by_sets = sorted(masks[::-1], key=lambda mask: canonical_key(_members(ring, mask)))
+        assert sorted(masks[::-1], key=_mask_key(ring)) == by_sets == masks
+
+
 def _counting(shift):
     """``shift`` and the list of labels it has been called with."""
     calls = []
@@ -248,7 +276,7 @@ def test_each_child_branch_takes_its_translations():
             spans = _span_order(ring, *family)
             add, shift = ring.add, _translator(ring)
             counting, calls = _counting(shift)
-            for node in map(_mask, _subgroup_lattice(ring, *family)):
+            for node in _subgroup_lattice(ring, *family):
                 h = _members(ring, node)
                 for x, members, seeds in spans:
                     if not members & ~node:
@@ -308,7 +336,7 @@ def test_lattice_without_radix_matches_all_pairs_closure(case):
     ring = RINGS[case]().ring
     bare = FiniteRing(ring.size, ring.add, ring.mul, ring.zero, ring.one,
                       ring.provenance, ring.names)
-    found = _subgroup_lattice(*_ideal_family(bare))
+    found = [_members(bare, mask) for mask in _subgroup_lattice(*_ideal_family(bare))]
     assert sorted(found, key=canonical_key) == [m for m, _ in naive_enumerate_ideals(ring)]
 
 
@@ -368,7 +396,7 @@ def test_odd_part_products_and_colons_match_all_pairs(case):
         assert products <= {mul[a][x] for a in members for x in g.r1}
         assert naive_additive_closure(g.ring, products) == naive_odd_part(g, members)
         for part in (g.r0, g.r1):
-            assert _r1_colon(g, part, members) == colon(part, members)
+            assert _members(g.ring, _r1_colon(g, part, _mask(members))) == colon(part, members)
 
 
 @pytest.mark.parametrize("case", CATALOG_IDS)
@@ -394,7 +422,8 @@ def test_maximal_elements_match_all_pairs_reference(case):
         assert ([classify_ideal(ring, i).is_maximal for i in ideals]
                 == [i in expected for i in ideals])
     proper = [m.members for m in submodules(g) if m.is_proper]
-    assert maximal_sets(proper) == naive_maximal_sets(proper)
+    top = maximal_sets(m.mask for m in submodules(g) if m.is_proper)
+    assert {_members(g.ring, mask) for mask in top} == naive_maximal_sets(proper)
     graded = [j.flat_members for j in enumerate_graded_ideals(g) if j.is_proper]
     assert {j.flat_members for j in graded_max(g)} == naive_maximal_sets(graded)
 

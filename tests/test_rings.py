@@ -257,6 +257,15 @@ def test_radical():
     assert radical(z6, whole).members == whole.members
 
 
+@pytest.mark.parametrize("code", [7, 6, -1])
+def test_a_code_outside_the_ring_makes_no_radical(code):
+    # the member set is checked when the ideal is built, so the radical of
+    # a set holding a code of no element of Z/6 is never formed
+    z6 = zmod(6)
+    with pytest.raises(InvalidInputError, match="a set of 2 codes is not an ideal of Z/6"):
+        radical(z6, Ideal(z6, frozenset({0, code})))
+
+
 def test_radical_is_intersection_of_primes():
     for ring in (zmod(12), poly_quotient(zmod(4), (1, 0, 1), symbol="i")):
         primes = spec(ring)

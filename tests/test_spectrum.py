@@ -310,15 +310,14 @@ def test_squares_first_test_agrees_with_the_pair_scan(g):
     homogeneous = g.homogeneous_codes()
     for ring in dict.fromkeys((g.ring, g.r0_ring)):
         for i in enumerate_ideals(ring):
-            m = i.members
-            expected = prime_violation(ring, m) is None
-            assert _no_pair_inside(ring.mul, range(ring.size), m) == expected
-            assert _no_pair_inside(ring.mul, iter(range(ring.size)), m) == expected
+            expected = prime_violation(ring, i.members) is None
+            assert _no_pair_inside(ring.mul, range(ring.size), i.mask) == expected
+            assert _no_pair_inside(ring.mul, iter(range(ring.size)), i.mask) == expected
     for j in enumerate_graded_ideals(g):
         m = j.flat_members
         outside = [c for c in homogeneous if c not in m]
         expected = all(mul[r][s] not in m for r in outside for s in outside)
-        assert _no_pair_inside(mul, iter(homogeneous), m) == expected
+        assert _no_pair_inside(mul, iter(homogeneous), j.flat_mask) == expected
 
 
 BOUNDED_CALLS = {

@@ -9,6 +9,7 @@ that must catch the break.
 
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ GAUSSIAN3 = {"kind": "gaussian", "n": 3}
 GAUSSIAN4 = {"kind": "gaussian", "n": 4}
 TRIVEXT2 = {"kind": "trivial_extension", "n": 2, "orders": [2]}
 TRIVEXT4 = {"kind": "trivial_extension", "n": 4, "orders": [4]}
+TRIVEXT4_M2 = {"kind": "trivial_extension", "n": 4, "orders": [2]}
 ZMOD6 = {"kind": "zmod", "n": 6}
 
 
@@ -41,19 +43,31 @@ def _drop_largest(members: frozenset) -> frozenset:
     return members - {max(members)}
 
 
+def _drop_largest_bit(mask: int) -> int:
+    """``_drop_largest`` on a member mask."""
+    return mask ^ 1 << mask.bit_length() - 1
+
+
 def flat_set_not_an_ideal(monkeypatch):
     original = graded_ideals._pair_sum
 
     def broken(g, even, odd):
-        members = original(g, even, odd)
-        return _drop_largest(members) if len(members) == g.ring.size else members
+        flat = original(g, even, odd)
+        return _drop_largest_bit(flat) if flat.bit_count() == g.ring.size else flat
     monkeypatch.setattr(graded_ideals, "_pair_sum", broken)
 
 
+def _plant_submodules(monkeypatch, module, smallest: int):
+    """``module`` builds its submodules from member masks (``Submodule._of``):
+    each of more than ``smallest`` members loses its largest code."""
+    def broken(g, mask):
+        return Submodule._of(g, _drop_largest_bit(mask) if mask.bit_count() > smallest
+                             else mask)
+    monkeypatch.setattr(module, "Submodule", SimpleNamespace(_of=broken))
+
+
 def odd_part_not_a_submodule(monkeypatch):
-    def broken(g, members):
-        return Submodule(g, _drop_largest(members) if len(members) > 2 else members)
-    monkeypatch.setattr(graded_ideals, "Submodule", broken)
+    _plant_submodules(monkeypatch, graded_ideals, 2)
 
 
 def residual_missing_a_member(monkeypatch):
@@ -82,11 +96,12 @@ def bracket_missing_an_element(monkeypatch):
 def flat_radical_missing_an_element(monkeypatch):
     original = spectrum.radical_members
 
-    def broken(ring, members):
+    def broken(ring, inside):
         # the smallest nonzero code: in Z/4[i] a homogeneous one, which the
         # split of the radical along the grading cannot step over
-        rad = original(ring, members)
-        return rad - {min(rad - {ring.zero})} if len(rad) > 1 else rad
+        rad = original(ring, inside)
+        nonzero = rad & ~(1 << ring.zero)
+        return rad ^ (nonzero & -nonzero)
     monkeypatch.setattr(spectrum, "radical_members", broken)
 
 
@@ -118,9 +133,7 @@ def contraction_not_prime(monkeypatch):
 
 
 def odd_fiber_not_a_submodule(monkeypatch):
-    def broken(g, members):
-        return Submodule(g, _drop_largest(members) if len(members) > 1 else members)
-    monkeypatch.setattr(spectrum, "Submodule", broken)
+    _plant_submodules(monkeypatch, spectrum, 1)
 
 
 def contraction_misses_p(monkeypatch):
@@ -143,8 +156,8 @@ def flat_prime_missing(monkeypatch):
 def maximal_ideal_missing(monkeypatch):
     original = verify.maximal_sets
 
-    def broken(sets):
-        return frozenset(sorted(original(sets), key=sorted)[1:])
+    def broken(masks):
+        return frozenset(sorted(original(masks))[1:])
     monkeypatch.setattr(verify, "maximal_sets", broken)
 
 
@@ -159,6 +172,51 @@ def graded_maximal_missing(monkeypatch):
     def broken(g, method="definitional", bound=None):
         return original(g, method, bound)[:-1]
     monkeypatch.setattr(maxfield, "graded_max", broken)
+
+
+def pair_contracts_to_its_residual(monkeypatch):
+    # (I, I*R1) built as ((I*R1 : R1), I*R1): over Z/4 (+) Z/2 the pair of
+    # I = 0 then contracts to (0 : R1) = (2)
+    def broken(g, i):
+        span = graded_ideals.graded_ideal_from_ideal(g, i).r_part
+        return graded_ideals.graded_ideal_from_submodule(g, span)
+    monkeypatch.setattr(verify, "graded_ideal_from_ideal", broken)
+
+
+def graded_enumeration_drops_one(monkeypatch):
+    original = verify.enumerate_graded_ideals
+
+    def broken(g, bound=None):
+        return original(g, bound)[:-1]
+    monkeypatch.setattr(verify, "enumerate_graded_ideals", broken)
+
+
+def residual_by_the_submodule_itself(monkeypatch):
+    # (R' : R') in place of (R' : R1): every even a maps R' into itself, so
+    # the residual is all of R0, and R0*R1 = R1 differs from each proper R'
+    def broken(g, rp):
+        mul = g.ring.mul
+        return Ideal(g.r0_ring, frozenset(
+            g.to_r0(a) for a in g.r0 if all(mul[a][m] in rp for m in rp.members)))
+    monkeypatch.setattr(verify, "residual", broken)
+
+
+def span_of_the_radical(monkeypatch):
+    # I*R1 taken as rad(I)*R1: over Z/4[i] the ideals 0 and (2) then share
+    # the span (2i), though 0 does not contain (2)
+    original = verify.graded_ideal_from_ideal
+
+    def broken(g, i):
+        return original(g, rings.radical(g.r0_ring, i))
+    monkeypatch.setattr(verify, "graded_ideal_from_ideal", broken)
+
+
+def odd_square_taken_as_whole(monkeypatch):
+    # the two-branch recipe reads R1^2 as all of R0: over Z/2 (+) Z/2, where
+    # R1^2 = 0, it pairs the prime 0 with 0*R1 = 0 instead of with R1
+    def broken(g):
+        return Ideal(g.r0_ring, frozenset(range(g.r0_ring.size)))
+    monkeypatch.setattr(maxfield, "r1_squared", broken)
 
 
 def _plant_norm(monkeypatch, norm):
@@ -226,6 +284,16 @@ CASES = [
                  ["spectrum.dimension-matches-base"], id="homogeneous_dim"),
     pytest.param(graded_maximal_missing, ZMOD6, ["maximal"],
                  ["maximal.local-iff-base-local"], id="is_graded_local"),
+    pytest.param(pair_contracts_to_its_residual, TRIVEXT4_M2, ["ideals"],
+                 ["ideals.even-ideal-closure"], id="graded_ideal_from_ideal"),
+    pytest.param(graded_enumeration_drops_one, GAUSSIAN4, ["ideals"],
+                 ["ideals.strong-correspondence"], id="enumerate_graded_ideals"),
+    pytest.param(residual_by_the_submodule_itself, GAUSSIAN4, ["ideals"],
+                 ["ideals.strong-multiplication-module"], id="strong-residual"),
+    pytest.param(span_of_the_radical, GAUSSIAN4, ["ideals"],
+                 ["ideals.strong-span-cancellation"], id="strong-span"),
+    pytest.param(odd_square_taken_as_whole, TRIVEXT2, ["maximal"],
+                 ["maximal.methods-agree"], id="graded_max-constructive"),
     pytest.param(norm_unsquared_odd_part, GAUSSIAN4, ["norm"],
                  ["norm.lands-in-even-part"], id="norm-degree"),
     pytest.param(norm_sign_flipped, GAUSSIAN4, ["norm"],
@@ -248,14 +316,9 @@ UNCOVERED = (
     "field.strong-domain-iff-base",
     "homeo.even-variety-pullback",
     "homeo.homogeneous-variety-image",
-    "ideals.even-ideal-closure",
-    "ideals.strong-correspondence",
-    "ideals.strong-multiplication-module",
-    "ideals.strong-span-cancellation",
     "ideals.strong-unit-certificate",
     "maximal.contraction-bijective",
     "maximal.maximal-implies-graded-prime",
-    "maximal.methods-agree",
     "maximal.strong-form",
     "maximal.submodule-residual-equivalence",
     "radical.bracket-closure-observation",
