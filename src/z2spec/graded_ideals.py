@@ -1,9 +1,10 @@
 """Graded ideals as compatible pairs (I0, R') with I0*R1 <= R' and R1*R' <= I0.
 
 An ideal J of the ambient ring is graded exactly when it splits as
-(J intersect R0) + (J intersect R1); the pair form is the canonical
-representation, a frozen record, and the flat member mask is derived from
-it once, as the union of the cosets a + R' over a in I0 (``_pair_sum``).
+(J intersect R0) + (J intersect R1).  So a graded ideal is stored as its
+flat member mask (``rings._StableSubgroup``), and its pair (I0, R') is the
+split of that mask by R0 and R1, formed on each read; a pair gives the
+mask once, as the union of the cosets a + R' over a in I0 (``_pair_sum``).
 
 Both compatibility conditions are bounds on R' that depend on I0 alone.
 The first is I0*R1 <= R'.  The second, R1*R' <= I0, holds exactly when
@@ -24,7 +25,7 @@ J = A + B, iff |A| * |B| = |J|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -38,61 +39,61 @@ from .grading import (
 )
 from .rings import (
     Ideal,
+    _StableSubgroup,
     _additive_generators,
     _codes,
+    _ideal_family,
     _is_stable_mask,
     _mask,
     _mask_key,
-    _members,
     _memo,
     _same_ring,
     _translator,
     as_code,
-    canonical_key,
     enumerate_ideals,
 )
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
-    """A compatible pair (even-part ideal, odd-part submodule) with the
-    member mask ``flat_mask`` of its flat set I0 + R', derived from the
-    pair; ``flat_members`` decodes it on each read.  Two graded ideals are
-    equal when they live in the identical graded ring and have the same
-    flat set.
-
-    Only compatibility is checked here; that I0 + R' is then an ideal is
+@dataclass(frozen=True, repr=False, init=False)
+class GradedIdeal(_StableSubgroup):
+    """A graded ideal J as the member mask of its flat set, an ideal of the
+    ambient ring, split by ``i0`` and ``r_part`` (module docstring); equal
+    when in the identical graded ring with the same flat set.  Built from a
+    pair, only compatibility is checked; that I0 + R' is then an ideal is
     checked by the verify record ``ideals.pair-enumeration-oracle``."""
 
+    __slots__ = ("graded_ring", "mask")
+    _OWNER = "graded_ring"
     graded_ring: GradedRing
-    i0: Ideal = field(compare=False)
-    r_part: Submodule = field(compare=False)
-    flat_mask: int = field(init=False)
+    mask: int
+    flat_members = _StableSubgroup.members
 
-    def __post_init__(self):
-        g, odd = self.graded_ring, self.r_part.mask
-        i0_ambient, low, high = _pair_bounds(g, self.i0)
-        if self.r_part.graded_ring is not g:
+    def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
+        g, odd = graded_ring, r_part.mask
+        i0_ambient, low, high = _pair_bounds(g, i0)
+        if r_part.graded_ring is not g:
             raise InvalidInputError("submodule belongs to a different graded ring")
         if low & ~odd:
             _escape(g, "I0*R1 escapes the odd part", i0_ambient, g.r1_mask, odd)
         if odd & ~high:
             _escape(g, "R1*R' escapes the even part", g.r1_mask, odd, i0_ambient)
-        object.__setattr__(self, "flat_mask", _pair_sum(g, i0_ambient, odd))
+        object.__setattr__(self, "graded_ring", g)
+        object.__setattr__(self, "mask", _pair_sum(g, i0_ambient, odd))
+
+    def _family(self) -> tuple:  # the ambient ring's ideals, so no Submodule witness
+        return _ideal_family(self.graded_ring.ring)
 
     @property
-    def flat_members(self) -> frozenset:
-        return _members(self.graded_ring.ring, self.flat_mask)
+    def i0(self) -> Ideal:
+        return self.graded_ring._restrict_mask(self.mask & self.graded_ring.r0_mask)
 
-    def __contains__(self, value) -> bool:
-        return bool(self.flat_mask >> as_code(self.graded_ring.ring, value) & 1)
+    @property
+    def r_part(self) -> Submodule:
+        return Submodule._of(self.graded_ring, self.mask & self.graded_ring.r1_mask)
 
     @property
     def is_proper(self) -> bool:
-        return self.i0.is_proper
-
-    def key(self):
-        return canonical_key(self.flat_members)
+        return not self.mask >> self.graded_ring.ring.one & 1
 
     def label(self) -> str:
         return f"{self.i0.label()} + {self.r_part.label()}"
@@ -128,8 +129,8 @@ def _splits(g: GradedRing, mask: int) -> bool:
 
 
 def decompose_graded(g: GradedRing, members) -> GradedIdeal:
-    """Split a graded ideal of the ambient ring into its canonical pair; that
-    its odd part is a submodule is checked by
+    """A graded ideal of the ambient ring, rebuilt from its two halves as a
+    pair; that they are a compatible pair summing to it is checked by
     ``ideals.pair-decomposition-roundtrip``."""
     return _split_pair(g, _as_ideal_mask(g, members))
 
@@ -157,10 +158,8 @@ def _split_pair(g: GradedRing, mask: int) -> GradedIdeal:
 
 
 def _as_ideal_mask(g: GradedRing, members) -> int:
-    if isinstance(members, GradedIdeal):
-        return members.flat_mask
-    if isinstance(members, Ideal):
-        _same_ring(g.ring, members.ring)
+    if isinstance(members, (GradedIdeal, Ideal)):  # of g's ring, in any grading
+        _same_ring(g.ring, members._family()[1])
         return members.mask
     return _ideal_mask(g, _mask(as_code(g.ring, x) for x in members))
 
@@ -187,14 +186,8 @@ def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[Gr
     subs = submodules(g, bound)
 
     def compute():
-        evens = [(i0, _pair_bounds(g, i0)) for i0 in even_ideals]
-        result = []
-        for rp in subs:
-            odd = rp.mask
-            for i0, (_, low, high) in evens:
-                if not low & ~odd and not odd & ~high:
-                    result.append(GradedIdeal(g, i0, rp))
-        key = _mask_key(g.ring)
-        return tuple(sorted(result, key=lambda j: key(j.flat_mask)))
+        evens = [_pair_bounds(g, i0) for i0 in even_ideals]
+        flats = [_pair_sum(g, ambient, rp.mask) for rp in subs
+                 for ambient, low, high in evens if not low & ~rp.mask and not rp.mask & ~high]
+        return tuple(GradedIdeal._of(g, mask) for mask in sorted(flats, key=_mask_key(g.ring)))
     return _memo(g, "graded_ideals", compute)
-

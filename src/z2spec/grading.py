@@ -88,6 +88,8 @@ class GradedRing:
         # gradings): then an even mask is the same int in R and in R0
         self._r0_first = self._r0_embed[-1] == len(self._r0_embed) - 1
 
+    __copy__ = __deepcopy__ = FiniteRing.__deepcopy__
+
     def __repr__(self):
         return f"GradedRing({self.provenance}, |R0|={len(self.r0)}, |R1|={len(self.r1)})"
 
@@ -343,9 +345,10 @@ class Submodule(_StableSubgroup):
     def __init__(self, graded_ring: GradedRing, members: frozenset):
         g = graded_ring
         mask = _code_mask(g.ring, members)
-        if mask is None or mask & ~g.r1_mask:
-            code = min(members - g.r1)
-            name = g.ring.names[code] if 0 <= code < g.ring.size else f"code {code}"
+        if mask is None or mask & ~g.r1_mask:  # name a member that is no int first
+            strays = sorted((c for c in members if type(c) is not int), key=repr)
+            code = strays[0] if strays else min(members - g.r1)
+            name = g.ring.names[code] if not strays and 0 <= code < g.ring.size else f"code {code!r}"
             raise InvalidParameterError(f"{name} is not in the odd part")
         object.__setattr__(self, "graded_ring", g)
         object.__setattr__(self, "mask", mask)

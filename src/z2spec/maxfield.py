@@ -61,8 +61,8 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
         graded = enumerate_graded_ideals(g, bound)
 
         def compute():
-            top = maximal_sets(j.flat_mask for j in graded if j.is_proper)
-            return [j for j in graded if j.flat_mask in top]
+            top = maximal_sets(j.mask for j in graded if j.is_proper)
+            return [j for j in graded if j.mask in top]
     elif method == "constructive":
         base_max = spec(g.r0_ring, bound)
 

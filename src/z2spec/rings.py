@@ -54,9 +54,10 @@ O(|S| + #gens(S) * #multipliers) table lookups.
 
 Member masks.  Every member set is stored and handled as its member mask:
 the int with bit c set for each member code c.  ``Ideal``, ``Submodule``
-and ``graded_ideals.GradedIdeal`` keep only the mask; their ``members``
-(``flat_members``) decode it on each read (``_members``) and are never
-cached, as a set of 2^k codes takes about ten times the memory of its mask.
+and ``graded_ideals.GradedIdeal`` are slotted records of the mask alone
+(``_StableSubgroup``); a graded ideal's pair is the split of its mask.
+``members`` decodes it on each read (``_members``) and is never cached, as
+a set of 2^k codes takes about ten times the memory of its mask.
 Subset is ``a & ~b == 0``, size is ``int.bit_count`` and membership is a
 bit test, so the lattices, the pair scan and the records decode nothing.
 Canonical order on masks: among sets of one size, the sorted-tuple order of
@@ -206,6 +207,11 @@ class FiniteRing:
         self.neg = tuple(row.index(zero) for row in add)
         self._cache: dict = {}
 
+    def __deepcopy__(self, memo=None):  # immutable and compared by identity
+        return self
+
+    __copy__ = __deepcopy__
+
     def __repr__(self):
         return f"FiniteRing({self.provenance}, size={self.size})"
 
@@ -299,7 +305,7 @@ class _StableSubgroup:
         object.__setattr__(record, "mask", mask)
         return record
 
-    def __reduce__(self):  # copy and pickle through ``_of``: the fields are frozen
+    def __reduce__(self):  # copy (frozen fields); ring caches hold closures, so no pickle
         return type(self)._of, (getattr(self, self._OWNER), self.mask)
 
     @property
@@ -348,9 +354,7 @@ class Ideal(_StableSubgroup):
         object.__setattr__(self, "mask", mask)
 
     def _family(self) -> tuple:
-        ring = self.ring
-        return (ring, ring, partial(principal_span, ring), _additive_generators(ring),
-                f"an ideal of {ring.provenance}")
+        return _ideal_family(self.ring)
 
     def __le__(self, other: "Ideal") -> bool:
         _same_ring(self.ring, other.ring)
@@ -362,6 +366,11 @@ class Ideal(_StableSubgroup):
     @property
     def is_proper(self) -> bool:
         return not self.mask >> self.ring.one & 1
+
+
+def _ideal_family(ring: FiniteRing) -> tuple:
+    return (ring, ring, partial(principal_span, ring), _additive_generators(ring),
+            f"an ideal of {ring.provenance}")
 
 
 def canonical_key(members: frozenset) -> tuple:

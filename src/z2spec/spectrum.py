@@ -12,7 +12,7 @@ exhaustively, once, by a named record of ``z2spec.verify``, not here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
@@ -51,13 +51,25 @@ class PrimeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GradedPrime:
-    """A graded prime ideal with its classification tag and its contraction
-    p, an ideal of the even ring; two primes are equal when their ideals
-    are."""
+    """A graded prime ideal; its shape and its contraction p to the even ring
+    are read off the ideal, and two primes are equal when their ideals are."""
 
+    __slots__ = ("ideal",)
     ideal: GradedIdeal
-    kind: PrimeKind = field(compare=False)
-    p: Ideal = field(compare=False)
+
+    def __reduce__(self):  # copy through the constructor: the field is frozen
+        return GradedPrime, (self.ideal,)
+
+    @property
+    def kind(self) -> PrimeKind:
+        """Full odd part when R1 <= P, else prime submodule (module docstring)."""
+        g = self.ideal.graded_ring
+        return (PrimeKind.PRIME_SUBMODULE if g.r1_mask & ~self.ideal.mask
+                else PrimeKind.FULL_ODD_PART)
+
+    @property
+    def p(self) -> Ideal:
+        return self.ideal.i0
 
     @property
     def flat_members(self) -> frozenset:
@@ -77,8 +89,7 @@ def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
     """Definitional test: proper, and homogeneous rs in J forces r or s in J."""
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
-    return j.is_proper and _no_pair_inside(g.ring.mul, g.homogeneous_codes(),
-                                           j.flat_mask)
+    return j.is_proper and _no_pair_inside(g.ring.mul, g.homogeneous_codes(), j.mask)
 
 
 def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
@@ -94,21 +105,11 @@ def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
                    for a in g.r0 if not colon >> a & 1 for m in outside)
 
 
-def _tagged(g: GradedRing, q: GradedIdeal) -> GradedPrime:
-    """A graded prime q with its shape: full odd part when R1 <= q, prime
-    submodule otherwise; q is not tested."""
-    kind = (PrimeKind.PRIME_SUBMODULE if g.r1_mask & ~q.flat_mask
-            else PrimeKind.FULL_ODD_PART)
-    return GradedPrime(q, kind, q.i0)
-
-
 def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
-    """Tag a graded prime with its structural shape (``_tagged``).  The
-    conditions of each shape (module docstring) are checked by
-    ``spectrum.classification-valid``."""
+    """A graded prime with its structural shape (``GradedPrime.kind``)."""
     if not is_graded_prime(g, q):
         raise InvalidInputError(f"{q.label()} is not a graded prime ideal")
-    return _tagged(g, q)
+    return GradedPrime(q)
 
 
 def phi(g: GradedRing, gp: GradedPrime) -> Ideal:
@@ -127,7 +128,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     if not p.is_proper or not _no_pair_inside(g.r0_ring.mul, range(g.r0_ring.size),
                                                p.mask):
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
-    return _tagged(g, GradedIdeal(g, p, Submodule._of(g, _pair_bounds(g, p)[2])))
+    return GradedPrime(GradedIdeal(g, p, Submodule._of(g, _pair_bounds(g, p)[2])))
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def graded_spec(g: GradedRing, method: str = "definitional",
 
     def compute():
         if method == "definitional":
-            points = [_tagged(g, j) for j in graded if is_graded_prime(g, j)]
+            points = [GradedPrime(j) for j in graded if is_graded_prime(g, j)]
         else:
             points = [phi_inverse(g, p) for p in base]
         return tuple(sorted(points, key=GradedPrime.key))
@@ -193,19 +194,18 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
     if method == "definitional":
-        rad = radical_members(g.ring, j.flat_mask)
+        rad = radical_members(g.ring, j.mask)
         return decompose_mask(g, _pair_sum(g, rad & g.r0_mask, rad & g.r1_mask))
     if method == "intersection":
-        flats = (gp.ideal.flat_mask
-                 for gp in graded_spec(g, "definitional", bound).graded_points)
+        flats = (gp.ideal.mask for gp in graded_spec(g, "definitional", bound).graded_points)
         whole = (1 << g.ring.size) - 1
         return decompose_mask(g, reduce(
-            and_, (flat for flat in flats if not j.flat_mask & ~flat), whole))
+            and_, (flat for flat in flats if not j.mask & ~flat), whole))
     if method == "formula":
         def compute():
             sqrt_j0 = radical(g.r0_ring, j.i0)
             return GradedIdeal(g, sqrt_j0, r1_bracket(g, sqrt_j0))
-        return _memo(g, ("formula_radical", j.i0.mask), compute)
+        return _memo(g, ("formula_radical", j.mask & g.r0_mask), compute)
     raise InvalidInputError(f"unknown radical method: {method!r}")
 
 

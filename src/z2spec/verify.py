@@ -36,7 +36,6 @@ from .graded_ideals import (
 )
 from .grading import (
     GradedRing,
-    Submodule,
     is_strongly_graded,
     is_submodule_set,
     r1_cubed,
@@ -61,7 +60,6 @@ from .rings import (
     _no_pair_inside,
     additive_closure,
     enumerate_ideals,
-    ideal_from_members,
     maximal_sets,
     radical_members,
     spec,
@@ -121,7 +119,7 @@ def _run(name: str, check, g: GradedRing, bound) -> CheckRecord:
 
 
 def _ideals_oracle(g, bound):
-    pair_flats = {j.flat_mask for j in enumerate_graded_ideals(g, bound)}
+    pair_flats = {j.mask for j in enumerate_graded_ideals(g, bound)}
     # distinct ideals: equal counts and containment make the sets equal
     filtered = [i.mask for i in enumerate_ideals(g.ring, bound)
                 if is_graded_ideal(g, i)]
@@ -133,10 +131,9 @@ def _ideals_oracle(g, bound):
 
 def _ideals_roundtrip(g, bound):
     for j in enumerate_graded_ideals(g, bound):
-        again = decompose_graded(g, j)
-        if again.i0 != j.i0 or again.r_part != j.r_part:
+        if decompose_graded(g, j) != j:
             return FAIL, f"{j.label()} does not decompose back to its pair"
-        if j.is_proper != (not j.flat_mask >> g.ring.one & 1):
+        if j.is_proper != j.i0.is_proper:
             return FAIL, f"{j.label()} has an inconsistent properness flag"
     return PASS, None
 
@@ -221,8 +218,8 @@ def _points(g, bound):
 
 
 def _spectrum_methods_agree(g, bound):
-    d = {p.ideal.flat_mask for p in _points(g, bound)}
-    c = {p.ideal.flat_mask for p in graded_spec(g, "constructive", bound).graded_points}
+    d = {p.ideal.mask for p in _points(g, bound)}
+    c = {p.ideal.mask for p in graded_spec(g, "constructive", bound).graded_points}
     if d != c:
         return FAIL, f"{len(d)} definitional vs {len(c)} constructive points"
     for name, ring in (("R", g.ring), ("R0", g.r0_ring)):
@@ -242,7 +239,7 @@ def _spectrum_classification(g, bound):
     primes = set(spec(g.r0_ring, bound))
     square, cube = r1_squared(g).mask, r1_cubed(g).mask
     for gp in _points(g, bound):
-        full_odd = not g.r1_mask & ~gp.ideal.flat_mask
+        full_odd = not g.r1_mask & ~gp.ideal.mask
         if (gp.kind is PrimeKind.FULL_ODD_PART) != full_odd:
             return FAIL, f"{gp.label()} has the wrong case tag"
         if gp.p != gp.ideal.i0:
@@ -299,7 +296,7 @@ def _spectrum_nil_case(g, bound):
     if r1_squared(g).mask & ~nilradical:
         return NOT_APPLICABLE, "odd part squared is not nilpotent"
     points = _points(g, bound)
-    if ({gp.ideal.flat_mask for gp in points}
+    if ({gp.ideal.mask for gp in points}
             != {i.mask for i in spec(g.ring, bound)}):
         return FAIL, "graded primes and flat primes differ as sets"
     for gp in points:
@@ -324,8 +321,8 @@ def _spectrum_dimension(g, bound):
 
 
 def _homeo_methods_agree(g, bound):
-    d = {gp.ideal.flat_mask for gp in _points(g, bound)}
-    c = {gp.ideal.flat_mask
+    d = {gp.ideal.mask for gp in _points(g, bound)}
+    c = {gp.ideal.mask
          for gp in graded_spec(g, "constructive", bound).graded_points}
     if d != c:
         return FAIL, f"{len(d ^ c)} points differ between methods"
@@ -357,7 +354,7 @@ def _homeo_roundtrip(g, bound):
 def _homeo_even_pullback(g, bound):
     graded = _points(g, bound)
     for a in sorted(g.r0):
-        direct = {gp for gp in graded if gp.ideal.flat_mask >> a & 1}
+        direct = {gp for gp in graded if gp.ideal.mask >> a & 1}
         via_base = {gp for gp in graded if gp.p.mask >> g.to_r0(a) & 1}
         if direct != via_base:
             return FAIL, f"closed set of {g.ring.names[a]} does not pull back"
@@ -367,7 +364,7 @@ def _homeo_even_pullback(g, bound):
 def _homeo_homogeneous_image(g, bound):
     graded, base, mul = _points(g, bound), spec(g.r0_ring, bound), g.ring.mul
     for r in g.homogeneous_codes():
-        image = {gp.p for gp in graded if gp.ideal.flat_mask >> r & 1}
+        image = {gp.p for gp in graded if gp.ideal.mask >> r & 1}
         square = g.to_r0(mul[r][r])
         if image != {p for p in base if p.mask >> square & 1}:
             return FAIL, (f"image of the closed set of {g.ring.names[r]}"
@@ -398,18 +395,17 @@ def _radical_idempotent(g, bound):
 
 def _radical_contains(g, bound):
     for j in enumerate_graded_ideals(g, bound):
-        if j.flat_mask & ~graded_radical(g, j, "formula", bound).flat_mask:
+        if j.mask & ~graded_radical(g, j, "formula", bound).mask:
             return FAIL, f"{j.label()} escapes its radical"
     return PASS, None
 
 
 def _radical_bracket_observation(g, bound):
     graded = enumerate_graded_ideals(g, bound)
-    closed = {}  # the literal bracket depends on J0 alone: test it once per J0
-    for j in graded:
-        if j.i0 not in closed:
-            closed[j.i0] = is_submodule_set(g, r1_bracket(g, j.i0).members)
-    flags = [closed[j.i0] for j in graded]
+    evens = [j.mask & g.r0_mask for j in graded]  # the literal bracket reads J0 alone
+    closed = {even: is_submodule_set(g, r1_bracket(g, g._restrict_mask(even)).members)
+              for even in dict.fromkeys(evens)}
+    flags = [closed[even] for even in evens]
     example = next((j.i0.label() for j, flag in zip(graded, flags) if not flag), None)
     note = f"literal bracket closed for {sum(flags)}/{len(graded)} even parts"
     if example is not None:
@@ -487,8 +483,7 @@ def _maximal_strong_form(g, bound):
 
 
 def _zero_graded_ideal(g: GradedRing) -> GradedIdeal:
-    zero = ideal_from_members(g.r0_ring, [g.r0_ring.zero])
-    return GradedIdeal(g, zero, Submodule(g, frozenset({g.ring.zero})))
+    return GradedIdeal._of(g, 1 << g.ring.zero)
 
 
 def _field_methods(g, bound):

@@ -1,6 +1,7 @@
 """Graded ideal pairs: decomposition criterion, the two construction classes,
 enumeration, and the strongly graded bijection."""
 
+import copy
 import dataclasses
 import sys
 
@@ -9,8 +10,8 @@ import pytest
 from instance_cases import INSTANCE_CASES
 from naive_closure import naive_compatible, naive_is_graded_ideal
 from z2spec import grading
-from z2spec.catalog import CATALOG
-from z2spec.errors import InvalidInputError
+from z2spec.catalog import CATALOG, catalog_entry
+from z2spec.errors import InvalidInputError, RingMismatchError
 from z2spec.graded_ideals import (
     GradedIdeal,
     decompose_graded,
@@ -85,6 +86,31 @@ def test_decompose_graded_rejects_non_ideal_and_non_graded_sets():
     for members in (one_plus_i, one_plus_i.members):
         with pytest.raises(InvalidInputError):
             decompose_graded(GAUSSIAN4, members)
+
+
+@pytest.mark.parametrize("rings", [
+    # both of 25 elements: Z/5[i] = Z/5 x Z/5 and F25 = Z/5[X]/(X^2 - 2)
+    pytest.param(lambda: (gaussian_integers(5), quadratic_extension(zmod(5), 2)),
+                 id="same-size"),
+    # Z/3[i]'s masks read in Z/5[i] are no graded ideal there
+    pytest.param(lambda: (gaussian_integers(3), gaussian_integers(5)), id="smaller"),
+])
+def test_a_graded_ideal_of_another_ring_is_rejected(rings):
+    source, g = rings()
+    for j in enumerate_graded_ideals(source):
+        with pytest.raises(RingMismatchError):
+            is_graded_ideal(g, j)
+        with pytest.raises(RingMismatchError):
+            decompose_graded(g, j)
+
+
+def test_a_graded_ideal_of_another_grading_of_the_ring_is_read_as_its_flat_set():
+    g = catalog_entry("manual-2-x2p1").build()
+    trivial = trivially_graded(g.ring)
+    for j in enumerate_graded_ideals(g):
+        assert is_graded_ideal(trivial, j)
+        again = decompose_graded(trivial, j)
+        assert again.graded_ring is trivial and again.mask == j.mask
 
 
 def test_counting_test_agrees_with_all_pairs_sums_on_the_catalog():
@@ -254,6 +280,35 @@ def test_cached_graded_ideals_and_primes_are_frozen():
     assert enumerate_graded_ideals(g) is ideals
     assert graded_spec(g).graded_points is points
     assert (j.flat_members, j.i0, gp.kind, gp.p) == before
+
+
+def _lattice_records(g):
+    """An ideal, a submodule, a graded ideal and a graded prime of ``g``."""
+    return (enumerate_ideals(g.ring)[1], submodules(g)[1],
+            enumerate_graded_ideals(g)[1], graded_spec(g).graded_points[0])
+
+
+def test_lattice_records_hold_only_their_slots():
+    """No lattice record has an instance dict, and no attribute of one can
+    be rebound or added."""
+    g = gaussian_integers(10)
+    for record in _lattice_records(g):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        names = [field.name for field in dataclasses.fields(record)]
+        for name in names + ["members", "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert [field.name for field in dataclasses.fields(GradedIdeal)] == ["graded_ring", "mask"]
+
+
+def test_deep_copies_of_records_equal_them():
+    """Rings and graded rings are immutable and compared by identity, so a
+    copy of one is itself, and a copied record equals its original."""
+    g = gaussian_integers(10)
+    assert copy.deepcopy(g) is g and copy.deepcopy(g.ring) is g.ring
+    for record in _lattice_records(g) + (enumerate_graded_ideals(g),):
+        assert copy.deepcopy(record) == record
+        assert copy.copy(record) == record
 
 
 def test_cold_verify_embeds_no_even_ideal_per_graded_ideal(monkeypatch):

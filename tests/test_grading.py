@@ -1,6 +1,7 @@
 """Grading constructors, validation, odd-part powers, submodules, matrices."""
 
 import itertools
+import re
 
 import pytest
 
@@ -265,6 +266,13 @@ def test_submodule_rejects_a_code_outside_the_ring(code):
     # Z/4[i] has the codes 0..15; the member mask is built at construction
     with pytest.raises(InvalidParameterError, match=f"code {code} is not in the odd part"):
         Submodule(GAUSSIAN4, frozenset({0, code}))
+
+
+@pytest.mark.parametrize("member", ["a", 1.0])
+def test_submodule_names_a_member_that_is_no_code(member):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"code {member!r} is not in the odd part")):
+        Submodule(gaussian_integers(3), frozenset({0, member}))
 
 
 def test_label_of_a_set_that_is_no_submodule_is_an_input_error():

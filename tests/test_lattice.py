@@ -229,7 +229,7 @@ def test_mask_key_is_canonical_order(case):
     lattices = [(ring, [i.mask for i in enumerate_ideals(ring, bound)])
                 for ring in dict.fromkeys((g.ring, g.r0_ring))]
     lattices.append((g.ring, [m.mask for m in submodules(g, bound)]))
-    lattices.append((g.ring, [j.flat_mask for j in enumerate_graded_ideals(g, bound)]))
+    lattices.append((g.ring, [j.mask for j in enumerate_graded_ideals(g, bound)]))
     for ring, masks in lattices:
         by_sets = sorted(masks[::-1], key=lambda mask: canonical_key(_members(ring, mask)))
         assert sorted(masks[::-1], key=_mask_key(ring)) == by_sets == masks

@@ -112,6 +112,27 @@ def test_only_the_translation_builder_reads_the_radix():
     assert readers == {("rings.py", "_translator.compute")}
 
 
+def _declares_slots(node: ast.ClassDef) -> bool:
+    return any(isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__slots__" for target in stmt.targets)
+        for stmt in node.body)
+
+
+def test_every_lattice_record_declares_slots():
+    """A lattice may hold hundreds of thousands of records, so none keeps an
+    instance dict: every subclass of the record base
+    ``rings._StableSubgroup``, and ``GradedPrime``, declares ``__slots__``."""
+    records = {}
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and (node.name == "GradedPrime" or any(
+                    isinstance(base, ast.Name) and base.id == "_StableSubgroup"
+                    for base in node.bases)):
+                records[node.name] = _declares_slots(node)
+    assert records == dict.fromkeys(["GradedIdeal", "GradedPrime", "Ideal", "Submodule"],
+                                    True)
+
+
 def test_a_passing_verify_searches_for_no_witness(monkeypatch):
     """A passing run prints no ideal or submodule label, so on cold caches
     it never calls the witness search."""

@@ -317,7 +317,7 @@ def test_squares_first_test_agrees_with_the_pair_scan(g):
         m = j.flat_members
         outside = [c for c in homogeneous if c not in m]
         expected = all(mul[r][s] not in m for r in outside for s in outside)
-        assert _no_pair_inside(mul, iter(homogeneous), j.flat_mask) == expected
+        assert _no_pair_inside(mul, iter(homogeneous), j.mask) == expected
 
 
 BOUNDED_CALLS = {

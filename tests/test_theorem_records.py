@@ -32,6 +32,7 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GAUSSIAN3 = {"kind": "gaussian", "n": 3}
 GAUSSIAN4 = {"kind": "gaussian", "n": 4}
 TRIVEXT2 = {"kind": "trivial_extension", "n": 2, "orders": [2]}
+TRUNCATED2_5 = {"kind": "truncated_poly", "base": {"kind": "zmod", "n": 2}, "k": 5}
 TRIVEXT4 = {"kind": "trivial_extension", "n": 4, "orders": [4]}
 TRIVEXT4_M2 = {"kind": "trivial_extension", "n": 4, "orders": [2]}
 ZMOD6 = {"kind": "zmod", "n": 6}
@@ -106,14 +107,10 @@ def flat_radical_missing_an_element(monkeypatch):
 
 
 def wrong_prime_tag(monkeypatch):
-    original = spectrum._tagged
+    original = GradedPrime.kind.fget
     flipped = {PrimeKind.FULL_ODD_PART: PrimeKind.PRIME_SUBMODULE,
                PrimeKind.PRIME_SUBMODULE: PrimeKind.FULL_ODD_PART}
-
-    def broken(g, q):
-        gp = original(g, q)
-        return GradedPrime(gp.ideal, flipped[gp.kind], gp.p)
-    monkeypatch.setattr(spectrum, "_tagged", broken)
+    monkeypatch.setattr(GradedPrime, "kind", property(lambda gp: flipped[original(gp)]))
 
 
 def non_prime_accepted(monkeypatch):
@@ -123,13 +120,29 @@ def non_prime_accepted(monkeypatch):
 
 
 def contraction_not_prime(monkeypatch):
-    original = spectrum._tagged
+    def broken(gp):
+        r0 = gp.ideal.graded_ring.r0_ring
+        return Ideal(r0, frozenset({r0.zero}))
+    monkeypatch.setattr(GradedPrime, "p", property(broken))
 
-    def broken(g, q):
-        gp = original(g, q)
-        zero = Ideal(g.r0_ring, frozenset({g.r0_ring.zero}))
-        return GradedPrime(gp.ideal, gp.kind, zero)
-    monkeypatch.setattr(spectrum, "_tagged", broken)
+
+def contraction_not_reindexed(monkeypatch):
+    # p read off the even half of the prime's mask in ambient codes, not
+    # re-indexed into the codes of R0: in Z/2[x]/(x^5) the even part holds
+    # 1, x^2 and x^4, which are not the first codes
+    def broken(gp):
+        g = gp.ideal.graded_ring
+        return Ideal._of(g.r0_ring, gp.ideal.mask & g.r0_mask)
+    monkeypatch.setattr(GradedPrime, "p", property(broken))
+
+
+def odd_part_as_the_complement(monkeypatch):
+    # R' taken as J minus its even half, which keeps the mixed sums a + m
+    # and drops 0
+    def broken(j):
+        g = j.graded_ring
+        return Submodule._of(g, j.mask & ~g.r0_mask)
+    monkeypatch.setattr(graded_ideals.GradedIdeal, "r_part", property(broken))
 
 
 def odd_fiber_not_a_submodule(monkeypatch):
@@ -159,6 +172,25 @@ def maximal_ideal_missing(monkeypatch):
     def broken(masks):
         return frozenset(sorted(original(masks))[1:])
     monkeypatch.setattr(verify, "maximal_sets", broken)
+
+
+def formula_radical_of_zero(monkeypatch):
+    # sqrt(J0) taken as sqrt(0), the nilradical of R0, whatever J0 is
+    original = spectrum.radical
+
+    def broken(ring, ideal):
+        return original(ring, Ideal(ring, frozenset({ring.zero})))
+    monkeypatch.setattr(spectrum, "radical", broken)
+
+
+def formula_radical_one_step(monkeypatch):
+    # sqrt(I) taken as {x : x^2 in I}, one step of the radical: the even
+    # part of Z/2[x]/(x^5) is Z/2[y]/(y^3) with y = x^2, where the step
+    # takes 0 to (y^2) and (y^2) to (y)
+    def broken(ring, ideal):
+        mul = ring.mul
+        return Ideal(ring, frozenset(x for x in range(ring.size) if mul[x][x] in ideal))
+    monkeypatch.setattr(spectrum, "radical", broken)
 
 
 def chain_counts_members(monkeypatch):
@@ -211,12 +243,20 @@ def span_of_the_radical(monkeypatch):
     monkeypatch.setattr(verify, "graded_ideal_from_ideal", broken)
 
 
+def _whole_even_part(g):
+    return Ideal(g.r0_ring, frozenset(range(g.r0_ring.size)))
+
+
 def odd_square_taken_as_whole(monkeypatch):
     # the two-branch recipe reads R1^2 as all of R0: over Z/2 (+) Z/2, where
     # R1^2 = 0, it pairs the prime 0 with 0*R1 = 0 instead of with R1
-    def broken(g):
-        return Ideal(g.r0_ring, frozenset(range(g.r0_ring.size)))
-    monkeypatch.setattr(maxfield, "r1_squared", broken)
+    monkeypatch.setattr(maxfield, "r1_squared", _whole_even_part)
+
+
+def odd_square_read_as_whole(monkeypatch):
+    # the same in the records: over Z/2 (+) Z/2, R1^2 + p = R0 then seems to
+    # hold for the prime 0 + R1, which is not (0, 0*R1)
+    monkeypatch.setattr(verify, "r1_squared", _whole_even_part)
 
 
 def _plant_norm(monkeypatch, norm):
@@ -270,6 +310,20 @@ CASES = [
                  ["spectrum.classification-valid"], id="classify-shape"),
     pytest.param(contraction_not_prime, GAUSSIAN4, ["homeo"],
                  ["homeo.contraction-bijective"], id="phi"),
+    pytest.param(contraction_not_reindexed, TRUNCATED2_5, ["homeo"],
+                 ["homeo.even-variety-pullback", "homeo.homogeneous-variety-image"],
+                 id="p-codes"),
+    pytest.param(odd_part_as_the_complement, GAUSSIAN4, ["spectrum"],
+                 ["spectrum.prime-residual-recovery"], id="r_part"),
+    pytest.param(odd_part_as_the_complement, TRIVEXT4, ["spectrum"],
+                 ["spectrum.nil-square-collapse"], id="r_part-nil"),
+    pytest.param(formula_radical_of_zero, TRIVEXT4, ["radical"],
+                 ["radical.contains-ideal"], id="formula-radical-of-zero"),
+    pytest.param(formula_radical_one_step, TRUNCATED2_5, ["radical"],
+                 ["radical.idempotent"], id="formula-radical-one-step"),
+    pytest.param(odd_square_read_as_whole, TRIVEXT2, ["spectrum"],
+                 ["spectrum.unit-sum-prime-form", "spectrum.classification-valid"],
+                 id="r1_squared"),
     pytest.param(odd_fiber_not_a_submodule, GAUSSIAN4, ["homeo", "spectrum"],
                  ["spectrum.methods-agree", "homeo.methods-agree"],
                  id="phi_inverse-fiber"),
@@ -314,19 +368,12 @@ UNCOVERED = (
     "field.graded-field-methods-agree",
     "field.quadratic-presentation",
     "field.strong-domain-iff-base",
-    "homeo.even-variety-pullback",
-    "homeo.homogeneous-variety-image",
     "ideals.strong-unit-certificate",
     "maximal.contraction-bijective",
     "maximal.maximal-implies-graded-prime",
     "maximal.strong-form",
     "maximal.submodule-residual-equivalence",
     "radical.bracket-closure-observation",
-    "radical.contains-ideal",
-    "radical.idempotent",
-    "spectrum.nil-square-collapse",
-    "spectrum.prime-residual-recovery",
-    "spectrum.unit-sum-prime-form",
 )
 
 
@@ -466,7 +513,7 @@ def _planted(*args):
     pytest.param(maxfield, "norm_set", "norm",
                  ["norm.domain-equivalence", "norm.multiplicative"],
                  id="domain_equivalence_check"),
-    pytest.param(spectrum, "_tagged", "field", ["counts"], id="counts"),
+    pytest.param(spectrum, "is_graded_prime", "field", ["counts"], id="counts"),
 ])
 def test_a_raising_step_is_a_fail_of_the_record_that_reads_it(
         module, name, suite, failed, monkeypatch, tmp_path, capsys):
@@ -496,7 +543,7 @@ def test_a_count_stopped_by_an_error_keeps_the_counts_before_it(monkeypatch):
     g = build_instance(spec_)
     for owner in (g, g.ring, g.r0_ring):
         monkeypatch.setattr(owner, "_cache", {})
-    monkeypatch.setattr(spectrum, "_tagged", _planted)
+    monkeypatch.setattr(spectrum, "is_graded_prime", _planted)
     counts = run_verify(spec_, ["field"]).counts
     assert counts["graded_ideals"] is not None
     assert counts["graded_primes"] is None and counts["graded_maximals"] is None
