@@ -42,6 +42,7 @@ from .rings import (
     _subgroup_lattice,
     _tables_by_digits,
     _translator,
+    _unit_mask,
     ideal_members,
     is_stable_set,
     poly_quotient,
@@ -354,13 +355,21 @@ class Submodule(_StableSubgroup):
         object.__setattr__(self, "mask", mask)
 
     def _family(self) -> tuple:
-        g = self.graded_ring
-        return (g, g.ring, partial(cyclic_span, g), _r0_generators(g),
-                f"a submodule of the odd part of {g.provenance}")
+        return _submodule_family(self.graded_ring)
 
     @property
     def is_proper(self) -> bool:
         return self.mask != self.graded_ring.r1_mask
+
+
+def _submodule_family(g: GradedRing) -> tuple:
+    """``Submodule._family()``: the submodules as the R0-stable subgroups
+    inside R1, with the units of R0 as ambient codes (cached; ``rings``
+    docstring, "Units")."""
+    return _memo(g, "submodule_family", lambda: (
+        g, g.ring, partial(cyclic_span, g), _r0_generators(g),
+        tuple(_codes(_unit_mask(g.ring) & g.r0_mask)),
+        f"a submodule of the odd part of {g.provenance}"))
 
 
 def cyclic_span(g: GradedRing, x: int) -> frozenset:
@@ -459,8 +468,8 @@ def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]
     _check_bound(g.ring, bound, f"submodule enumeration in {g.provenance}")
 
     def compute():
-        found = _subgroup_lattice(g.ring, sorted(g.r1), partial(cyclic_span, g),
-                                  _r0_generators(g))
+        _, ring, span, multipliers, units, _ = _submodule_family(g)
+        found = _subgroup_lattice(ring, sorted(g.r1), span, multipliers, units)
         return tuple(Submodule._of(g, mask) for mask in sorted(found, key=_mask_key(g.ring)))
     return _memo(g, "submodules", compute)
 

@@ -90,11 +90,11 @@ def is_graded_domain(g: GradedRing, method: str = "definitional") -> bool:
     """
     zero = g.ring.zero
     if method == "definitional":
-        return _no_pair_inside(g.ring.mul, g.homogeneous_codes(), 1 << zero)
+        return _no_pair_inside(g.ring, g.homogeneous_codes(), 1 << zero)
     if method == "structural":
         if g.r1 == {zero}:
             r0 = g.r0_ring
-            return _no_pair_inside(r0.mul, range(r0.size), 1 << r0.zero)
+            return _no_pair_inside(r0, range(r0.size), 1 << r0.zero)
         zero_sub = Submodule._of(g, 1 << zero)
         return (is_prime_submodule(g, zero_sub)
                 and residual(g, zero_sub).mask == 1 << g.r0_ring.zero
@@ -210,7 +210,7 @@ def domain_equivalence_check(g: GradedRing) -> DomainEquivalenceReport:
 
 def _domain_equivalence(g: GradedRing) -> DomainEquivalenceReport:
     ring = g.ring
-    flat_domain = _no_pair_inside(ring.mul, range(ring.size), 1 << ring.zero)
+    flat_domain = _no_pair_inside(ring, range(ring.size), 1 << ring.zero)
     graded_domain = is_graded_domain(g)
     kernel_trivial = norm_set(g) == {ring.zero}
     equivalence = flat_domain == (graded_domain and kernel_trivial)

@@ -111,6 +111,39 @@ that holds a label rather than scanning every span.  The set found does
 not depend on the order in which spans are tried, and the lattice keeps no
 labels: a label is a function of the member set (see "Labels").
 
+Units.  Associates are interchangeable: for a unit u of M, the element x and
+its multiple ux give the same span, the same lattice child and the same
+answer to a primality scan, so each exhaustive scan below skips them.  The
+units of a finite ring are the fibre of 1 in ``_idempotent_fibres`` (x^omega
+is 1 exactly when some power of x is 1), and the units of R0 are the even
+codes in it (the inverse of a unit x of R0 is a power of x); a family
+carries the units of its M as codes (``_ideal_family``,
+``grading._submodule_family``).  Three rules, each exact:
+(a) Span list.  ``_span_order`` spans only the first label of each orbit
+{ux : u a unit of M} and marks the whole orbit covered, one lookup per unit.
+If x = uy then Mx <= My and My = M(u^-1 x) <= Mx, so Mx = My; the first
+label giving a span is never covered, since whatever covers it is an earlier
+label with the same span.
+(b) Walk.  After ``_subgroup_lattice`` clears the coset x + H at a node, it
+also clears ux + H for each u = k*1 with gcd(k, char R) = 1, 1 < k < char R:
+by the coset skip's argument H + M(ux + h) = H + M(ux) = H + Mx, a child
+already known.  It translates only when ux lies in no coset already cleared
+at the node (cosets of H are equal or disjoint), so in characteristic 4,
+where -x often lies in x + H, most of these cost nothing.  In prime
+characteristic p the multiples are all k*1 with 0 < k < p, and none of the
+cosets kx + H is cleared before x is tried: the cosets cleared at a node
+come in whole orbits {kx' + H : 0 < k < p}, so one of them would bring
+x + H, and x would not be tried.  With H they make up H + <x>, a subgroup,
+as x has order p modulo H; the child starts from it rather than from G_2,
+which saves the growth by 2x.  In other characteristics the union need not
+be a subgroup (in characteristic 9 it misses 3x + H), and the child starts
+from x + H.  In characteristic 2 there is no such u, and the walk is the
+plain one.
+(c) Pair scans.  For an ideal I and a unit r, rs in I gives
+s = r^-1 rs in I, so no pair (r, s) outside I with rs inside holds a unit:
+``_no_pair_inside`` drops the units from its codes before it scans, and
+``spectrum.is_prime_submodule`` the units of R0 from its even factors.
+
 Radicals.  x lies in the radical of I when x^n lies in I for some n >= 1.
 The powers of x in a finite ring are eventually periodic, and their cycle
 holds exactly one idempotent, x^omega (Howie, Fundamentals of Semigroup
@@ -118,10 +151,12 @@ Theory, 1995): the first of x, x^2, ... that squares to itself.  For an
 ideal I, some power of x lies in I exactly when x^omega does: if x^k lies
 in I, then x^omega = x^j for some j >= k, and x^j = x^k * x^(j-k) lies in
 I.  So the radical of I is the union of the fibres {x : x^omega = e} over
-the idempotents e in I.  ``_idempotent_fibres`` walks each x to x^omega
-once per ring and caches the fibre of each idempotent; the radical of an
-ideal is then one union of fibres (``radical_members``), not one power walk
-per code and ideal.
+the idempotents e in I.  ``_idempotent_fibres`` walks x to x^omega once per
+ring and caches the fibre of each idempotent.  Each power x^j on the way
+has the same x^omega (the cycle of x^j lies in that of x, which holds one
+idempotent), so the walk stops at the first power already placed, and every
+code is walked about once.  The radical of an ideal is then one union of
+fibres (``radical_members``), not one power walk per code and ideal.
 
 Spectra.  A finite commutative ring is Artinian, so it is the product of
 the local rings Re over its primitive idempotents e (the nonzero e with
@@ -293,7 +328,8 @@ class _StableSubgroup:
     """An M-stable subgroup as its member mask (module docstring, "Member
     masks"); ``members`` decodes it on each read.  ``_family()`` gives (memo
     owner, named in the repr; ring of the codes; span x -> Mx; multipliers;
-    noun for error messages); ``_OWNER`` is the owner's field."""
+    units of M as codes; noun for error messages), built once per owner;
+    ``_OWNER`` is the owner's field."""
 
     __slots__ = ()
 
@@ -315,9 +351,9 @@ class _StableSubgroup:
     @property
     def generators(self) -> tuple:
         """The witness of the member set (module docstring, "Labels")."""
-        owner, ring, span, multipliers, what = self._family()
+        owner, ring, span, multipliers, units, what = self._family()
         return _memo(owner, ("span_path", self.mask), lambda: _span_path(
-            ring, span, multipliers, self.mask, what))
+            ring, span, multipliers, units, self.mask, what))
 
     def __contains__(self, value) -> bool:
         return bool(self.mask >> as_code(self._family()[1], value) & 1)
@@ -369,8 +405,10 @@ class Ideal(_StableSubgroup):
 
 
 def _ideal_family(ring: FiniteRing) -> tuple:
-    return (ring, ring, partial(principal_span, ring), _additive_generators(ring),
-            f"an ideal of {ring.provenance}")
+    """``Ideal._family()``: the ideals as the R-stable subgroups (cached)."""
+    return _memo(ring, "ideal_family", lambda: (
+        ring, ring, partial(principal_span, ring), _additive_generators(ring),
+        tuple(_codes(_unit_mask(ring))), f"an ideal of {ring.provenance}"))
 
 
 def canonical_key(members: frozenset) -> tuple:
@@ -806,15 +844,19 @@ def _check_bound(ring: FiniteRing, bound, what: str) -> None:
 
 
 def _span_order(ring: FiniteRing, labels: Iterable[int], span,
-                multipliers: tuple) -> list:
+                multipliers: tuple, units: tuple) -> list:
     """The distinct spans ``span(x)`` in lattice order, as (label, member
     mask, additive seeds): each labelled by the first x of ``labels`` giving
     it, and in canonical order (``_mask_key``).  The seeds are the span's
     own additive generators, picked from x times the multipliers, so each of
-    them enlarges the subgroup grown from the ones before it."""
-    first = {}
+    them enlarges the subgroup grown from the ones before it.  ``span`` runs
+    on the first label of each orbit x times ``units`` alone (module
+    docstring, "Units", rule (a))."""
+    first, covered, mul = {}, set(), ring.mul
     for x in labels:
-        first.setdefault(span(x), x)
+        if x not in covered:
+            covered.update(map(mul[x].__getitem__, units))
+            first.setdefault(span(x), x)
     key = _mask_key(ring)
     return [(x, members, tuple(_subgroup_generators(
                 ring, span_seeds(ring, multipliers, x))))
@@ -828,10 +870,11 @@ def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
     mask (module docstring, "Lattice enumeration").  ``members`` and
     ``seeds`` are the span's mask and seeds from ``_span_order``, and
     ``coset`` is the mask of x + H when the caller has it (the lattice clears
-    it from its untried labels); else it is translated here, and only when
-    needed.  The child is the span itself when that contains H; else
-    H | coset when the span lies in it; else that grown by 2x, then by the
-    seeds."""
+    it from its untried labels), or in prime characteristic p the union of
+    the cosets kx + H for 0 < k < p, which with H is H + <x>; else x + H is
+    translated here, and only when needed.  The child is the span itself
+    when that contains H; else H | coset when the span lies in it; else that
+    grown by 2x, then by the seeds."""
     if not node & ~members:
         return members
     child = node | (shift(node, x) if coset is None else coset)
@@ -840,17 +883,34 @@ def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
     return child
 
 
+def _unit_multiples(ring: FiniteRing) -> tuple[tuple, bool]:
+    """The codes of k*1 for 1 < k < c with gcd(k, c) = 1, where c is the
+    additive order of 1 (the characteristic): the units of Z*1 but 1; and
+    whether c is prime, that is, whether they are all the k*1 but 0 and 1."""
+    add, one = ring.add, ring.one
+    multiples = [one]  # multiples[k - 1] = k*1, up to c*1 = 0
+    while multiples[-1] != ring.zero:
+        multiples.append(add[multiples[-1]][one])
+    c = len(multiples)
+    units = tuple(multiples[k - 1] for k in range(2, c) if math.gcd(k, c) == 1)
+    return units, len(units) == c - 2
+
+
 def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
-                      multipliers: tuple) -> list:
+                      multipliers: tuple, units: tuple) -> list:
     """Every sum of the spans ``span(x)`` for x in ``labels``, as a list of
     member masks, in the order found.
 
     The spans come from ``_span_order``.  Breadth-first from {0} on member
     masks (module docstring, "Lattice enumeration"): a child new to the
     lattice joins the end of the node list, and the list is the result.
+    With each coset x + H it clears the cosets ux + H of the unit multiples
+    u of 1 not yet cleared at the node ("Units", rule (b)); in
+    characteristic 2 there are none.
     """
-    spans = _span_order(ring, labels, span, multipliers)
-    add, shift = ring.add, _translator(ring)
+    spans = _span_order(ring, labels, span, multipliers, units)
+    add, mul, shift = ring.add, ring.mul, _translator(ring)
+    multiples, prime = _unit_multiples(ring)
     by_label = [None] * ring.size
     for x, members, seeds in spans:
         by_label[x] = members, seeds
@@ -860,10 +920,20 @@ def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
     nodes = [bottom]
     for node in nodes:  # breadth-first: children join the end of the list
         untried = labels & ~node
+        cleared = node
         while untried:
             x = (untried & -untried).bit_length() - 1
             coset = shift(node, x)
             untried &= ~coset
+            if multiples:
+                cleared |= coset
+                for y in map(mul[x].__getitem__, multiples):
+                    if not cleared >> y & 1:
+                        other = shift(node, y)
+                        cleared |= other
+                        if prime:  # with H, the cosets kx + H make up H + <x>
+                            coset |= other
+                untried &= ~cleared
             child = _span_child(add, shift, node, x, *by_label[x], coset)
             if child not in found:
                 found.add(child)
@@ -871,7 +941,7 @@ def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
     return nodes
 
 
-def _span_path(ring: FiniteRing, span, multipliers: tuple, goal: int,
+def _span_path(ring: FiniteRing, span, multipliers: tuple, units: tuple, goal: int,
                what: str) -> tuple:
     """The generator witness of the M-stable set of mask ``goal``: the
     lexicographically least shortest sequence of spans ``span(x)`` summing
@@ -881,7 +951,8 @@ def _span_path(ring: FiniteRing, span, multipliers: tuple, goal: int,
     (such as "an ideal of Z/6"), raises ``InvalidInputError`` before any
     span is built.  The spans inside an M-stable set are the Mx with x in
     it, so ``_span_order`` takes its members in code order as labels: Mx = My puts
-    x and y in it together, so this keeps each span's label.  Iterative
+    x and y in it together, so this keeps each span's label, and spans one
+    label per orbit of ``units`` ("Units", rule (a)).  Iterative
     deepening on member masks: depth-first in span order with 0, 1, 2, ...
     steps, so the first path found is the answer.  A node H with k steps
     left is pruned when even k of the widest spans cannot grow it to the
@@ -891,7 +962,7 @@ def _span_path(ring: FiniteRing, span, multipliers: tuple, goal: int,
     size = goal.bit_count()
     if not _is_stable_mask(ring, multipliers, goal):
         raise InvalidInputError(f"a set of {size} codes is not {what}")
-    spans = _span_order(ring, _codes(goal), span, multipliers)
+    spans = _span_order(ring, _codes(goal), span, multipliers, units)
     add, shift = ring.add, _translator(ring)
     widest = max(members.bit_count() for _, members, _ in spans)
     dead = set()
@@ -923,8 +994,8 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     _check_bound(ring, bound, f"ideal enumeration in {ring.provenance}")
 
     def compute():
-        found = _subgroup_lattice(ring, range(ring.size), partial(principal_span, ring),
-                                  _additive_generators(ring))
+        _, _, span, multipliers, units, _ = _ideal_family(ring)
+        found = _subgroup_lattice(ring, range(ring.size), span, multipliers, units)
         return tuple(Ideal._of(ring, mask) for mask in sorted(found, key=_mask_key(ring)))
     return _memo(ring, "ideals", compute)
 
@@ -944,16 +1015,21 @@ def prime_violation(ring: FiniteRing, members: frozenset) -> tuple | None:
                         members)
 
 
-def _no_pair_inside(mul, codes: Iterable[int], inside: int) -> bool:
+def _no_pair_inside(ring: FiniteRing, codes: Iterable[int], inside: int) -> bool:
     """True when no pair (r, s) of ``codes`` outside the member mask
-    ``inside`` has rs inside: exactly ``_pair_inside`` finding none, but the
-    pairs (r, r) come first, one lookup each, and stop at the first square
-    inside (in most ideals that are not prime, a few codes in).  Only a set
-    that no square enters gets the full pair scan, on the set of its codes.
-    Reads ``codes`` once."""
+    ``inside`` has rs inside: exactly ``_pair_inside`` finding none.
+
+    Precondition: ``inside`` is the mask of an ideal of ``ring``.  Then no
+    such pair holds a unit (rs in I with r a unit puts s = r^-1 rs in I;
+    module docstring, "Units", rule (c)), so the units of ``ring`` are
+    dropped from the codes.  The pairs (r, r) come first, one lookup each,
+    and stop at the first square inside (in most ideals that are not prime,
+    a few codes in).  Only a set that no square enters gets the full pair
+    scan, on the set of its codes.  Reads ``codes`` once."""
+    mul, skip = ring.mul, inside | _unit_mask(ring)
     outside = []
     for r in codes:
-        if not inside >> r & 1:
+        if not skip >> r & 1:
             if inside >> mul[r][r] & 1:
                 return False
             outside.append(r)
@@ -989,14 +1065,28 @@ def _idempotent_fibres(ring: FiniteRing) -> dict:
     (cached per ring; module docstring, "Radicals").  x^omega is the first
     of x, x^2, ... that squares to itself."""
     def compute():
-        mul, fibres = ring.mul, {}
+        mul, omega = ring.mul, [None] * ring.size
         for x, row in enumerate(mul):
-            power = x
-            while mul[power][power] != power:
+            if omega[x] is not None:
+                continue
+            path, power = [x], x  # powers of x, which share its x^omega
+            while omega[power] is None and mul[power][power] != power:
                 power = row[power]
-            fibres[power] = fibres.get(power, 0) | 1 << x
+                path.append(power)
+            e = power if omega[power] is None else omega[power]
+            for y in path:
+                omega[y] = e
+        fibres = {}
+        for x, e in enumerate(omega):
+            fibres[e] = fibres.get(e, 0) | 1 << x
         return {e: fibres[e] for e in sorted(fibres)}
     return _memo(ring, "idempotent_fibres", compute)
+
+
+def _unit_mask(ring: FiniteRing) -> int:
+    """The mask of the units: the fibre of 1 in ``_idempotent_fibres``
+    (module docstring, "Units")."""
+    return _idempotent_fibres(ring)[ring.one]
 
 
 def radical_members(ring: FiniteRing, inside: int) -> int:

@@ -35,6 +35,7 @@ from .rings import (
     _memo,
     _no_pair_inside,
     _same_ring,
+    _unit_mask,
     canonical_key,
     radical,
     radical_members,
@@ -89,7 +90,7 @@ def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
     """Definitional test: proper, and homogeneous rs in J forces r or s in J."""
     if j.graded_ring is not g:
         raise InvalidInputError("graded ideal belongs to a different graded ring")
-    return j.is_proper and _no_pair_inside(g.ring.mul, g.homogeneous_codes(), j.mask)
+    return j.is_proper and _no_pair_inside(g.ring, g.homogeneous_codes(), j.mask)
 
 
 def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
@@ -100,9 +101,10 @@ def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
         return False
     inside, mul = rp.mask, g.ring.mul
     outside = [m for m in g.r1 if not inside >> m & 1]
-    colon = _r1_colon(g, g.r0, inside)
+    # a unit a of R0 with a*m in N puts m = a^-1 a m in N (``rings``, "Units")
+    skip = _r1_colon(g, g.r0, inside) | _unit_mask(g.ring)
     return not any(inside >> mul[a][m] & 1
-                   for a in g.r0 if not colon >> a & 1 for m in outside)
+                   for a in g.r0 if not skip >> a & 1 for m in outside)
 
 
 def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
@@ -125,8 +127,8 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     that the result is a graded prime is the theorem that
     ``spectrum.methods-agree`` and ``homeo.methods-agree`` check."""
     _same_ring(g.r0_ring, p.ring)
-    if not p.is_proper or not _no_pair_inside(g.r0_ring.mul, range(g.r0_ring.size),
-                                               p.mask):
+    r0 = g.r0_ring
+    if not p.is_proper or not _no_pair_inside(r0, range(r0.size), p.mask):
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
     return GradedPrime(GradedIdeal(g, p, Submodule._of(g, _pair_bounds(g, p)[2])))
 

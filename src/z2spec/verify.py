@@ -226,7 +226,7 @@ def _spectrum_methods_agree(g, bound):
         # spec builds no lattice: the prime and the maximal ideals are its oracles
         proper = [i.mask for i in enumerate_ideals(ring, bound) if i.is_proper]
         primes = {m for m in proper
-                  if _no_pair_inside(ring.mul, range(ring.size), m)}
+                  if _no_pair_inside(ring, range(ring.size), m)}
         maximal = maximal_sets(proper)
         points = {p.mask for p in spec(ring, bound)}
         if not points == primes == maximal:
@@ -534,7 +534,7 @@ def _field_strong_domain(g, bound):
     if not is_strongly_graded(g):
         return NOT_APPLICABLE, "not strongly graded"
     r0 = g.r0_ring
-    base_domain = _no_pair_inside(r0.mul, range(r0.size), 1 << r0.zero)
+    base_domain = _no_pair_inside(r0, range(r0.size), 1 << r0.zero)
     if is_graded_domain(g) != base_domain:
         return FAIL, "graded domain flag disagrees with the even part"
     return PASS, None

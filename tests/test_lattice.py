@@ -1,6 +1,6 @@
 """The subgroup-growth lattice enumerator and the generator-pair
 compatibility tests against all-pairs references: ideals, submodules, graded
-pairs, residuals and odd parts on every catalog ring and two larger ones."""
+pairs, residuals and odd parts on every catalog ring and five others."""
 
 import math
 import re
@@ -9,6 +9,7 @@ from functools import partial
 
 import pytest
 
+import z2spec.grading as grading
 import z2spec.rings as rings
 from instance_cases import INSTANCE_CASES
 from naive_closure import (
@@ -40,6 +41,7 @@ from z2spec.grading import (
     submodule_generate,
     submodules,
     trivial_extension,
+    trivially_graded,
 )
 from z2spec.maxfield import graded_max
 from z2spec.rings import (
@@ -52,8 +54,10 @@ from z2spec.rings import (
     _members,
     _span_child,
     _span_order,
+    _subgroup_generators,
     _subgroup_lattice,
     _translator,
+    _unit_mask,
     additive_closure,
     canonical_key,
     classify_ideal,
@@ -65,6 +69,7 @@ from z2spec.rings import (
     product_ring,
     radical,
     spec,
+    span_seeds,
     zmod,
 )
 
@@ -74,18 +79,26 @@ RINGS.update({
     "Z/4 (+) (Z/2 (+) Z/4)": lambda: trivial_extension(zmod(4), [2, 4]),
     # odd characteristic: its masks translate by radix-3 digits, d = 1 and 2
     "Z/3 (+) F3^3": lambda: trivial_extension(zmod(3), [3] * 3),
+    # characteristic 4: the walk clears 3x + H with x + H unless 2x lies in H
+    "Z/4 (+) (Z/4)^2": lambda: trivial_extension(zmod(4), [4] * 2),
+    # characteristic 9, not prime: the cosets kx + H with k prime to 9 miss
+    # 3x + H, so a child never starts from their union
+    "Z/9 x Z/9": lambda: trivially_graded(product_ring(zmod(9), zmod(9))),
 })
 CATALOG_IDS = [entry.instance_id for entry in CATALOG]
 
 
 def _ideal_family(ring):
-    """(ring, labels, span, multipliers) of the ideals of ``ring``."""
-    return ring, range(ring.size), partial(principal_span, ring), _additive_generators(ring)
+    """(ring, labels, span, multipliers, units) of the ideals of ``ring``."""
+    units = tuple(c for c in range(ring.size) if ring.is_unit(c))
+    return (ring, range(ring.size), partial(principal_span, ring), _additive_generators(ring),
+            units)
 
 
 def _submodule_family(g):
-    """(ring, labels, span, multipliers) of the R0-submodules of R1."""
-    return g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g)
+    """(ring, labels, span, multipliers, units) of the R0-submodules of R1."""
+    units = tuple(c for c in sorted(g.r0) if g.ring.is_unit(c))
+    return g.ring, sorted(g.r1), partial(cyclic_span, g), _r0_generators(g), units
 
 
 def _families(g):
@@ -221,6 +234,76 @@ def test_odd_characteristic_lattices_count_every_subspace(k, count):
 
 
 @pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_idempotent_fibres_match_a_power_walk_per_code(case):
+    """The fibre table, which stops each walk at the first power already
+    placed, equals the walk of every code to the first of its powers that
+    squares to itself."""
+    g, _ = case()
+    for ring in dict.fromkeys((g.ring, g.r0_ring)):
+        mul, fibres = ring.mul, {}
+        for x in range(ring.size):
+            power = x
+            while mul[power][power] != power:
+                power = mul[x][power]
+            fibres[power] = fibres.get(power, 0) | 1 << x
+        assert list(rings._idempotent_fibres(ring).items()) == sorted(fibres.items())
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_unit_masks_are_the_units(case):
+    """The units of a ring are the fibre of 1 among its idempotent fibres,
+    and the units of R0 are the even codes among those of R: each family
+    carries the units of its multiplier ring as codes."""
+    g, _ = case()
+    for ring in dict.fromkeys((g.ring, g.r0_ring)):
+        units = [c for c in range(ring.size) if ring.is_unit(c)]
+        assert _unit_mask(ring) == _mask(units)
+        assert rings._ideal_family(ring)[4] == tuple(units)
+    r0 = g.r0_ring
+    even_units = sorted(g.from_r0(c) for c in range(r0.size) if r0.is_unit(c))
+    assert grading._submodule_family(g)[4] == tuple(even_units)
+
+
+def _span_order_of_every_label(ring, labels, span, multipliers):
+    """The span list with a span built for every label, then deduplicated."""
+    first = {}
+    for x in labels:
+        first.setdefault(span(x), x)
+    return [(x, _mask(members),
+             tuple(_subgroup_generators(ring, span_seeds(ring, multipliers, x))))
+            for members, x in sorted(first.items(), key=lambda mx: canonical_key(mx[0]))]
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_span_list_of_one_label_per_orbit_is_that_of_every_label(case):
+    """Spanning only the first label of each orbit of units gives the same
+    labels, masks, seeds and order as spanning every label."""
+    g, _ = case()
+    for ring, labels, span, multipliers, units in _families(g):
+        assert (_span_order(ring, labels, span, multipliers, units)
+                == _span_order_of_every_label(ring, labels, span, multipliers))
+
+
+def test_span_list_builds_each_span_once():
+    """Z/25[i]: two codes with one span are associates, so the span list
+    builds each span once: 9 principal ideals, where spanning every label
+    built 625, and 3 principal ideals of Z/25 and 3 cyclic submodules,
+    where it built 25 each."""
+    g = gaussian_integers(25)
+    built = []
+    for ring, labels, span, multipliers, units in _families(g):
+        calls = []
+
+        def counting(x, span=span, calls=calls):
+            calls.append(x)
+            return span(x)
+        spans = _span_order(ring, labels, counting, multipliers, units)
+        assert len(calls) == len(spans)
+        built.append(len(calls))
+    assert built == [9, 3, 3]
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
 def test_mask_key_is_canonical_order(case):
     """On every lattice (the ideals of R and of R0, the submodules, the
     graded ideals), sorting member masks by ``_mask_key`` sorts their sets
@@ -260,6 +343,33 @@ def test_deep_lattices_take_one_translation_per_child(k, count, monkeypatch):
     modules = _subgroup_lattice(*_submodule_family(g))
     assert (len(ideals), len(modules)) == (_galois_number(k) + 1, _galois_number(k))
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("k, steps, count", [(4, 2452, 5074), (5, 53968, 108432)])
+def test_odd_characteristic_walks_clear_the_coset_of_each_unit_multiple(
+        k, steps, count, monkeypatch):
+    """Z/3 (+) F3^k: each child step clears x + H and 2x + H, the coset of
+    the unit multiple 2x = -x, and starts its child from their union with
+    H, which is H + <x>.  So building both span lists and walking both
+    lattices takes ``steps`` child steps and ``count`` translations; with
+    x + H alone they took 4,270 and 8,418 (k = 4), 99,946 and 197,482
+    (k = 5).  k = 5 runs in its own process in CI."""
+    g = trivial_extension(zmod(3), [3] * k)
+    ring = g.ring
+    _additive_generators(ring)  # known before counting, whichever test ran first
+    counting, calls = _counting(_translator(ring))
+    monkeypatch.setitem(ring._cache, "translator", counting)
+    children = []
+    span_child = rings._span_child
+
+    def spy(*args):
+        children.append(args[3])
+        return span_child(*args)
+    monkeypatch.setattr(rings, "_span_child", spy)
+    ideals = _subgroup_lattice(*_ideal_family(ring))
+    modules = _subgroup_lattice(*_submodule_family(g))
+    assert (len(ideals), len(modules)) == (_galois_number(k, 3) + 1, _galois_number(k, 3))
+    assert (len(children), len(calls)) == (steps, count)
 
 
 def test_each_child_branch_takes_its_translations():

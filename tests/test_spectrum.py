@@ -311,13 +311,13 @@ def test_squares_first_test_agrees_with_the_pair_scan(g):
     for ring in dict.fromkeys((g.ring, g.r0_ring)):
         for i in enumerate_ideals(ring):
             expected = prime_violation(ring, i.members) is None
-            assert _no_pair_inside(ring.mul, range(ring.size), i.mask) == expected
-            assert _no_pair_inside(ring.mul, iter(range(ring.size)), i.mask) == expected
+            assert _no_pair_inside(ring, range(ring.size), i.mask) == expected
+            assert _no_pair_inside(ring, iter(range(ring.size)), i.mask) == expected
     for j in enumerate_graded_ideals(g):
         m = j.flat_members
         outside = [c for c in homogeneous if c not in m]
         expected = all(mul[r][s] not in m for r in outside for s in outside)
-        assert _no_pair_inside(mul, iter(homogeneous), j.mask) == expected
+        assert _no_pair_inside(g.ring, iter(homogeneous), j.mask) == expected
 
 
 BOUNDED_CALLS = {

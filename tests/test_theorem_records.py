@@ -36,6 +36,8 @@ TRUNCATED2_5 = {"kind": "truncated_poly", "base": {"kind": "zmod", "n": 2}, "k":
 TRIVEXT4 = {"kind": "trivial_extension", "n": 4, "orders": [4]}
 TRIVEXT4_M2 = {"kind": "trivial_extension", "n": 4, "orders": [2]}
 ZMOD6 = {"kind": "zmod", "n": 6}
+Z2_X_Z3_I = {"kind": "quadratic", "alpha": 5, "symbol": "i", "base": {
+    "kind": "product", "a": {"kind": "zmod", "n": 2}, "b": {"kind": "zmod", "n": 3}}}
 
 
 def _drop_largest(members: frozenset) -> frozenset:
@@ -292,6 +294,23 @@ def norm_kernel_gains_one(monkeypatch):
     monkeypatch.setattr(maxfield, "norm_set", lambda g: original(g) | {g.ring.one})
 
 
+def pair_scan_of_squares_only(monkeypatch):
+    # the domain tests stop after the squares: over (Z/2 x Z/3)[i] no
+    # nonzero homogeneous element squares to 0, though (1,0) * (0,1) = 0
+    def broken(ring, codes, inside):
+        mul = ring.mul
+        return not any(inside >> mul[r][r] & 1 for r in codes if not inside >> r & 1)
+    monkeypatch.setattr(maxfield, "_no_pair_inside", broken)
+
+
+def zero_divisor_taken_for_a_unit(monkeypatch):
+    # 3 joins the units of Z/6, though 3 * 2 = 0: the pair scans skip it,
+    # and the zero ideal, outside which only 2 and 4 are left, passes for
+    # a prime
+    original = rings._unit_mask
+    monkeypatch.setattr(rings, "_unit_mask", lambda ring: original(ring) | 1 << 3)
+
+
 CASES = [
     pytest.param(flat_set_not_an_ideal, GAUSSIAN4, ["ideals"],
                  ["ideals.pair-enumeration-oracle"], id="GradedIdeal"),
@@ -356,18 +375,20 @@ CASES = [
                  ["norm.multiplicative"], id="norm-multiplicative"),
     pytest.param(norm_kernel_gains_one, GAUSSIAN3, ["norm"],
                  ["norm.domain-equivalence"], id="norm_set"),
+    pytest.param(pair_scan_of_squares_only, Z2_X_Z3_I, ["field"],
+                 ["field.domain-iff-zero-prime", "field.graded-domain-methods-agree",
+                  "field.strong-domain-iff-base"], id="is_graded_domain"),
+    pytest.param(zero_divisor_taken_for_a_unit, ZMOD6, ["spectrum"],
+                 ["spectrum.methods-agree"], id="unit_mask"),
 ]
 
 # The records no case above makes fail yet: each still needs a planted defect
 # (ROADMAP item 3), and leaves this list with its case.
 UNCOVERED = (
-    "field.domain-iff-zero-prime",
     "field.field-iff-two-graded-ideals",
     "field.field-iff-zero-maximal",
-    "field.graded-domain-methods-agree",
     "field.graded-field-methods-agree",
     "field.quadratic-presentation",
-    "field.strong-domain-iff-base",
     "ideals.strong-unit-certificate",
     "maximal.contraction-bijective",
     "maximal.maximal-implies-graded-prime",
