@@ -9,6 +9,7 @@ a graded domain and N vanishes only at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidInputError, NotGradedFieldError
 from .graded_ideals import (
@@ -183,11 +184,16 @@ def norm(g: GradedRing, x) -> RingElement:
     return RingElement(g.r0_ring, g.to_r0(value))
 
 
+def _norms(g: GradedRing) -> tuple:
+    """N(c) for every ambient code c, computed once per graded ring."""
+    return _memo(g, "norms", lambda: tuple(
+        _norm_code(g, c) for c in range(g.ring.size)))
+
+
 def norm_set(g: GradedRing) -> frozenset:
     """Ambient codes with vanishing norm."""
     zero = g.ring.zero
-    return frozenset(
-        c for c in range(g.ring.size) if _norm_code(g, c) == zero)
+    return frozenset(c for c, value in enumerate(_norms(g)) if value == zero)
 
 
 @dataclass(frozen=True)
@@ -215,21 +221,27 @@ def _domain_equivalence(g: GradedRing) -> DomainEquivalenceReport:
     kernel_trivial = norm_set(g) == {ring.zero}
     equivalence = flat_domain == (graded_domain and kernel_trivial)
 
-    norms = [_norm_code(g, c) for c in range(ring.size)]
-    mul = ring.mul
+    # row x: N(x*y) over all y against N(x)*N(y) over all y, the right side
+    # shared by every x of the same norm; a ring has 1 != 0, so each row
+    # picks at least two values and itemgetter returns a tuple
+    norms = _norms(g)
+    mul, size = ring.mul, ring.size
+    times_norms = itemgetter(*norms)
+    products = {}  # N(x) -> N(x)*N(y) over all y
     witness = None
     multiplicative = True
-    pairs = 0  # compared: the scan stops at the first failing pair
-    for x in range(ring.size):
-        row, norm_row = mul[x], mul[norms[x]]
-        y = next((y for y in range(ring.size)
-                  if norms[row[y]] != norm_row[norms[y]]), None)
-        if y is not None:
+    pairs = size * size  # compared: the scan stops at the first failing pair
+    for x, norm_x in enumerate(norms):
+        expected = products.get(norm_x)
+        if expected is None:
+            expected = products[norm_x] = times_norms(mul[norm_x])
+        found = itemgetter(*mul[x])(norms)
+        if found != expected:
+            y = next(y for y in range(size) if found[y] != expected[y])
             multiplicative = False
-            pairs += y + 1
+            pairs = x * size + y + 1
             witness = f"N({ring.names[x]} * {ring.names[y]}) != N*N"
             break
-        pairs += ring.size
     if witness is None and not equivalence:
         witness = (f"domain={flat_domain}, graded domain={graded_domain},"
                    f" trivial norm kernel={kernel_trivial}")

@@ -220,16 +220,18 @@ class FiniteRing:
     """A finite commutative ring given by total add/mul tables.
 
     ``add`` and ``mul`` are tuples of rows (``add[a][b]`` is a code), ``zero``
-    and ``one`` are codes, ``names`` renders codes for humans, ``provenance``
-    records the construction recipe.  ``residue_modulus`` is set (to n) only
-    on Z/n itself, where codes coincide with residues and integer inputs may
-    be reduced mod n.  ``radix`` is the digit radix of the codes, least
-    significant first, when the constructor composed the ring from digits
-    (module docstring, "Member masks"), and None otherwise.
+    and ``one`` are distinct codes, ``names`` renders codes for humans,
+    ``provenance`` records the construction recipe.  ``residue_modulus`` is
+    set (to n) only on Z/n itself, where codes coincide with residues and
+    integer inputs may be reduced mod n.  ``radix`` is the digit radix of the
+    codes, least significant first, when the constructor composed the ring
+    from digits (module docstring, "Member masks"), and None otherwise.
     """
 
     def __init__(self, size, add, mul, zero, one, provenance, names,
                  residue_modulus=None, radix=None):
+        if one == zero:  # domains and fields need 1 != 0
+            raise InvalidParameterError(f"{provenance} has 1 = 0")
         self.size = size
         self.add = add
         self.mul = mul

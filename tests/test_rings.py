@@ -150,6 +150,14 @@ def test_table_builders_require_zero_code_zero():
         poly_quotient(swapped, [1, 0])
 
 
+def test_the_zero_ring_is_rejected():
+    # 1 = 0 leaves one element, which would pass every domain and field test
+    from z2spec.rings import FiniteRing
+
+    with pytest.raises(InvalidParameterError, match="^zero ring has 1 = 0$"):
+        FiniteRing(1, ((0,),), ((0,),), 0, 0, "zero ring", ("0",))
+
+
 def test_product_crt_isomorphism():
     p = product_ring(zmod(2), zmod(3))
     assert p.size == 6

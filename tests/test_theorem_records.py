@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from naive_norm import naive_domain_equivalence
 import z2spec.graded_ideals as graded_ideals
 import z2spec.grading as grading
 import z2spec.maxfield as maxfield
@@ -29,6 +30,7 @@ from z2spec.spectrum import GradedPrime, PrimeKind
 from z2spec.verify import run_verify
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
+GAUSSIAN2 = {"kind": "gaussian", "n": 2}
 GAUSSIAN3 = {"kind": "gaussian", "n": 3}
 GAUSSIAN4 = {"kind": "gaussian", "n": 4}
 TRIVEXT2 = {"kind": "trivial_extension", "n": 2, "orders": [2]}
@@ -262,11 +264,11 @@ def odd_square_read_as_whole(monkeypatch):
 
 
 def _plant_norm(monkeypatch, norm):
-    """N(x0 + x1) := norm(ring, x0, x1) in both modules that read it."""
+    """N(x0 + x1) := norm(ring, x0, x1) where maxfield's norm table
+    ``_norms`` reads it, and so in every record of the norm suite."""
     def broken(g, code):
         return norm(g.ring, *g.parts(code))
     monkeypatch.setattr(maxfield, "_norm_code", broken)
-    monkeypatch.setattr(verify, "_norm_code", broken)
 
 
 def norm_unsquared_odd_part(monkeypatch):
@@ -287,11 +289,32 @@ def norm_odd_square_added(monkeypatch):
                 r.add[r.mul[x0][x0]][r.mul[x1][x1]])
 
 
+def norm_of_the_last_code_is_one(monkeypatch):
+    # over Z/2[i] the last code is 1+i, of norm 0; with N(1+i) = 1 the
+    # norm stays multiplicative on every pair but the last, where
+    # N((1+i)^2) = N(0) = 0 while N(1+i)^2 = 1
+    original = maxfield._norm_code
+
+    def broken(g, code):
+        return g.ring.one if code == g.ring.size - 1 else original(g, code)
+    monkeypatch.setattr(maxfield, "_norm_code", broken)
+
+
 def norm_kernel_gains_one(monkeypatch):
     # a field with 1 in its norm kernel would be a domain whose kernel is
     # not trivial
     original = maxfield.norm_set
     monkeypatch.setattr(maxfield, "norm_set", lambda g: original(g) | {g.ring.one})
+
+
+def presentation_over_alpha_plus_one(monkeypatch):
+    # R0[X]/(X^2 - (alpha + 1)): over F9 = Z/3[i], alpha = -1, so X^2 = 0,
+    # and the map c0 + c1*i -> c0 + c1*X does not preserve products
+    original = maxfield.quadratic_extension
+
+    def broken(base, alpha, symbol=None):
+        return original(base, base.add[alpha][base.one], symbol)
+    monkeypatch.setattr(maxfield, "quadratic_extension", broken)
 
 
 def pair_scan_of_squares_only(monkeypatch):
@@ -375,6 +398,8 @@ CASES = [
                  ["norm.multiplicative"], id="norm-multiplicative"),
     pytest.param(norm_kernel_gains_one, GAUSSIAN3, ["norm"],
                  ["norm.domain-equivalence"], id="norm_set"),
+    pytest.param(presentation_over_alpha_plus_one, GAUSSIAN3, ["field"],
+                 ["field.quadratic-presentation"], id="quadratic_extension"),
     pytest.param(pair_scan_of_squares_only, Z2_X_Z3_I, ["field"],
                  ["field.domain-iff-zero-prime", "field.graded-domain-methods-agree",
                   "field.strong-domain-iff-base"], id="is_graded_domain"),
@@ -388,7 +413,6 @@ UNCOVERED = (
     "field.field-iff-two-graded-ideals",
     "field.field-iff-zero-maximal",
     "field.graded-field-methods-agree",
-    "field.quadratic-presentation",
     "ideals.strong-unit-certificate",
     "maximal.contraction-bijective",
     "maximal.maximal-implies-graded-prime",
@@ -524,6 +548,30 @@ def test_pairs_checked_counts_the_pairs_compared(monkeypatch):
     report = maxfield.domain_equivalence_check(g)
     assert not report.norm_multiplicative
     assert report.pairs_checked == first + 1 < size * size
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda entry: entry.instance_id)
+def test_norm_report_matches_the_per_pair_reference(entry):
+    g = build_instance(entry.spec())
+    assert maxfield.domain_equivalence_check(g) == naive_domain_equivalence(g)
+
+
+@pytest.mark.parametrize("breakage, recipe", [
+    pytest.param(norm_unsquared_odd_part, GAUSSIAN4, id="norm-degree"),
+    pytest.param(norm_sign_flipped, GAUSSIAN4, id="norm-sign"),
+    pytest.param(norm_odd_square_added, GAUSSIAN3, id="norm-multiplicative"),
+    pytest.param(norm_of_the_last_code_is_one, GAUSSIAN2, id="norm-last-pair"),
+])
+def test_broken_norm_report_matches_the_per_pair_reference(breakage, recipe,
+                                                            monkeypatch):
+    g = build_instance(InstanceSpec(dict(recipe)))
+    monkeypatch.setattr(g, "_cache", {})
+    breakage(monkeypatch)
+    report = maxfield.domain_equivalence_check(g)
+    assert report == naive_domain_equivalence(g)
+    if breakage is norm_of_the_last_code_is_one:  # the scan reaches the last pair
+        assert not report.norm_multiplicative
+        assert report.pairs_checked == g.ring.size ** 2
 
 
 def _planted(*args):
