@@ -5,8 +5,8 @@ theorem suites), ``spec`` (list the classical or graded spectrum), and
 ``export-dot`` (Graphviz rendering of the spectrum correspondence).  Only
 ``verify`` builds lattices.  ``spec`` finds Spec R from the primitive
 idempotents of R, and the graded spectrum is printed through the
-contraction: ``phi_inverse`` applied to Spec R0.  The ``*.methods-agree``
-records tie both to the definitions.
+contraction: ``phi_inverse`` applied to Spec R0.  The record
+``spectrum.methods-agree`` ties both to the definitions.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 input error,
 3 enumeration bound exceeded.

@@ -148,7 +148,8 @@ def graded_field_presentation(g: GradedRing) -> GradedFieldPresentation:
         raise NotGradedFieldError(
             f"{g.provenance} has zero odd part; no quadratic presentation")
     mul, add = g.ring.mul, g.ring.add
-    b = next(x for x in sorted(g.r1) if x != zero and mul[x][x] != zero)
+    b = next((x for x in sorted(g.r1) if x != zero and mul[x][x] != zero), None)
+    _require(b is not None, "some odd element must have a nonzero square")
     _require(cyclic_span(g, b) == g.r1, "b must generate the odd part")
     alpha_code = g.to_r0(mul[b][b])
     target = quadratic_extension(g.r0_ring, alpha_code)

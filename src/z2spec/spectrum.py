@@ -125,7 +125,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     """The unique graded prime contracting to p: its odd part is
     {x in R1 : x*R1 <= p}, all of R1 when R1^2 <= p.  Only p is checked;
     that the result is a graded prime is the theorem that
-    ``spectrum.methods-agree`` and ``homeo.methods-agree`` check."""
+    ``spectrum.methods-agree`` checks."""
     _same_ring(g.r0_ring, p.ring)
     r0 = g.r0_ring
     if not p.is_proper or not _no_pair_inside(r0, range(r0.size), p.mask):
@@ -149,8 +149,8 @@ def graded_spec(g: GradedRing, method: str = "definitional",
 
     The CLI prints the constructive spectrum, which builds no lattice: it
     needs only Spec R0, found from the idempotents of R0 (``rings.spec``).
-    The definitional one is the oracle of the verify records
-    ``spectrum.methods-agree`` and ``homeo.methods-agree``."""
+    The definitional one is the oracle of the verify record
+    ``spectrum.methods-agree``."""
     if method not in ("definitional", "constructive"):
         raise InvalidInputError(f"unknown spectrum method: {method!r}")
     graded = enumerate_graded_ideals(g, bound) if method == "definitional" else ()

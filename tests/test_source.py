@@ -7,7 +7,7 @@ from pathlib import Path
 
 import z2spec.rings as rings
 from z2spec.catalog import CATALOG, catalog_entry
-from z2spec.verify import SUITE_NAMES, run_verify
+from z2spec.verify import RECORDS, SUITE_NAMES, run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "z2spec"
@@ -110,6 +110,19 @@ def test_only_the_translation_builder_reads_the_radix():
                     and isinstance(node.ctx, ast.Load) and id(node) not in composed):
                 readers.add((path.name, scope))
     assert readers == {("rings.py", "_translator.compute")}
+
+
+def test_every_suite_function_of_verify_is_the_check_of_one_record():
+    """A module-level function of ``verify.py`` named ``_<suite>_...`` is
+    the check of exactly one ``RECORDS`` entry of that suite, so a record
+    taken out of the table cannot leave its check behind."""
+    prefixes = tuple(f"_{suite}_" for suite in SUITE_NAMES)
+    defined = sorted(node.name for node in _tree(SRC / "verify.py").body
+                     if isinstance(node, ast.FunctionDef) and node.name.startswith(prefixes))
+    checks = sorted(check.__name__ for _, check in RECORDS)
+    assert checks == defined  # each record's check once, and no other suite function
+    assert [name for name, check in RECORDS
+            if not check.__name__.startswith(f"_{name.partition('.')[0]}_")] == []
 
 
 def _declares_slots(node: ast.ClassDef) -> bool:

@@ -182,7 +182,7 @@ def test_check_homeomorphism_passes():
                    _truncpoly(2, 3), {"kind": "gaussian", "n": 10}):
         assert _records(recipe, "homeo") == {
             f"homeo.{name}": ("pass", None)
-            for name in ("methods-agree", "contraction-bijective",
+            for name in ("contraction-bijective",
                          "contraction-roundtrip", "even-variety-pullback",
                          "homogeneous-variety-image")}
 

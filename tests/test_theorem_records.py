@@ -37,6 +37,8 @@ TRIVEXT2 = {"kind": "trivial_extension", "n": 2, "orders": [2]}
 TRUNCATED2_5 = {"kind": "truncated_poly", "base": {"kind": "zmod", "n": 2}, "k": 5}
 TRIVEXT4 = {"kind": "trivial_extension", "n": 4, "orders": [4]}
 TRIVEXT4_M2 = {"kind": "trivial_extension", "n": 4, "orders": [2]}
+TRUNCATED4_1 = {"kind": "truncated_poly", "base": {"kind": "zmod", "n": 4}, "k": 1}
+QUADRATIC2_0 = {"kind": "quadratic", "base": {"kind": "zmod", "n": 2}, "alpha": 0}
 ZMOD6 = {"kind": "zmod", "n": 6}
 Z2_X_Z3_I = {"kind": "quadratic", "alpha": 5, "symbol": "i", "base": {
     "kind": "product", "a": {"kind": "zmod", "n": 2}, "b": {"kind": "zmod", "n": 3}}}
@@ -334,6 +336,37 @@ def zero_divisor_taken_for_a_unit(monkeypatch):
     monkeypatch.setattr(rings, "_unit_mask", lambda ring: original(ring) | 1 << 3)
 
 
+def every_set_maximal(monkeypatch):
+    # the definitional graded maximals keep every proper graded ideal: over
+    # Z/2[x]/(x^2) the zero ideal, which is not graded prime, joins (x)
+    monkeypatch.setattr(maxfield, "maximal_sets", frozenset)
+
+
+def every_nonzero_code_a_unit(monkeypatch):
+    # over Z/4[x]/(x) = Z/4 and Z/2[x]/(x^2) the nonzero nilpotent (2, or x)
+    # passes for a unit, so both rings seem graded fields; the second has no
+    # odd b with b^2 != 0 to present it by
+    monkeypatch.setattr(rings.FiniteRing, "is_unit",
+                        lambda ring, value: rings.as_code(ring, value) != ring.zero)
+
+
+def every_even_part_a_field(monkeypatch):
+    # the structural test reads Z/4 as a field, so Z/4 (odd part 0) seems
+    # a graded field to it alone
+    monkeypatch.setattr(maxfield, "is_field", lambda ring: True)
+
+
+def span_missing_a_member(monkeypatch):
+    # a span of more than two members loses its largest: over Z/3[i] the
+    # unit certificate's components no longer seem to generate R1 = {0, i, 2i}
+    original = grading.submodule_members
+
+    def broken(g, gen_codes):
+        members = original(g, gen_codes)
+        return _drop_largest(members) if len(members) > 2 else members
+    monkeypatch.setattr(grading, "submodule_members", broken)
+
+
 CASES = [
     pytest.param(flat_set_not_an_ideal, GAUSSIAN4, ["ideals"],
                  ["ideals.pair-enumeration-oracle"], id="GradedIdeal"),
@@ -367,8 +400,7 @@ CASES = [
                  ["spectrum.unit-sum-prime-form", "spectrum.classification-valid"],
                  id="r1_squared"),
     pytest.param(odd_fiber_not_a_submodule, GAUSSIAN4, ["homeo", "spectrum"],
-                 ["spectrum.methods-agree", "homeo.methods-agree"],
-                 id="phi_inverse-fiber"),
+                 ["spectrum.methods-agree"], id="phi_inverse-fiber"),
     pytest.param(contraction_misses_p, ZMOD6, ["homeo", "spectrum"],
                  ["spectrum.methods-agree", "homeo.contraction-roundtrip"],
                  id="phi_inverse-contraction"),
@@ -384,8 +416,9 @@ CASES = [
                  ["ideals.even-ideal-closure"], id="graded_ideal_from_ideal"),
     pytest.param(graded_enumeration_drops_one, GAUSSIAN4, ["ideals"],
                  ["ideals.strong-correspondence"], id="enumerate_graded_ideals"),
-    pytest.param(residual_by_the_submodule_itself, GAUSSIAN4, ["ideals"],
-                 ["ideals.strong-multiplication-module"], id="strong-residual"),
+    pytest.param(residual_by_the_submodule_itself, GAUSSIAN4, ["ideals", "maximal"],
+                 ["ideals.strong-multiplication-module",
+                  "maximal.submodule-residual-equivalence"], id="strong-residual"),
     pytest.param(span_of_the_radical, GAUSSIAN4, ["ideals"],
                  ["ideals.strong-span-cancellation"], id="strong-span"),
     pytest.param(odd_square_taken_as_whole, TRIVEXT2, ["maximal"],
@@ -401,23 +434,28 @@ CASES = [
     pytest.param(presentation_over_alpha_plus_one, GAUSSIAN3, ["field"],
                  ["field.quadratic-presentation"], id="quadratic_extension"),
     pytest.param(pair_scan_of_squares_only, Z2_X_Z3_I, ["field"],
-                 ["field.domain-iff-zero-prime", "field.graded-domain-methods-agree",
-                  "field.strong-domain-iff-base"], id="is_graded_domain"),
+                 ["field.graded-domain-methods-agree", "field.strong-domain-iff-base"],
+                 id="is_graded_domain"),
     pytest.param(zero_divisor_taken_for_a_unit, ZMOD6, ["spectrum"],
                  ["spectrum.methods-agree"], id="unit_mask"),
+    pytest.param(every_set_maximal, QUADRATIC2_0, ["field", "maximal"],
+                 ["field.field-iff-zero-maximal", "maximal.maximal-implies-graded-prime"],
+                 id="maximal_sets-in-graded_max"),
+    pytest.param(every_nonzero_code_a_unit, TRUNCATED4_1, ["field"],
+                 ["field.field-iff-two-graded-ideals", "field.field-iff-zero-maximal"],
+                 id="is_unit"),
+    pytest.param(every_nonzero_code_a_unit, QUADRATIC2_0, ["field"],
+                 ["field.quadratic-presentation"], id="is_unit-presentation"),
+    pytest.param(every_even_part_a_field, TRUNCATED4_1, ["field"],
+                 ["field.graded-field-methods-agree"], id="is_field"),
+    pytest.param(span_missing_a_member, GAUSSIAN3, ["ideals"],
+                 ["ideals.strong-unit-certificate"], id="submodule_members"),
 ]
 
-# The records no case above makes fail yet: each still needs a planted defect
-# (ROADMAP item 3), and leaves this list with its case.
+# The records no case above makes fail: the observation record passes by
+# design, and a defect shows only in its witness
+# (``test_observation_witness_counts_the_open_brackets``).
 UNCOVERED = (
-    "field.field-iff-two-graded-ideals",
-    "field.field-iff-zero-maximal",
-    "field.graded-field-methods-agree",
-    "ideals.strong-unit-certificate",
-    "maximal.contraction-bijective",
-    "maximal.maximal-implies-graded-prime",
-    "maximal.strong-form",
-    "maximal.submodule-residual-equivalence",
     "radical.bracket-closure-observation",
 )
 
@@ -487,8 +525,24 @@ def test_error_inside_a_check_is_reported_with_its_text(monkeypatch):
     odd_fiber_not_a_submodule(monkeypatch)
     report = run_verify(spec_, ["homeo", "spectrum"])
     records = {record.name: record for record in report.checks}
-    for name in ("spectrum.methods-agree", "homeo.methods-agree"):
-        assert "escapes the odd part" in records[name].witness
+    assert "escapes the odd part" in records["spectrum.methods-agree"].witness
+
+
+def test_observation_witness_counts_the_open_brackets(monkeypatch):
+    """The observation record always passes, but a bracket that loses a
+    member changes the count its witness reports."""
+    spec_ = InstanceSpec(dict(GAUSSIAN4))
+
+    def observation():
+        return next((r.status, r.witness) for r in run_verify(spec_, ["radical"]).checks
+                    if r.name == "radical.bracket-closure-observation")
+    assert observation() == ("pass", "literal bracket closed for 3/3 even parts")
+    g = build_instance(spec_)
+    for owner in (g, g.ring, g.r0_ring):
+        monkeypatch.setattr(owner, "_cache", {})
+    bracket_missing_an_element(monkeypatch)
+    assert observation() == (
+        "pass", "literal bracket closed for 2/3 even parts; first open case at I0=(1)")
 
 
 @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
