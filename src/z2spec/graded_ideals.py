@@ -71,8 +71,7 @@ class GradedIdeal(_StableSubgroup):
     def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
         g, odd = graded_ring, r_part.mask
         i0_ambient, low, high = _pair_bounds(g, i0)
-        if r_part.graded_ring is not g:
-            raise InvalidInputError("submodule belongs to a different graded ring")
+        _same_ring(g, r_part.graded_ring)
         if low & ~odd:
             _escape(g, "I0*R1 escapes the odd part", i0_ambient, g.r1_mask, odd)
         if odd & ~high:

@@ -479,8 +479,7 @@ def residual(g: GradedRing, rp: Submodule) -> Ideal:
     tested on R1's additive generators (``_r1_colon``).  That the result is
     an ideal is checked by the verify record ``ideals.submodule-closure``.
     """
-    if rp.graded_ring is not g:
-        raise InvalidParameterError("submodule belongs to a different graded ring")
+    _same_ring(g, rp.graded_ring)
     return g._restrict_mask(_r1_colon(g, g.r0, rp.mask))
 
 

@@ -1,11 +1,10 @@
 """Instance files: a JSON recipe tree that builds one graded ring.
 
-The top level is ``{"ring": <recipe>, "limits": {"bound": N}?}``.  Recipe
-kinds ``zmod``, ``product`` and ``poly_quotient`` build plain rings (graded
-trivially when they appear at top level); ``quadratic``, ``gaussian``,
-``trivial_extension``, ``truncated_poly`` and ``graded_manual`` build graded
-rings.  ``gaussian`` is sugar for a quadratic extension with alpha = -1 and
-symbol i.
+The top level is ``{"ring": <recipe>, "limits": {"bound": N}?}``.  Each
+recipe kind is one row of ``_KINDS``; ``_validate_recipe`` (with ``_CHECKS``
+per key), ``recipe_size`` and ``_build_ring`` read the rows and never name a
+kind.  Only the top recipe may build a graded ring; a plain one there is
+graded trivially, and the recipes under ``a``, ``b`` and ``base`` are plain.
 """
 
 from __future__ import annotations
@@ -32,17 +31,32 @@ from .rings import (
     zmod,
 )
 
-# each recipe kind: (builds a graded ring, required keys, optional keys)
+
+# each recipe kind: (builds a graded ring, required keys, optional keys,
+# size rule: recipe -> (factor, exponent) pairs, where a factor is an int or
+# a ring recipe, constructor: (recipe, *the rings of its ring keys) -> ring)
 _KINDS = {
-    "zmod": (False, ("n",), ()),
-    "product": (False, ("a", "b"), ()),
-    "poly_quotient": (False, ("base", "modulus"), ("symbol",)),
-    "quadratic": (True, ("base", "alpha"), ("symbol",)),
-    "gaussian": (True, ("n",), ()),
-    "trivial_extension": (True, ("n", "orders"), ()),
-    "truncated_poly": (True, ("base", "k"), ()),
-    "graded_manual": (True, ("base", "r0", "r1"), ()),
+    "zmod": (False, ("n",), (), lambda r: [(r["n"], 1)],
+             lambda r: zmod(r["n"])),
+    "product": (False, ("a", "b"), (), lambda r: [(r["a"], 1), (r["b"], 1)],
+                lambda r, a, b: product_ring(a, b)),
+    "poly_quotient": (
+        False, ("base", "modulus"), ("symbol",),
+        lambda r: [(r["base"], len(r["modulus"]) - 1)],
+        lambda r, base: poly_quotient(base, tuple(r["modulus"]), r.get("symbol"))),
+    "quadratic": (True, ("base", "alpha"), ("symbol",), lambda r: [(r["base"], 2)],
+                  lambda r, base: quadratic_extension(base, r["alpha"], r.get("symbol"))),
+    "gaussian": (True, ("n",), (), lambda r: [(r["n"], 2)],  # Z/n[X]/(X^2 + 1), X named i
+                 lambda r: gaussian_integers(r["n"])),
+    "trivial_extension": (True, ("n", "orders"), (),
+                          lambda r: ((m, 1) for m in (r["n"], *r["orders"])),
+                          lambda r: trivial_extension(zmod(r["n"]), tuple(r["orders"]))),
+    "truncated_poly": (True, ("base", "k"), (), lambda r: [(r["base"], r["k"])],
+                       lambda r, base: truncated_poly(base, r["k"])),
+    "graded_manual": (True, ("base", "r0", "r1"), (), lambda r: [(r["base"], 1)],
+                      lambda r, base: grade_manual(base, r["r0"], r["r1"])),
 }
+_RING_KEYS = ("a", "b", "base")  # each holds a plain-ring recipe
 
 
 @dataclass
@@ -69,7 +83,9 @@ def _expect_int_list(value, path: str) -> list:
     return [_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _validate_recipe(recipe, path: str, graded_ok: bool) -> None:
+def _kind(recipe, path: str = "ring") -> tuple:
+    """The recipe's row of ``_KINDS``: the one lookup, so an unvalidated
+    recipe, such as a hand-built ``InstanceSpec``, fails as an input error."""
     if not isinstance(recipe, dict):
         _fail(path, f"expected an object, got {recipe!r}")
     kind = recipe.get("kind")
@@ -77,47 +93,55 @@ def _validate_recipe(recipe, path: str, graded_ok: bool) -> None:
         _fail(path, 'missing "kind"')
     if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
         _fail(f"{path}.kind", f"unknown kind {kind!r}")
-    graded, required, optional = _KINDS[kind]
-    if graded and not graded_ok:
-        _fail(path, f"{kind} builds a graded ring and cannot be a base")
+    return _KINDS[kind]
+
+
+def _validate_recipe(recipe, path: str, parent: dict | None = None) -> None:
+    """Check a recipe and, by ``_CHECKS``, its children; a child (``parent`` set) is plain."""
+    graded, required, optional, _, _ = _kind(recipe, path)
+    if graded and parent is not None:
+        _fail(path, f"{recipe['kind']} builds a graded ring and cannot be a base")
     extra = set(recipe) - set(required) - set(optional) - {"kind"}
     if extra:
-        _fail(path, f"unknown keys for {kind}: {sorted(extra)}")
+        _fail(path, f"unknown keys for {recipe['kind']}: {sorted(extra)}")
     for key in required:
         if key not in recipe:
             _fail(path, f'missing "{key}"')
-    if kind in ("zmod", "gaussian"):
-        _expect_int(recipe["n"], f"{path}.n", minimum=2)
-    elif kind == "product":
-        _validate_recipe(recipe["a"], f"{path}.a", graded_ok=False)
-        _validate_recipe(recipe["b"], f"{path}.b", graded_ok=False)
-    elif kind == "poly_quotient":
-        _validate_recipe(recipe["base"], f"{path}.base", graded_ok=False)
-        coeffs = _expect_int_list(recipe["modulus"], f"{path}.modulus")
-        if len(coeffs) < 2:
-            _fail(f"{path}.modulus", "modulus must have degree >= 1")
-        if "symbol" in recipe and not isinstance(recipe["symbol"], str):
-            _fail(f"{path}.symbol", "expected a string")
-    elif kind == "quadratic":
-        _validate_recipe(recipe["base"], f"{path}.base", graded_ok=False)
-        _expect_int(recipe["alpha"], f"{path}.alpha")
-        if "symbol" in recipe and not isinstance(recipe["symbol"], str):
-            _fail(f"{path}.symbol", "expected a string")
-    elif kind == "trivial_extension":
-        n = _expect_int(recipe["n"], f"{path}.n", minimum=2)
-        orders = _expect_int_list(recipe["orders"], f"{path}.orders")
-        for i, m in enumerate(orders):
-            if m < 1:
-                _fail(f"{path}.orders[{i}]", f"must be >= 1, got {m}")
-            if n % m != 0:
-                _fail(f"{path}.orders[{i}]", f"{m} does not divide {n}")
-    elif kind == "truncated_poly":
-        _validate_recipe(recipe["base"], f"{path}.base", graded_ok=False)
-        _expect_int(recipe["k"], f"{path}.k", minimum=1)
-    elif kind == "graded_manual":
-        _validate_recipe(recipe["base"], f"{path}.base", graded_ok=False)
-        _expect_int_list(recipe["r0"], f"{path}.r0")
-        _expect_int_list(recipe["r1"], f"{path}.r1")
+    for key in required + optional:
+        if key in recipe:
+            _CHECKS[key](recipe[key], f"{path}.{key}", recipe)
+
+
+def _check_modulus(value, path: str, recipe: dict) -> None:
+    if len(_expect_int_list(value, path)) < 2:
+        _fail(path, "modulus must have degree >= 1")
+
+
+def _check_orders(value, path: str, recipe: dict) -> None:
+    n = recipe["n"]  # checked first: it precedes orders in the row
+    for i, m in enumerate(_expect_int_list(value, path)):
+        if m < 1:
+            _fail(f"{path}[{i}]", f"must be >= 1, got {m}")
+        if n % m != 0:
+            _fail(f"{path}[{i}]", f"{m} does not divide {n}")
+
+
+def _check_symbol(value, path: str, recipe: dict) -> None:
+    if not isinstance(value, str):
+        _fail(path, "expected a string")
+
+
+# each key's check: (value, path, the recipe that holds it) -> None
+_CHECKS = {
+    **dict.fromkeys(_RING_KEYS, _validate_recipe),
+    "n": lambda value, path, recipe: _expect_int(value, path, minimum=2),
+    "k": lambda value, path, recipe: _expect_int(value, path, minimum=1),
+    "alpha": lambda value, path, recipe: _expect_int(value, path),
+    **dict.fromkeys(("r0", "r1"), lambda value, path, recipe: _expect_int_list(value, path)),
+    "modulus": _check_modulus,
+    "orders": _check_orders,
+    "symbol": _check_symbol,
+}
 
 
 def parse_instance(text: str) -> InstanceSpec:
@@ -138,7 +162,7 @@ def parse_instance(text: str) -> InstanceSpec:
         _fail("", f"unknown top-level keys: {sorted(extra)}")
     if "ring" not in payload:
         _fail("", 'missing "ring"')
-    _validate_recipe(payload["ring"], "ring", graded_ok=True)
+    _validate_recipe(payload["ring"], "ring")
     bound = None
     if "limits" in payload:
         limits = payload["limits"]
@@ -166,38 +190,19 @@ def recipe_size(recipe: dict, cap: int) -> int | None:
     Every size is a product of integers >= 1, so a partial product past the
     cap stays past it, and a recipe such as (Z/3)[x]/(x^10000) is never
     multiplied out."""
-    def capped(size):
-        return None if size is None or size > cap else size
-
-    def times(*factors):
-        size = 1
-        for factor in factors:
-            size = capped(None if factor is None else size * factor)
-            if size is None:
+    _, _, _, rule, _ = _kind(recipe)
+    size = 1
+    for factor, exponent in rule(recipe):
+        if isinstance(factor, dict):  # a ring recipe
+            factor = recipe_size(factor, cap)
+            if factor is None:
                 return None
-        return size
-
-    def power(base, k):
         # every ring has >= 2 elements, and 2 ** (cap.bit_length() + 1) > cap
-        return times(*[base] * min(k, cap.bit_length() + 1))
-
-    kind = recipe["kind"]
-    if kind == "zmod":
-        return capped(recipe["n"])
-    if kind == "product":
-        return times(recipe_size(recipe["a"], cap), recipe_size(recipe["b"], cap))
-    if kind == "poly_quotient":
-        return power(recipe_size(recipe["base"], cap), len(recipe["modulus"]) - 1)
-    if kind in ("quadratic", "gaussian"):
-        base = capped(recipe["n"]) if kind == "gaussian" else recipe_size(recipe["base"], cap)
-        return power(base, 2)
-    if kind == "trivial_extension":
-        return times(recipe["n"], *recipe["orders"])
-    if kind == "truncated_poly":
-        return power(recipe_size(recipe["base"], cap), recipe["k"])
-    if kind == "graded_manual":
-        return recipe_size(recipe["base"], cap)
-    raise InstanceParseError("ring.kind", f"unknown kind {kind!r}")
+        for _ in range(min(exponent, cap.bit_length() + 1)):
+            size *= factor
+            if size > cap:
+                return None
+    return size
 
 
 def effective_bound(spec: InstanceSpec, override: int | None = None) -> int:
@@ -208,17 +213,16 @@ def effective_bound(spec: InstanceSpec, override: int | None = None) -> int:
     return DEFAULT_ENUMERATION_BOUND
 
 
-def _build_ring(recipe: dict) -> FiniteRing:
-    kind = recipe["kind"]
-    if kind == "zmod":
-        return zmod(recipe["n"])
-    if kind == "product":
-        return product_ring(_build_ring(recipe["a"]), _build_ring(recipe["b"]))
-    if kind == "poly_quotient":
-        return poly_quotient(_build_ring(recipe["base"]),
-                             tuple(recipe["modulus"]),
-                             recipe.get("symbol"))
-    raise InstanceParseError("ring.kind", f"{kind} is not a plain ring kind")
+def _build_ring(recipe: dict, top: bool = False) -> FiniteRing | GradedRing:
+    """The recipe's ring, built after its ring keys' rings; only the top one may be graded."""
+    graded, required, _, _, build = _kind(recipe)
+    if graded and not top:
+        _fail("ring.kind", f"{recipe['kind']} is not a plain ring kind")
+    rings = []
+    for key in required:  # a loop, not a comprehension: one frame per level
+        if key in _RING_KEYS:
+            rings.append(_build_ring(recipe[key]))
+    return build(recipe, *rings)
 
 
 def build_instance(spec: InstanceSpec, bound: int | None = None) -> GradedRing:
@@ -228,21 +232,5 @@ def build_instance(spec: InstanceSpec, bound: int | None = None) -> GradedRing:
         # the exact size is shown unless it has more than 100 digits
         raise EnumerationLimitError("instance construction",
                                     recipe_size(spec.recipe, 10 ** 100), limit)
-    kind = spec.recipe["kind"]
-    if not _KINDS[kind][0]:
-        return trivially_graded(_build_ring(spec.recipe))
-    if kind == "quadratic":
-        return quadratic_extension(_build_ring(spec.recipe["base"]),
-                                   spec.recipe["alpha"],
-                                   spec.recipe.get("symbol"))
-    if kind == "gaussian":
-        return gaussian_integers(spec.recipe["n"])
-    if kind == "trivial_extension":
-        return trivial_extension(zmod(spec.recipe["n"]),
-                                 tuple(spec.recipe["orders"]))
-    if kind == "truncated_poly":
-        return truncated_poly(_build_ring(spec.recipe["base"]), spec.recipe["k"])
-    if kind == "graded_manual":
-        return grade_manual(_build_ring(spec.recipe["base"]),
-                            spec.recipe["r0"], spec.recipe["r1"])
-    raise InstanceParseError("ring.kind", f"unknown kind {kind!r}")
+    ring = _build_ring(spec.recipe, top=True)
+    return ring if isinstance(ring, GradedRing) else trivially_graded(ring)

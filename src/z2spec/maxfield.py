@@ -31,6 +31,7 @@ from .rings import (
     RingElement,
     _memo,
     _no_pair_inside,
+    _same_ring,
     as_code,
     is_field,
     maximal_sets,
@@ -43,8 +44,7 @@ def is_graded_maximal(g: GradedRing, j: GradedIdeal,
                       bound: int | None = None) -> bool:
     """Proper, with no graded ideal strictly between it and the whole ring
     (a lookup in the cached ``graded_max``)."""
-    if j.graded_ring is not g:
-        raise InvalidInputError("graded ideal belongs to a different graded ring")
+    _same_ring(g, j.graded_ring)
     return j in _graded_max_cached(g, "definitional", bound)
 
 

@@ -433,7 +433,8 @@ def _mask_key(ring: FiniteRing):
                          mask.to_bytes(width, "little").translate(_REVERSED_COMPLEMENT))
 
 
-def _same_ring(a: FiniteRing, b: FiniteRing):
+def _same_ring(a, b):
+    """Raise unless ``a`` and ``b`` are one ring, or one graded ring."""
     if a is not b:
         raise RingMismatchError(
             f"operands live in different rings: {a.provenance} vs {b.provenance}")

@@ -88,15 +88,13 @@ class GradedPrime:
 
 def is_graded_prime(g: GradedRing, j: GradedIdeal) -> bool:
     """Definitional test: proper, and homogeneous rs in J forces r or s in J."""
-    if j.graded_ring is not g:
-        raise InvalidInputError("graded ideal belongs to a different graded ring")
+    _same_ring(g, j.graded_ring)
     return j.is_proper and _no_pair_inside(g.ring, g.homogeneous_codes(), j.mask)
 
 
 def is_prime_submodule(g: GradedRing, rp: Submodule) -> bool:
     """Proper submodule N with a*m in N forcing a in (N : R1) or m in N."""
-    if rp.graded_ring is not g:
-        raise InvalidInputError("submodule belongs to a different graded ring")
+    _same_ring(g, rp.graded_ring)
     if not rp.is_proper:
         return False
     inside, mul = rp.mask, g.ring.mul
@@ -116,8 +114,7 @@ def classify_graded_prime(g: GradedRing, q: GradedIdeal) -> GradedPrime:
 
 def phi(g: GradedRing, gp: GradedPrime) -> Ideal:
     """Contraction to the even part; always a prime ideal of it."""
-    if gp.ideal.graded_ring is not g:
-        raise InvalidInputError("graded prime belongs to a different graded ring")
+    _same_ring(g, gp.ideal.graded_ring)
     return gp.p
 
 
@@ -193,8 +190,7 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     the other two split their member masks through ``decompose_mask``, which
     is memoized per mask.  Each method still computes its member set itself.
     """
-    if j.graded_ring is not g:
-        raise InvalidInputError("graded ideal belongs to a different graded ring")
+    _same_ring(g, j.graded_ring)
     if method == "definitional":
         rad = radical_members(g.ring, j.mask)
         return decompose_mask(g, _pair_sum(g, rad & g.r0_mask, rad & g.r1_mask))

@@ -57,7 +57,9 @@ from .maxfield import (
     _norms,
 )
 from .rings import (
+    _grow_subgroup,
     _no_pair_inside,
+    _translator,
     additive_closure,
     enumerate_ideals,
     maximal_sets,
@@ -203,6 +205,13 @@ def _ideals_strong_span_cancellation(g, bound):
 
 def _ideals_strong_unit_certificate(g, bound):
     if not is_strongly_graded(g):
+        # R1*R1 is the additive closure of the odd products, grown here as a
+        # member mask without ``r1_squared``: 1 must lie outside it
+        ring = g.ring
+        products = {ring.mul[a][b] for a in g.r1 for b in g.r1}
+        closure = _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, products)[0]
+        if closure >> ring.one & 1:
+            return FAIL, "1 is a sum of odd products, yet the grading reads as not strong"
         return NOT_APPLICABLE, "not strongly graded"
     pairs = strong_grading_certificate(g)
     return PASS, f"unit reached with {len(pairs)} odd product(s)"

@@ -26,14 +26,22 @@ from z2spec.grading import (
     _pair_bounds,
     gaussian_integers,
     quadratic_extension,
+    residual,
     submodules,
     trivial_extension,
     trivially_graded,
     truncated_poly,
 )
 from z2spec.instances import InstanceSpec, build_instance
+from z2spec.maxfield import is_graded_maximal
 from z2spec.rings import Ideal, _mask, enumerate_ideals, ideal_generate, zmod
-from z2spec.spectrum import graded_spec
+from z2spec.spectrum import (
+    graded_radical,
+    graded_spec,
+    is_graded_prime,
+    is_prime_submodule,
+    phi,
+)
 from z2spec.verify import RECORDS, _run, run_verify
 
 
@@ -102,6 +110,29 @@ def test_a_graded_ideal_of_another_ring_is_rejected(rings):
             is_graded_ideal(g, j)
         with pytest.raises(RingMismatchError):
             decompose_graded(g, j)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g, src: residual(g, submodules(src)[0]), id="residual"),
+    pytest.param(lambda g, src: graded_ideal_from_submodule(g, submodules(src)[0]),
+                 id="graded_ideal_from_submodule"),
+    pytest.param(lambda g, src: GradedIdeal(g, ideal_generate(g.r0_ring, []),
+                                            submodules(src)[0]), id="GradedIdeal"),
+    pytest.param(lambda g, src: is_graded_maximal(g, enumerate_graded_ideals(src)[0]),
+                 id="is_graded_maximal"),
+    pytest.param(lambda g, src: is_graded_prime(g, enumerate_graded_ideals(src)[0]),
+                 id="is_graded_prime"),
+    pytest.param(lambda g, src: is_prime_submodule(g, submodules(src)[0]),
+                 id="is_prime_submodule"),
+    pytest.param(lambda g, src: phi(g, graded_spec(src).graded_points[0]), id="phi"),
+    pytest.param(lambda g, src: graded_radical(g, enumerate_graded_ideals(src)[0]),
+                 id="graded_radical"),
+])
+def test_a_record_of_another_graded_ring_is_a_ring_mismatch(call):
+    """A submodule, graded ideal or graded prime of another graded ring of
+    the same size raises ``RingMismatchError`` at every entry point."""
+    with pytest.raises(RingMismatchError):
+        call(quadratic_extension(zmod(5), 2), gaussian_integers(5))
 
 
 def test_a_graded_ideal_of_another_grading_of_the_ring_is_read_as_its_flat_set():

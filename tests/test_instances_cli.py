@@ -91,6 +91,33 @@ def test_parse_error_paths():
         assert err.value.path == path, text
 
 
+@pytest.mark.parametrize("recipe, message", [
+    ({"kind": "wat"}, "ring.kind: unknown kind 'wat'"),
+    ({"kind": "product", "a": {"kind": "zmod", "n": 2}, "b": {"kind": "wat"}},
+     "ring.kind: unknown kind 'wat'"),
+    ({"kind": "poly_quotient", "base": {"kind": "gaussian", "n": 3}, "modulus": [1, 1]},
+     "ring.kind: gaussian is not a plain ring kind"),
+    ({"kind": "truncated_poly", "base": 3, "k": 2}, "ring: expected an object, got 3"),
+], ids=["top", "nested", "graded-base", "not-an-object"])
+def test_a_hand_built_spec_is_rejected_as_an_input_error(recipe, message):
+    """An ``InstanceSpec`` built in code skips ``parse_instance``; building
+    or verifying it still raises ``InstanceParseError``."""
+    for run in (build_instance, run_verify):
+        with pytest.raises(InstanceParseError) as err:
+            run(InstanceSpec(recipe))
+        assert str(err.value) == message
+
+
+def test_cli_builds_a_recipe_nested_800_deep(tmp_path, capsys):
+    # validation, sizing and building each take one stack frame per level,
+    # so a recipe the JSON decoder reads does not overflow the stack
+    path = tmp_path / "instance.json"
+    level = '{"kind": "poly_quotient", "modulus": [1, 1], "base": '
+    path.write_text('{"ring": %s{"kind": "zmod", "n": 2}%s}' % (level * 800, "}" * 800))
+    assert main(["build", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(" |R|=2 |R0|=2 |R1|=1 strongly_graded=False\n")
+
+
 def test_parse_rejects_invalid_json_and_shape():
     with pytest.raises(InstanceParseError):
         parse_instance("{nope")

@@ -170,10 +170,25 @@ def test_contraction_roundtrip(g, data):
 @st.composite
 def recipes(draw):
     kind = draw(st.sampled_from(
-        ["zmod", "gaussian", "quadratic", "trivial_extension",
-         "truncated_poly"]))
+        ["zmod", "product", "poly_quotient", "gaussian", "quadratic",
+         "trivial_extension", "truncated_poly", "graded_manual"]))
     if kind == "zmod":
         return {"kind": "zmod", "n": draw(st.integers(2, 12))}
+    if kind == "product":
+        return {"kind": "product", "a": {"kind": "zmod", "n": draw(st.integers(2, 4))},
+                "b": {"kind": "zmod", "n": draw(st.integers(2, 4))}}
+    if kind == "poly_quotient":
+        n = draw(st.integers(2, 4))
+        low = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+        symbol = draw(st.sampled_from([{}, {"symbol": "t"}]))
+        return {"kind": "poly_quotient", "base": {"kind": "zmod", "n": n},
+                "modulus": low + [1], **symbol}
+    if kind == "graded_manual":  # Z/n[x]/(x^2 + a), graded by the degree in x
+        n = draw(st.integers(2, 4))
+        base = {"kind": "poly_quotient", "base": {"kind": "zmod", "n": n},
+                "modulus": [draw(st.integers(0, n - 1)), 0, 1]}
+        return {"kind": "graded_manual", "base": base, "r0": list(range(n)),
+                "r1": [c * n for c in range(n)]}
     if kind == "gaussian":
         return {"kind": "gaussian", "n": draw(st.integers(2, 12))}
     if kind == "quadratic":

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import z2spec.rings as rings
 from z2spec.catalog import CATALOG, catalog_entry
+from z2spec.instances import _KINDS
 from z2spec.verify import RECORDS, SUITE_NAMES, run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +195,21 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+def test_only_the_kind_table_names_a_recipe_kind():
+    """``instances._KINDS`` is the one statement of each recipe kind: no
+    walk branches on a kind's name, so a string constant naming a kind
+    appears in ``instances.py`` only as a key of the table."""
+    tree = _tree(SRC / "instances.py")
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["_KINDS"])
+    allowed = {id(key) for key in table.keys}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in _KINDS
+             and id(node) not in allowed]
+    assert stray == []
+    assert sorted(key.value for key in table.keys) == sorted(_KINDS)
+
+
 def _readme_section(title: str) -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     start = text.index(f"\n## {title}\n")
@@ -206,6 +222,16 @@ def test_readme_quick_tour_runs():
                         re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_lists_the_keys_of_every_recipe_kind():
+    listed = {}
+    for kind, shape, keys in re.findall(r"^- `(\w+)` \((plain|graded)\): (.*)$",
+                                        _readme_section("CLI"), re.M):
+        required, _, optional = keys.partition("; optional ")
+        listed[kind] = (shape == "graded", tuple(re.findall(r"`(\w+)`", required)),
+                        tuple(re.findall(r"`(\w+)`", optional)))
+    assert listed == {kind: row[:3] for kind, row in _KINDS.items()}
 
 
 def test_readme_names_only_records_that_verify_emits():

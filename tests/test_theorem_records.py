@@ -367,6 +367,13 @@ def span_missing_a_member(monkeypatch):
     monkeypatch.setattr(grading, "submodule_members", broken)
 
 
+def strong_grading_read_as_not_strong(monkeypatch):
+    # over Z/3[i], where i * 2i = 1, every strong-* record turns
+    # not-applicable; the unit certificate finds 1 in R1*R1 without it
+    monkeypatch.setattr(grading, "is_strongly_graded", lambda g: False)
+    monkeypatch.setattr(verify, "is_strongly_graded", lambda g: False)
+
+
 CASES = [
     pytest.param(flat_set_not_an_ideal, GAUSSIAN4, ["ideals"],
                  ["ideals.pair-enumeration-oracle"], id="GradedIdeal"),
@@ -450,6 +457,8 @@ CASES = [
                  ["field.graded-field-methods-agree"], id="is_field"),
     pytest.param(span_missing_a_member, GAUSSIAN3, ["ideals"],
                  ["ideals.strong-unit-certificate"], id="submodule_members"),
+    pytest.param(strong_grading_read_as_not_strong, GAUSSIAN3, ["ideals"],
+                 ["ideals.strong-unit-certificate"], id="is_strongly_graded"),
 ]
 
 # The records no case above makes fail: the observation record passes by
