@@ -131,24 +131,7 @@ def decompose_graded(g: GradedRing, members) -> GradedIdeal:
     """A graded ideal of the ambient ring, rebuilt from its two halves as a
     pair; that they are a compatible pair summing to it is checked by
     ``ideals.pair-decomposition-roundtrip``."""
-    return _split_pair(g, _as_ideal_mask(g, members))
-
-
-def decompose_mask(g: GradedRing, mask: int) -> GradedIdeal:
-    """``decompose_graded`` for a member mask of ambient codes: the same
-    ideal and split tests without the ``as_code`` pass.  The pair is a pure
-    function of the set, so it is memoized per graded ring."""
-    return _memo(g, ("decomposition", mask), lambda: _split_pair(g, _ideal_mask(g, mask)))
-
-
-def _ideal_mask(g: GradedRing, mask: int) -> int:
-    """``mask``, once it is known to be an ideal of the ambient ring."""
-    if not _is_stable_mask(g.ring, _additive_generators(g.ring), mask):
-        raise InvalidInputError("member set is not an ideal of the ambient ring")
-    return mask
-
-
-def _split_pair(g: GradedRing, mask: int) -> GradedIdeal:
+    mask = _as_ideal_mask(g, members)
     if not _splits(g, mask):
         raise InvalidInputError(
             "ideal is not graded: it does not split along the decomposition")
@@ -160,7 +143,10 @@ def _as_ideal_mask(g: GradedRing, members) -> int:
     if isinstance(members, (GradedIdeal, Ideal)):  # of g's ring, in any grading
         _same_ring(g.ring, members._family()[1])
         return members.mask
-    return _ideal_mask(g, _mask(as_code(g.ring, x) for x in members))
+    mask = _mask(as_code(g.ring, x) for x in members)
+    if not _is_stable_mask(g.ring, _additive_generators(g.ring), mask):
+        raise InvalidInputError("member set is not an ideal of the ambient ring")
+    return mask
 
 
 def graded_ideal_from_ideal(g: GradedRing, i: Ideal) -> GradedIdeal:

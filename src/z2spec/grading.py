@@ -520,8 +520,9 @@ def strong_grading_certificate(g: GradedRing) -> tuple:
             products.setdefault(mul[a][b], (a, b))
     reach: dict[int, tuple] = {ring.zero: ()}
     queue = [ring.zero]
-    while queue and ring.one not in reach:
-        v = queue.pop(0)
+    for v in queue:  # breadth-first: new sums join the end of the list
+        if ring.one in reach:
+            break
         for value, pair in products.items():
             s = add[v][value]
             if s not in reach:

@@ -29,6 +29,7 @@ from .grading import (
 )
 from .rings import (
     RingElement,
+    _mask_key,
     _memo,
     _no_pair_inside,
     _same_ring,
@@ -73,8 +74,9 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
                     else GradedIdeal(g, p, Submodule._of(g, g.r1_mask)) for p in base_max]
     else:
         raise InvalidInputError(f"unknown method: {method!r}")
+    key = _mask_key(g.ring)
     return _memo(g, ("graded_max", method),
-                 lambda: tuple(sorted(compute(), key=GradedIdeal.key)))
+                 lambda: tuple(sorted(compute(), key=lambda j: key(j.mask))))
 
 
 def is_graded_local(g: GradedRing, bound: int | None = None) -> bool:

@@ -20,7 +20,6 @@ from .errors import InvalidInputError
 from .graded_ideals import (
     GradedIdeal,
     _pair_sum,
-    decompose_mask,
     enumerate_graded_ideals,
 )
 from .grading import (
@@ -32,6 +31,7 @@ from .grading import (
 from .rings import (
     Ideal,
     _mask,
+    _mask_key,
     _memo,
     _no_pair_inside,
     _same_ring,
@@ -158,7 +158,8 @@ def graded_spec(g: GradedRing, method: str = "definitional",
             points = [GradedPrime(j) for j in graded if is_graded_prime(g, j)]
         else:
             points = [phi_inverse(g, p) for p in base]
-        return tuple(sorted(points, key=GradedPrime.key))
+        key = _mask_key(g.ring)
+        return tuple(sorted(points, key=lambda gp: key(gp.ideal.mask)))
     return SpectrumReport(_memo(g, ("graded_spec", method), compute), base)
 
 
@@ -186,18 +187,18 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     radical of J0; taking it against J0 itself is not sound for non-radical
     J0).
 
-    The formula reads only ``j.i0`` and is memoized by it per graded ring;
-    the other two split their member masks through ``decompose_mask``, which
-    is memoized per mask.  Each method still computes its member set itself.
+    The formula reads only ``j.i0``, is memoized by it per graded ring and
+    is built as a checked pair; the other two return the mask they compute,
+    unchecked: ``radical.three-way-agreement`` compares all three.
     """
     _same_ring(g, j.graded_ring)
     if method == "definitional":
         rad = radical_members(g.ring, j.mask)
-        return decompose_mask(g, _pair_sum(g, rad & g.r0_mask, rad & g.r1_mask))
+        return GradedIdeal._of(g, _pair_sum(g, rad & g.r0_mask, rad & g.r1_mask))
     if method == "intersection":
         flats = (gp.ideal.mask for gp in graded_spec(g, "definitional", bound).graded_points)
         whole = (1 << g.ring.size) - 1
-        return decompose_mask(g, reduce(
+        return GradedIdeal._of(g, reduce(
             and_, (flat for flat in flats if not j.mask & ~flat), whole))
     if method == "formula":
         def compute():

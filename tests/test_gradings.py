@@ -10,10 +10,17 @@ constructors; this sweep shows the verifier grading shapes it has not.
 
 import pytest
 
+from naive_closure import naive_enumerate_ideals
 from z2spec.errors import GradingAxiomError, GradingDecompositionError
 from z2spec.grading import grade_manual
 from z2spec.instances import InstanceSpec, build_instance
-from z2spec.rings import _members, _subgroup_lattice, _unit_multiples, additive_closure
+from z2spec.rings import (
+    _members,
+    _subgroup_lattice,
+    _unit_multiples,
+    additive_closure,
+    enumerate_ideals,
+)
 from z2spec.verify import FAIL, RECORDS, _run, run_verify
 
 
@@ -96,3 +103,23 @@ def test_every_grading_of_a_four_dimensional_ring_verifies_as_a_recipe():
     for g in gradings(F2_XY):
         recipe = {"kind": "graded_manual", "base": F2_XY, "r0": sorted(g.r0), "r1": sorted(g.r1)}
         assert run_verify(InstanceSpec(recipe)).status == "pass", recipe
+
+
+def test_a_trivially_graded_ring_of_256_elements_verifies():
+    """F2[x]/(x^2)[y]/(y^2)[z]/(z^2), graded with R1 = 0, is larger than
+    every catalog ring: its even part is the whole ring, so each lattice and
+    spectrum of R0 is the one of R.  Its 47 ideals are first checked
+    against the naive all-pairs closure."""
+    recipe = F2
+    for symbol in "xyz":
+        recipe = {"kind": "poly_quotient", "base": recipe, "modulus": [0, 0, 1],
+                  "symbol": symbol}
+    ring = build_instance(InstanceSpec(recipe)).ring
+    assert ring.size == 256
+    naive = [members for members, _ in naive_enumerate_ideals(ring)]
+    assert [ideal.members for ideal in enumerate_ideals(ring)] == naive
+    assert len(naive) == 47
+    report = run_verify(InstanceSpec(recipe))
+    assert report.status == "pass"
+    assert report.counts == {"ideals": 47, "primes": 1, "graded_ideals": 47,
+                             "graded_primes": 1, "graded_maximals": 1}

@@ -53,14 +53,14 @@ def _cold(script: str) -> list:
 
 def test_a_cold_verify_decodes_no_lattice_node():
     """Z/2 (+) F2^5 has 375 ideals, 374 submodules and 375 graded ideals,
-    but one graded prime and two even ideals.  All suites decode 15 member
-    sets, each of one of those: the sort keys of the graded spectrum and of
-    the graded maximal ideals, ``r1_squared``, the bracket test of each even
-    ideal, the chain lengths of ``homogeneous_dim``, and the all-pairs
-    rebuilds in ``spectrum.prime-odd-part-bracket`` and
-    ``spectrum.unit-sum-prime-form``.  A decode per lattice node would add
-    hundreds."""
-    assert _cold(COUNT_DECODES) == ["pass", "375", "15"]
+    but one graded prime and two even ideals.  All suites decode 11 member
+    sets, each of one of those: ``r1_squared`` (1), the bracket test of each
+    even ideal (2), the chain lengths of ``homogeneous_dim`` (2), and the
+    all-pairs rebuilds in ``spectrum.prime-odd-part-bracket`` (3) and
+    ``spectrum.unit-sum-prime-form`` (3).  The graded spectrum and the
+    graded maximal ideals are sorted by their masks, with no decode.  A
+    decode per lattice node would add hundreds."""
+    assert _cold(COUNT_DECODES) == ["pass", "375", "11"]
 
 
 def test_cold_lattices_retain_masks_not_member_sets():

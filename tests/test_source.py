@@ -51,6 +51,27 @@ def test_only_memo_and_the_owner_constructors_touch_cache():
     assert seen == CACHE_SITES
 
 
+def test_memo_keys_per_argument_are_pinned():
+    """A ``_memo(owner, key, compute)`` key is a name, or a tuple of a name
+    and an argument.  A named entry is one per owner; a tuple-keyed name
+    holds one entry per argument value, so these are the caches that grow
+    with use: three keyed by a member mask and two by a method name."""
+    named, per_argument = set(), set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_memo"):
+                key = node.args[1]
+                found = per_argument if isinstance(key, ast.Tuple) else named
+                name = key.elts[0] if isinstance(key, ast.Tuple) else key
+                assert isinstance(name, ast.Constant) and isinstance(name.value, str), \
+                    f"{path.name}:{node.lineno}"
+                found.add(name.value)
+    assert named
+    assert per_argument == {"span_path", "pair_bounds", "formula_radical",
+                            "graded_spec", "graded_max"}
+
+
 def test_only_the_odd_part_helpers_read_r1_generators():
     """Every product with R1 and every colon by R1 goes through
     ``grading._r1_products`` or ``grading._r1_colon``."""
