@@ -128,15 +128,15 @@ def _splits(g: GradedRing, mask: int) -> bool:
 
 
 def decompose_graded(g: GradedRing, members) -> GradedIdeal:
-    """A graded ideal of the ambient ring, rebuilt from its two halves as a
-    pair; that they are a compatible pair summing to it is checked by
-    ``ideals.pair-decomposition-roundtrip``."""
+    """An ideal of the ambient ring that splits, as a graded ideal.  Only the
+    input is checked: that it is an ideal and that it splits.  The halves of
+    a split ideal are always a compatible pair, the theorem that
+    ``ideals.pair-enumeration-oracle`` checks."""
     mask = _as_ideal_mask(g, members)
     if not _splits(g, mask):
         raise InvalidInputError(
             "ideal is not graded: it does not split along the decomposition")
-    return GradedIdeal(g, g._restrict_mask(mask & g.r0_mask),
-                       Submodule._of(g, mask & g.r1_mask))
+    return GradedIdeal._of(g, mask)
 
 
 def _as_ideal_mask(g: GradedRing, members) -> int:

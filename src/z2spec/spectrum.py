@@ -36,7 +36,6 @@ from .rings import (
     _no_pair_inside,
     _same_ring,
     _unit_mask,
-    canonical_key,
     radical,
     radical_members,
     spec,
@@ -209,8 +208,9 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
 
 
 def _longest_chain(sets) -> int:
-    """Edge count of the longest strict inclusion chain among member sets."""
-    order = sorted(sets, key=canonical_key)
+    """Edge count of the longest strict inclusion chain among member sets;
+    a strict subset is strictly smaller, so sorting by size puts it first."""
+    order = sorted(sets, key=len)
     best = []
     for i, current in enumerate(order):
         depth = 0

@@ -31,7 +31,6 @@ from .graded_ideals import (
     enumerate_graded_ideals,
     graded_ideal_from_ideal,
     graded_ideal_from_submodule,
-    decompose_graded,
     is_graded_ideal,
 )
 from .grading import (
@@ -127,15 +126,6 @@ def _ideals_oracle(g, bound):
     if len(pair_flats) != len(filtered) or not pair_flats.issuperset(filtered):
         return FAIL, (f"{len(pair_flats)} pair-built vs {len(filtered)}"
                       " filter-built graded ideals")
-    return PASS, None
-
-
-def _ideals_roundtrip(g, bound):
-    for j in enumerate_graded_ideals(g, bound):
-        if decompose_graded(g, j) != j:
-            return FAIL, f"{j.label()} does not decompose back to its pair"
-        if j.is_proper != j.i0.is_proper:
-            return FAIL, f"{j.label()} has an inconsistent properness flag"
     return PASS, None
 
 
@@ -255,13 +245,10 @@ def _spectrum_classification(g, bound):
 
 
 def _spectrum_odd_part_bracket(g, bound):
-    add = g.ring.add
+    # P splits and its even part is p, so P = p + bracket(p) exactly when
+    # its odd part is the bracket
     for gp in _points(g, bound):
-        bracket = r1_bracket(g, gp.p)
-        rebuilt = frozenset(
-            add[a][m]
-            for a in g.embed_ideal(gp.p) for m in bracket.members)
-        if rebuilt != gp.flat_members:
+        if r1_bracket(g, gp.p).mask != gp.ideal.mask & g.r1_mask:
             return FAIL, f"{gp.label()} != p + bracket(p)"
     return PASS, None
 
@@ -372,22 +359,6 @@ def _radical_three_way(g, bound):
             return FAIL, (f"methods disagree on {j.label()}:"
                           f" {by_def.label()} / {by_int.label()}"
                           f" / {by_formula.label()}")
-    return PASS, None
-
-
-def _radical_idempotent(g, bound):
-    for j in enumerate_graded_ideals(g, bound):
-        once = graded_radical(g, j, "formula", bound)
-        twice = graded_radical(g, once, "formula", bound)
-        if once != twice:
-            return FAIL, f"radical not idempotent on {j.label()}"
-    return PASS, None
-
-
-def _radical_contains(g, bound):
-    for j in enumerate_graded_ideals(g, bound):
-        if j.mask & ~graded_radical(g, j, "formula", bound).mask:
-            return FAIL, f"{j.label()} escapes its radical"
     return PASS, None
 
 
@@ -547,7 +518,6 @@ RECORDS = (
     ("homeo.even-variety-pullback", _homeo_even_pullback),
     ("homeo.homogeneous-variety-image", _homeo_homogeneous_image),
     ("ideals.even-ideal-closure", _ideals_even_closure),
-    ("ideals.pair-decomposition-roundtrip", _ideals_roundtrip),
     ("ideals.pair-enumeration-oracle", _ideals_oracle),
     ("ideals.strong-correspondence", _ideals_strong_correspondence),
     ("ideals.strong-multiplication-module", _ideals_strong_multiplication_module),
@@ -563,8 +533,6 @@ RECORDS = (
     ("norm.multiplicative", _norm_multiplicative),
     ("norm.zero-one", _norm_zero_one),
     ("radical.bracket-closure-observation", _radical_bracket_observation),
-    ("radical.contains-ideal", _radical_contains),
-    ("radical.idempotent", _radical_idempotent),
     ("radical.three-way-agreement", _radical_three_way),
     ("spectrum.classification-valid", _spectrum_classification),
     ("spectrum.dimension-matches-base", _spectrum_dimension),

@@ -53,14 +53,14 @@ def _cold(script: str) -> list:
 
 def test_a_cold_verify_decodes_no_lattice_node():
     """Z/2 (+) F2^5 has 375 ideals, 374 submodules and 375 graded ideals,
-    but one graded prime and two even ideals.  All suites decode 11 member
+    but one graded prime and two even ideals.  All suites decode 8 member
     sets, each of one of those: ``r1_squared`` (1), the bracket test of each
     even ideal (2), the chain lengths of ``homogeneous_dim`` (2), and the
-    all-pairs rebuilds in ``spectrum.prime-odd-part-bracket`` (3) and
-    ``spectrum.unit-sum-prime-form`` (3).  The graded spectrum and the
-    graded maximal ideals are sorted by their masks, with no decode.  A
-    decode per lattice node would add hundreds."""
-    assert _cold(COUNT_DECODES) == ["pass", "375", "11"]
+    all-pairs rebuild in ``spectrum.unit-sum-prime-form`` (3).
+    ``spectrum.prime-odd-part-bracket`` compares masks.  The graded spectrum
+    and the graded maximal ideals are sorted by their masks, with no decode.
+    A decode per lattice node would add hundreds."""
+    assert _cold(COUNT_DECODES) == ["pass", "375", "8"]
 
 
 def test_cold_lattices_retain_masks_not_member_sets():

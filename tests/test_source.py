@@ -265,3 +265,8 @@ def test_readme_names_only_records_that_verify_emits():
             break
         emitted |= {record.name for record in run_verify(entry.spec()).checks}
     assert sorted(named - emitted) == []
+
+
+def test_readme_counts_the_records():
+    counts = re.findall(r"lists the (\d+) records", _readme_section("What is checked where"))
+    assert counts == [str(len(RECORDS))]

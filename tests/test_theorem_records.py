@@ -378,7 +378,7 @@ CASES = [
     pytest.param(flat_set_not_an_ideal, GAUSSIAN4, ["ideals"],
                  ["ideals.pair-enumeration-oracle"], id="GradedIdeal"),
     pytest.param(odd_part_not_a_submodule, GAUSSIAN4, ["ideals"],
-                 ["ideals.pair-decomposition-roundtrip"], id="decompose_graded"),
+                 ["ideals.submodule-closure"], id="decompose_graded"),
     pytest.param(residual_missing_a_member, TRIVEXT4, ["ideals"],
                  ["ideals.submodule-closure"], id="residual"),
     pytest.param(bracket_missing_an_element, TRIVEXT2, ["radical", "spectrum"],
@@ -400,9 +400,9 @@ CASES = [
     pytest.param(odd_part_as_the_complement, TRIVEXT4, ["spectrum"],
                  ["spectrum.nil-square-collapse"], id="r_part-nil"),
     pytest.param(formula_radical_of_zero, TRIVEXT4, ["radical"],
-                 ["radical.contains-ideal"], id="formula-radical-of-zero"),
+                 ["radical.three-way-agreement"], id="formula-radical-of-zero"),
     pytest.param(formula_radical_one_step, TRUNCATED2_5, ["radical"],
-                 ["radical.idempotent"], id="formula-radical-one-step"),
+                 ["radical.three-way-agreement"], id="formula-radical-one-step"),
     pytest.param(odd_square_read_as_whole, TRIVEXT2, ["spectrum"],
                  ["spectrum.unit-sum-prime-form", "spectrum.classification-valid"],
                  id="r1_squared"),
