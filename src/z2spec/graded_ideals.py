@@ -150,23 +150,21 @@ def _as_ideal_mask(g: GradedRing, members) -> int:
 
 
 def graded_ideal_from_ideal(g: GradedRing, i: Ideal) -> GradedIdeal:
-    """The graded ideal (I, I*R1) attached to an even-part ideal."""
-    return GradedIdeal(g, i, Submodule._of(g, _pair_bounds(g, i)[1]))
+    """The graded ideal (I, I*R1) attached to an even-part ideal, summed
+    unchecked: ``ideals.even-ideal-closure`` checks it."""
+    return GradedIdeal._of(g, _pair_sum(g, *_pair_bounds(g, i)[:2]))
 
 
 def graded_ideal_from_submodule(g: GradedRing, rp: Submodule) -> GradedIdeal:
-    """The graded ideal ((R' : R1), R') attached to an odd-part submodule."""
-    return GradedIdeal(g, residual(g, rp), rp)
+    """The graded ideal ((R' : R1), R') attached to an odd-part submodule,
+    summed unchecked: ``ideals.submodule-closure`` checks it."""
+    return GradedIdeal._of(g, _pair_sum(g, _pair_bounds(g, residual(g, rp))[0], rp.mask))
 
 
 def enumerate_graded_ideals(g: GradedRing, bound: int | None = None) -> tuple[GradedIdeal, ...]:
-    """All graded ideals, by filtering even-ideal x submodule pairs.
-
-    The compatibility conditions make the pair scan complete; the definitional
-    filter over flat ideals is kept separately as the oracle
-    (see ``is_graded_ideal``).  Each even ideal's two bounds are formed
-    once, so a pair costs two subset tests on masks (module docstring).
-    """
+    """All graded ideals, by filtering even-ideal x submodule pairs on the
+    two bounds of each even ideal (module docstring); the definitional filter
+    over flat ideals is the oracle (``is_graded_ideal``)."""
     even_ideals = enumerate_ideals(g.r0_ring, bound)
     subs = submodules(g, bound)
 

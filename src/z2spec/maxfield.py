@@ -14,12 +14,13 @@ from operator import itemgetter
 from .errors import InvalidInputError, NotGradedFieldError
 from .graded_ideals import (
     GradedIdeal,
+    _pair_sum,
     enumerate_graded_ideals,
-    graded_ideal_from_ideal,
 )
 from .grading import (
     GradedRing,
     Submodule,
+    _pair_bounds,
     _require,
     cyclic_span,
     quadratic_extension,
@@ -53,7 +54,7 @@ def graded_max(g: GradedRing, method: str = "definitional",
                bound: int | None = None) -> list[GradedIdeal]:
     """Graded maximal ideals, definitionally or by the two-branch recipe
     over Spec R0 (every prime of R0 is maximal): (p, R1) for p containing
-    R1^2, else (p, p*R1)."""
+    R1^2, else (p, p*R1), summed unchecked (``maximal.methods-agree``)."""
     return list(_graded_max_cached(g, method, bound))
 
 
@@ -70,8 +71,8 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
 
         def compute():
             sq = r1_squared(g).mask
-            return [graded_ideal_from_ideal(g, p) if sq & ~p.mask
-                    else GradedIdeal(g, p, Submodule._of(g, g.r1_mask)) for p in base_max]
+            return [GradedIdeal._of(g, _pair_sum(g, even, odd if sq & ~p.mask else g.r1_mask))
+                    for p in base_max for even, odd, _ in [_pair_bounds(g, p)]]
     else:
         raise InvalidInputError(f"unknown method: {method!r}")
     key = _mask_key(g.ring)

@@ -870,14 +870,12 @@ def _span_order(ring: FiniteRing, labels: Iterable[int], span,
 def _span_child(add, shift, node: int, x: int, members: int, seeds: tuple,
                 coset: int | None = None) -> int:
     """The child H + Mx of the node H by the span Mx of label x, as a member
-    mask (module docstring, "Lattice enumeration").  ``members`` and
-    ``seeds`` are the span's mask and seeds from ``_span_order``, and
-    ``coset`` is the mask of x + H when the caller has it (the lattice clears
-    it from its untried labels), or in prime characteristic p the union of
-    the cosets kx + H for 0 < k < p, which with H is H + <x>; else x + H is
-    translated here, and only when needed.  The child is the span itself
-    when that contains H; else H | coset when the span lies in it; else that
-    grown by 2x, then by the seeds."""
+    mask (module docstring, "Lattice enumeration"): the span itself when it
+    contains H, else H | coset when the span lies in it, else that grown by
+    2x, then by the seeds.  ``members`` and ``seeds`` come from
+    ``_span_order``.  ``coset`` is x + H, or in prime characteristic p the
+    union of the cosets kx + H for 0 < k < p; given None, x + H is
+    translated here, and only when needed."""
     if not node & ~members:
         return members
     child = node | (shift(node, x) if coset is None else coset)
@@ -909,7 +907,9 @@ def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
     lattice joins the end of the node list, and the list is the result.
     With each coset x + H it clears the cosets ux + H of the unit multiples
     u of 1 not yet cleared at the node ("Units", rule (b)); in
-    characteristic 2 there are none.
+    characteristic 2 there are none.  Pre-test: the child is H | coset
+    whenever the span lies in that set, the common case, so ``_span_child``
+    runs only when the span escapes it.
     """
     spans = _span_order(ring, labels, span, multipliers, units)
     add, mul, shift = ring.add, ring.mul, _translator(ring)
@@ -937,7 +937,9 @@ def _subgroup_lattice(ring: FiniteRing, labels: Iterable[int], span,
                         if prime:  # with H, the cosets kx + H make up H + <x>
                             coset |= other
                 untried &= ~cleared
-            child = _span_child(add, shift, node, x, *by_label[x], coset)
+            child = node | coset
+            if by_label[x][0] & ~child:
+                child = _span_child(add, shift, node, x, *by_label[x], coset)
             if child not in found:
                 found.add(child)
                 nodes.append(child)

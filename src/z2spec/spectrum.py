@@ -126,7 +126,8 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     r0 = g.r0_ring
     if not p.is_proper or not _no_pair_inside(r0, range(r0.size), p.mask):
         raise InvalidInputError(f"{p.label()} is not a prime ideal of the even part")
-    return GradedPrime(GradedIdeal(g, p, Submodule._of(g, _pair_bounds(g, p)[2])))
+    ambient, _, fiber = _pair_bounds(g, p)
+    return GradedPrime(GradedIdeal._of(g, _pair_sum(g, ambient, fiber)))
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,11 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
         rad = radical_members(g.ring, j.mask)
         return GradedIdeal._of(g, _pair_sum(g, rad & g.r0_mask, rad & g.r1_mask))
     if method == "intersection":
-        flats = (gp.ideal.mask for gp in graded_spec(g, "definitional", bound).graded_points)
-        whole = (1 << g.ring.size) - 1
+        enumerate_graded_ideals(g, bound)  # the bound first ("Caches" in ``rings``)
+        flats = _memo(g, "graded_prime_masks", lambda: tuple(
+            gp.ideal.mask for gp in graded_spec(g, "definitional", bound).graded_points))
         return GradedIdeal._of(g, reduce(
-            and_, (flat for flat in flats if not j.mask & ~flat), whole))
+            and_, (flat for flat in flats if not j.mask & ~flat), (1 << g.ring.size) - 1))
     if method == "formula":
         def compute():
             sqrt_j0 = radical(g.r0_ring, j.i0)

@@ -141,12 +141,12 @@ def _ideals_even_closure(g, bound):
 
 
 def _ideals_submodule_closure(g, bound):
-    graded = set(enumerate_graded_ideals(g, bound))
+    graded = {j.mask for j in enumerate_graded_ideals(g, bound)}
     for rp in submodules(g, bound):
-        j = graded_ideal_from_submodule(g, rp)
-        if j.r_part != rp:
+        flat = graded_ideal_from_submodule(g, rp).mask
+        if flat & g.r1_mask != rp.mask:
             return FAIL, f"((R':R1), R') loses the odd part for R'={rp.label()}"
-        if j not in graded:
+        if flat not in graded:
             return FAIL, f"((R':R1), R') is not a graded ideal for R'={rp.label()}"
     return PASS, None
 
@@ -619,18 +619,13 @@ def run_verify(spec: InstanceSpec, suites=("all",),
 
 def report_payload(report: VerificationReport,
                    include_timings: bool = False) -> dict:
-    checks = []
-    for record in report.checks:
-        item = {"name": record.name, "status": record.status,
-                "witness": record.witness}
-        if include_timings:
-            item["elapsed"] = record.elapsed
-        checks.append(item)
     payload = {
         "instance": report.instance,
         "counts": report.counts,
         "suites": list(report.suites),
-        "checks": checks,
+        "checks": [{"name": record.name, "status": record.status, "witness": record.witness,
+                    **({"elapsed": record.elapsed} if include_timings else {})}
+                   for record in report.checks],
         "status": report.status,
     }
     if include_timings:

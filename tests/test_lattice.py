@@ -11,6 +11,7 @@ import pytest
 
 import z2spec.grading as grading
 import z2spec.rings as rings
+from birkhoff import graded_ideal_count, subgroup_count, trivial_extension_recipes
 from instance_cases import INSTANCE_CASES
 from naive_closure import (
     naive_additive_closure,
@@ -233,6 +234,25 @@ def test_odd_characteristic_lattices_count_every_subspace(k, count):
     assert len(submodules(g)) == _galois_number(k, 3)
 
 
+# every catalog trivial extension, and every one with n <= 12 and |R| <= 256;
+# CI sweeps on to |R| <= 1024 in a process of its own
+TRIVEXT_RECIPES = dict.fromkeys(
+    [(entry.recipe["n"], tuple(entry.recipe["orders"])) for entry in CATALOG
+     if entry.recipe["kind"] == "trivial_extension"]
+    + trivial_extension_recipes(12, 256))
+
+
+@pytest.mark.parametrize("n, orders", [
+    pytest.param(n, orders, id=f"{n}-m{'m'.join(map(str, orders))}")
+    for n, orders in TRIVEXT_RECIPES])
+def test_trivial_extension_lattices_match_birkhoffs_count(n, orders):
+    """Z/n (+) (+) Z/m_i: the submodules are the subgroups of the module, and
+    the graded ideals number sum over d | n of S(M/dM) (``birkhoff``)."""
+    g = trivial_extension(zmod(n), orders)
+    assert len(submodules(g, g.ring.size)) == subgroup_count(orders)
+    assert len(enumerate_graded_ideals(g, g.ring.size)) == graded_ideal_count(n, orders)
+
+
 @pytest.mark.parametrize("case", INSTANCE_CASES)
 def test_idempotent_fibres_match_a_power_walk_per_code(case):
     """The fibre table, which stops each walk at the first power already
@@ -353,7 +373,12 @@ def test_odd_characteristic_walks_clear_the_coset_of_each_unit_multiple(
     H, which is H + <x>.  So building both span lists and walking both
     lattices takes ``steps`` child steps and ``count`` translations; with
     x + H alone they took 4,270 and 8,418 (k = 4), 99,946 and 197,482
-    (k = 5).  k = 5 runs in its own process in CI."""
+    (k = 5).  A node H inside F3^k takes one step per pair {c, -c} of
+    nonzero cosets of H, each holding a line's label, and in the ideal walk
+    one more for the unit label; the node R takes none.  Only a unit
+    label's span R escapes H + <x>, except at H = F3^k, so ``_span_child``
+    runs G_3(k) - 1 times: 211 (k = 4) and 2,663 (k = 5).  k = 5 runs in
+    its own process in CI."""
     g = trivial_extension(zmod(3), [3] * k)
     ring = g.ring
     _additive_generators(ring)  # known before counting, whichever test ran first
@@ -369,7 +394,13 @@ def test_odd_characteristic_walks_clear_the_coset_of_each_unit_multiple(
     ideals = _subgroup_lattice(*_ideal_family(ring))
     modules = _subgroup_lattice(*_submodule_family(g))
     assert (len(ideals), len(modules)) == (_galois_number(k, 3) + 1, _galois_number(k, 3))
-    assert (len(children), len(calls)) == (steps, count)
+
+    def coset_pairs(node):  # pairs {c, -c} of nonzero cosets of a node inside F3^k
+        return (3 ** k // node.bit_count() - 1) // 2
+    whole = (1 << ring.size) - 1
+    recount = (sum(coset_pairs(h) + 1 for h in ideals if h != whole)
+               + sum(map(coset_pairs, modules)))
+    assert (recount, len(children), len(calls)) == (steps, _galois_number(k, 3) - 1, count)
 
 
 def test_each_child_branch_takes_its_translations():

@@ -64,17 +64,12 @@ def flat_set_not_an_ideal(monkeypatch):
     monkeypatch.setattr(graded_ideals, "_pair_sum", broken)
 
 
-def _plant_submodules(monkeypatch, module, smallest: int):
-    """``module`` builds its submodules from member masks (``Submodule._of``):
-    each of more than ``smallest`` members loses its largest code."""
-    def broken(g, mask):
-        return Submodule._of(g, _drop_largest_bit(mask) if mask.bit_count() > smallest
-                             else mask)
-    monkeypatch.setattr(module, "Submodule", SimpleNamespace(_of=broken))
-
-
 def odd_part_not_a_submodule(monkeypatch):
-    _plant_submodules(monkeypatch, graded_ideals, 2)
+    # ``GradedIdeal.r_part`` reads the odd half through ``Submodule._of``:
+    # each odd half of more than two members loses its largest code
+    def broken(g, mask):
+        return Submodule._of(g, _drop_largest_bit(mask) if mask.bit_count() > 2 else mask)
+    monkeypatch.setattr(graded_ideals, "Submodule", SimpleNamespace(_of=broken))
 
 
 def residual_missing_a_member(monkeypatch):
@@ -151,8 +146,16 @@ def odd_part_as_the_complement(monkeypatch):
     monkeypatch.setattr(graded_ideals.GradedIdeal, "r_part", property(broken))
 
 
-def odd_fiber_not_a_submodule(monkeypatch):
-    _plant_submodules(monkeypatch, spectrum, 1)
+def odd_fiber_missing_a_member(monkeypatch):
+    # the odd fiber {x in R1 : x*R1 <= p} that ``phi_inverse`` sums with p
+    # loses its largest code when it has more than one: over Z/4[i] the
+    # prime (2) then pulls back to (2) + 0, not (2) + (2i)
+    original = spectrum._pair_bounds
+
+    def broken(g, i0):
+        ambient, low, fiber = original(g, i0)
+        return ambient, low, _drop_largest_bit(fiber) if fiber.bit_count() > 1 else fiber
+    monkeypatch.setattr(spectrum, "_pair_bounds", broken)
 
 
 def contraction_misses_p(monkeypatch):
@@ -378,7 +381,7 @@ CASES = [
     pytest.param(flat_set_not_an_ideal, GAUSSIAN4, ["ideals"],
                  ["ideals.pair-enumeration-oracle"], id="GradedIdeal"),
     pytest.param(odd_part_not_a_submodule, GAUSSIAN4, ["ideals"],
-                 ["ideals.submodule-closure"], id="decompose_graded"),
+                 ["ideals.strong-multiplication-module"], id="r_part-submodule"),
     pytest.param(residual_missing_a_member, TRIVEXT4, ["ideals"],
                  ["ideals.submodule-closure"], id="residual"),
     pytest.param(bracket_missing_an_element, TRIVEXT2, ["radical", "spectrum"],
@@ -406,7 +409,7 @@ CASES = [
     pytest.param(odd_square_read_as_whole, TRIVEXT2, ["spectrum"],
                  ["spectrum.unit-sum-prime-form", "spectrum.classification-valid"],
                  id="r1_squared"),
-    pytest.param(odd_fiber_not_a_submodule, GAUSSIAN4, ["homeo", "spectrum"],
+    pytest.param(odd_fiber_missing_a_member, GAUSSIAN4, ["homeo", "spectrum"],
                  ["spectrum.methods-agree"], id="phi_inverse-fiber"),
     pytest.param(contraction_misses_p, ZMOD6, ["homeo", "spectrum"],
                  ["spectrum.methods-agree", "homeo.contraction-roundtrip"],
@@ -529,12 +532,15 @@ def test_label_of_a_broken_bracket_is_reported_as_a_fail(monkeypatch):
 
 
 def test_error_inside_a_check_is_reported_with_its_text(monkeypatch):
+    """The formula radical is built as a checked pair: a bracket that loses
+    a member makes the pair incompatible, and the constructor's error is
+    the witness of the record that reads it."""
     spec_ = InstanceSpec(dict(GAUSSIAN4))
     monkeypatch.setattr(build_instance(spec_), "_cache", {})
-    odd_fiber_not_a_submodule(monkeypatch)
-    report = run_verify(spec_, ["homeo", "spectrum"])
+    bracket_missing_an_element(monkeypatch)
+    report = run_verify(spec_, ["radical"])
     records = {record.name: record for record in report.checks}
-    assert "escapes the odd part" in records["spectrum.methods-agree"].witness
+    assert "escapes the odd part" in records["radical.three-way-agreement"].witness
 
 
 def test_observation_witness_counts_the_open_brackets(monkeypatch):
