@@ -6,7 +6,7 @@ Neither cluster holds an inclusion.  Every prime of a finite commutative
 ring is maximal (``rings`` docstring, "Spectra"; checked by
 ``spectrum.methods-agree``), so Spec R0 is an antichain; the contraction
 preserves inclusion and is a bijection onto Spec R0
-(``homeo.contraction-bijective``), so the graded points are one too."""
+(``homeo.contraction-roundtrip``), so the graded points are one too."""
 
 from __future__ import annotations
 

@@ -38,12 +38,12 @@ from .rings import (
     _mask_key,
     _members,
     _memo,
+    _stable_mask,
     _subgroup_generators,
     _subgroup_lattice,
     _tables_by_digits,
     _translator,
     _unit_mask,
-    ideal_members,
     is_stable_set,
     poly_quotient,
     stable_members,
@@ -489,8 +489,9 @@ def residual(g: GradedRing, rp: Submodule) -> Ideal:
 
 def r1_squared(g: GradedRing) -> Ideal:
     """The ideal of R0 generated by all products of two odd elements."""
-    return _memo(g, "r1_squared", lambda: Ideal(g.r0_ring, ideal_members(
-        g.r0_ring, map(g.to_r0, _r1_products(g, g.r1)))))
+    r0 = g.r0_ring
+    return _memo(g, "r1_squared", lambda: Ideal._of(r0, _stable_mask(
+        r0, _additive_generators(r0), map(g.to_r0, _r1_products(g, g.r1)))))
 
 
 def r1_cubed(g: GradedRing) -> Submodule:

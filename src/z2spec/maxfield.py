@@ -81,8 +81,9 @@ def _graded_max_cached(g: GradedRing, method: str, bound) -> tuple:
 
 
 def is_graded_local(g: GradedRing, bound: int | None = None) -> bool:
-    """Exactly one graded maximal ideal; agrees with R0 being local, which
-    ``maximal.local-iff-base-local`` checks."""
+    """Exactly one graded maximal ideal; agrees with R0 being local, since
+    ``maximal.methods-agree`` finds one graded maximal ideal per point of
+    Max R0 = Spec R0."""
     return len(graded_max(g, "definitional", bound)) == 1
 
 

@@ -794,10 +794,15 @@ def principal_span(ring: FiniteRing, x: int) -> frozenset:
     return frozenset(ring.mul[x])
 
 
+def _stable_mask(ring: FiniteRing, multipliers: tuple, codes: Iterable[int]) -> int:
+    """Member mask of the M-stable subgroup generated by ``codes``."""
+    return _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero,
+                          (s for x in codes for s in span_seeds(ring, multipliers, x)))[0]
+
+
 def stable_members(ring: FiniteRing, multipliers: tuple, codes: Iterable[int]) -> frozenset:
     """Member set of the M-stable subgroup generated by ``codes``."""
-    return additive_closure(
-        ring, (s for x in codes for s in span_seeds(ring, multipliers, x)))
+    return _members(ring, _stable_mask(ring, multipliers, codes))
 
 
 def ideal_members(ring: FiniteRing, gen_codes: Iterable[int]) -> frozenset:

@@ -209,15 +209,15 @@ def graded_radical(g: GradedRing, j: GradedIdeal, method: str = "formula",
     raise InvalidInputError(f"unknown radical method: {method!r}")
 
 
-def _longest_chain(sets) -> int:
-    """Edge count of the longest strict inclusion chain among member sets;
-    a strict subset is strictly smaller, so sorting by size puts it first."""
-    order = sorted(sets, key=len)
+def _longest_chain(masks) -> int:
+    """Edge count of the longest strict inclusion chain among member masks;
+    a strict subset has fewer members, so sorting by size puts it first."""
+    order = sorted(masks, key=int.bit_count)
     best = []
     for i, current in enumerate(order):
         depth = 0
         for k in range(i):
-            if order[k] < current:
+            if order[k] != current and not order[k] & ~current:
                 depth = max(depth, best[k] + 1)
         best.append(depth)
     return max(best, default=0)
@@ -226,7 +226,6 @@ def _longest_chain(sets) -> int:
 def homogeneous_dim(g: GradedRing, bound: int | None = None) -> tuple[int, int]:
     """(longest graded-prime chain, longest base-prime chain); always equal,
     which ``spectrum.dimension-matches-base`` checks."""
-    graded = [gp.flat_members for gp in
-              graded_spec(g, "definitional", bound).graded_points]
-    base = [p.members for p in spec(g.r0_ring, bound)]
+    graded = [gp.ideal.mask for gp in graded_spec(g, "definitional", bound).graded_points]
+    base = [p.mask for p in spec(g.r0_ring, bound)]
     return _longest_chain(graded), _longest_chain(base)

@@ -9,11 +9,12 @@ whose constructors validate only their inputs.
 
 Every step runs inside a record, timed by ``_run``: hitting the enumeration
 bound is recorded as a distinguished ``resource-limit`` status, any other
-library error as ``fail`` with the error as witness, and neither is raised
-out of the run.  Before the first record, ``run_verify`` counts every
+library error as ``fail`` with the error's text as witness, and any other
+``Exception`` as ``fail`` with the witness ``"<TypeName>: <text>"``; none is
+raised out of the run.  Before the first record, ``run_verify`` counts every
 lattice in a step of its own, so a record's time is its check alone, and
 the report keeps that step's time as ``lattice_elapsed``; should counting
-raise any other library error, the step is reported as a ``fail`` record
+raise anything but the bound, the step is reported as a ``fail`` record
 named ``counts``.  Reports serialize deterministically; timings are kept in
 memory and in the text rendering but omitted from JSON so reports are
 byte-identical across runs.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, EnumerationLimitError
 from .graded_ideals import (
-    GradedIdeal,
     enumerate_graded_ideals,
     graded_ideal_from_ideal,
     graded_ideal_from_submodule,
@@ -35,8 +35,8 @@ from .graded_ideals import (
 )
 from .grading import (
     GradedRing,
+    _r0_generators,
     is_strongly_graded,
-    is_submodule_set,
     r1_cubed,
     r1_squared,
     residual,
@@ -50,16 +50,14 @@ from .maxfield import (
     graded_max,
     is_graded_domain,
     is_graded_field,
-    is_graded_local,
-    is_graded_maximal,
     norm_set,
     _norms,
 )
 from .rings import (
     _grow_subgroup,
+    _is_stable_mask,
     _no_pair_inside,
     _translator,
-    additive_closure,
     enumerate_ideals,
     maximal_sets,
     radical_members,
@@ -111,6 +109,8 @@ def _run(name: str, check, g: GradedRing, bound) -> CheckRecord:
         status, witness = RESOURCE_LIMIT, str(exc)
     except AlgebraError as exc:
         status, witness = FAIL, str(exc)
+    except Exception as exc:  # a step that breaks outside the library's errors
+        status, witness = FAIL, f"{type(exc).__name__}: {exc}"
     return CheckRecord(name, status, witness, time.perf_counter() - start)
 
 
@@ -265,10 +265,11 @@ def _spectrum_residual_recovery(g, bound):
 
 
 def _spectrum_unit_sum_form(g, bound):
-    whole = frozenset(range(g.r0_ring.size))
-    sq = r1_squared(g).members
+    # p is maximal (spectrum.methods-agree), so R1^2 + p is p or R0: it is
+    # R0 exactly when R1^2 does not lie in p
+    sq = r1_squared(g).mask
     for gp in _points(g, bound):
-        if additive_closure(g.r0_ring, sq | gp.p.members) != whole:
+        if not sq & ~gp.p.mask:
             continue
         expected = graded_ideal_from_ideal(g, gp.p)
         if gp.ideal != expected:
@@ -307,24 +308,21 @@ def _spectrum_dimension(g, bound):
 # graded primes containing r must be the base primes containing r^2.
 
 
-def _homeo_bijective(g, bound):
-    images = [gp.p.mask for gp in _points(g, bound)]
-    if (len(set(images)) != len(images)
-            or set(images) != {p.mask for p in spec(g.r0_ring, bound)}):
-        return FAIL, "contraction is not a bijection onto the base spectrum"
-    return PASS, None
-
-
 def _homeo_roundtrip(g, bound):
-    base = spec(g.r0_ring, bound)
-    for gp in _points(g, bound):
+    # the first loop makes the contraction injective, the second onto
+    base, points = spec(g.r0_ring, bound), _points(g, bound)
+    for gp in points:
         p = phi(g, gp)
         if p not in base:  # phi_inverse would reject it
             return FAIL, f"phi({gp.label()}) is not a prime of the even part"
         if phi_inverse(g, p).ideal != gp.ideal:
             return FAIL, f"phi_inverse(phi({gp.label()})) differs"
+    masks = {gp.ideal.mask for gp in points}
     for p in base:
-        if phi(g, phi_inverse(g, p)) != p:
+        gp = phi_inverse(g, p)
+        if gp.ideal.mask not in masks:
+            return FAIL, "contraction is not a bijection onto the base spectrum"
+        if phi(g, gp) != p:
             return FAIL, f"phi(phi_inverse({p.label()})) differs"
     return PASS, None
 
@@ -365,7 +363,9 @@ def _radical_three_way(g, bound):
 def _radical_bracket_observation(g, bound):
     graded = enumerate_graded_ideals(g, bound)
     evens = [j.mask & g.r0_mask for j in graded]  # the literal bracket reads J0 alone
-    closed = {even: is_submodule_set(g, r1_bracket(g, g._restrict_mask(even)).members)
+    # the bracket lies in R1: it is a submodule when it is R0-stable
+    closed = {even: _is_stable_mask(g.ring, _r0_generators(g),
+                                    r1_bracket(g, g._restrict_mask(even)).mask)
               for even in dict.fromkeys(evens)}
     flags = [closed[even] for even in evens]
     example = next((j.i0.label() for j, flag in zip(graded, flags) if not flag), None)
@@ -405,25 +405,12 @@ def _maximal_submodule_residual(g, bound):
     return PASS, f"{len(applicable)} applicable submodule(s)"
 
 
-def _maximal_local(g, bound):
-    graded_local = is_graded_local(g, bound)
-    base_local = len(spec(g.r0_ring, bound)) == 1
-    if graded_local != base_local:
-        return FAIL, (f"graded-local={graded_local} but"
-                      f" base-local={base_local}")
-    return PASS, None
-
-
 def _maximal_prime(g, bound):
     prime_flats = {p.ideal for p in _points(g, bound)}
     for j in graded_max(g, "definitional", bound):
         if j not in prime_flats:
             return FAIL, f"{j.label()} is graded maximal but not graded prime"
     return PASS, None
-
-
-def _zero_graded_ideal(g: GradedRing) -> GradedIdeal:
-    return GradedIdeal._of(g, 1 << g.ring.zero)
 
 
 def _field_methods(g, bound):
@@ -438,12 +425,6 @@ def _field_domain_methods(g, bound):
     if d != s:
         return FAIL, f"definitional={d}, structural={s}"
     return PASS, f"graded domain: {d}"
-
-
-def _field_zero_maximal(g, bound):
-    if is_graded_field(g) != is_graded_maximal(g, _zero_graded_ideal(g), bound):
-        return FAIL, "graded field flag disagrees with zero ideal maximality"
-    return PASS, None
 
 
 def _field_two_ideals(g, bound):
@@ -508,12 +489,10 @@ def _norm_equivalence(g, bound):
 
 RECORDS = (
     ("field.field-iff-two-graded-ideals", _field_two_ideals),
-    ("field.field-iff-zero-maximal", _field_zero_maximal),
     ("field.graded-domain-methods-agree", _field_domain_methods),
     ("field.graded-field-methods-agree", _field_methods),
     ("field.quadratic-presentation", _field_presentation),
     ("field.strong-domain-iff-base", _field_strong_domain),
-    ("homeo.contraction-bijective", _homeo_bijective),
     ("homeo.contraction-roundtrip", _homeo_roundtrip),
     ("homeo.even-variety-pullback", _homeo_even_pullback),
     ("homeo.homogeneous-variety-image", _homeo_homogeneous_image),
@@ -524,7 +503,6 @@ RECORDS = (
     ("ideals.strong-span-cancellation", _ideals_strong_span_cancellation),
     ("ideals.strong-unit-certificate", _ideals_strong_unit_certificate),
     ("ideals.submodule-closure", _ideals_submodule_closure),
-    ("maximal.local-iff-base-local", _maximal_local),
     ("maximal.maximal-implies-graded-prime", _maximal_prime),
     ("maximal.methods-agree", _maximal_methods_agree),
     ("maximal.submodule-residual-equivalence", _maximal_submodule_residual),

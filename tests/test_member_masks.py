@@ -52,15 +52,13 @@ def _cold(script: str) -> list:
 
 
 def test_a_cold_verify_decodes_no_lattice_node():
-    """Z/2 (+) F2^5 has 375 ideals, 374 submodules and 375 graded ideals,
-    but one graded prime and two even ideals.  All suites decode 8 member
-    sets, each of one of those: ``r1_squared`` (1), the bracket test of each
-    even ideal (2), the chain lengths of ``homogeneous_dim`` (2), and the
-    all-pairs rebuild in ``spectrum.unit-sum-prime-form`` (3).
-    ``spectrum.prime-odd-part-bracket`` compares masks.  The graded spectrum
-    and the graded maximal ideals are sorted by their masks, with no decode.
-    A decode per lattice node would add hundreds."""
-    assert _cold(COUNT_DECODES) == ["pass", "375", "8"]
+    """Z/2 (+) F2^5 has 375 ideals, 374 submodules and 375 graded ideals.
+    All suites decode no member set: ``r1_squared`` grows its ideal as a
+    mask, the bracket test and the chain lengths of ``homogeneous_dim`` read
+    masks, and ``spectrum.unit-sum-prime-form`` tests R1^2 against p by a
+    mask subset.  The graded spectrum and the graded maximal ideals are
+    sorted by their masks.  A decode per lattice node would add hundreds."""
+    assert _cold(COUNT_DECODES) == ["pass", "375", "0"]
 
 
 def test_cold_lattices_retain_masks_not_member_sets():
