@@ -8,6 +8,10 @@ idempotents of R, and the graded spectrum is printed through the
 contraction: ``phi_inverse`` applied to Spec R0.  The record
 ``spectrum.methods-agree`` ties both to the definitions.
 
+argv is read from the ``_COMMANDS`` table: ``_read_argv`` takes a plainly
+written command; help, usage errors and other spellings (``--flag=value``,
+option prefixes) go to the argparse parser built from the same table.
+
 Exit codes: 0 all checks pass, 1 some check failed, 2 input error,
 3 enumeration bound exceeded.
 """
@@ -107,56 +111,92 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+# Each subcommand's help, handler and options after the ``file`` positional.  An
+# option is (flag, kind, choices, default, help); its kind is "int", "choice",
+# "append" (a repeatable choice) or "flag" (no value).
+_BOUND = ("--bound", "int", None, None, "enumeration bound override (default 256)")
+_FORMAT = ("--format", "choice", ("json", "text"), "text", None)
+_COMMANDS = {
+    "build": ("parse and summarize an instance", _cmd_build, (_BOUND, _FORMAT)),
+    "verify": ("run verification suites", _cmd_verify, (
+        _BOUND,
+        ("--suite", "append", SUITE_NAMES + ("all",), None,
+         "suite to run (repeatable; default all)"),
+        _FORMAT,
+        ("--timings", "flag", None, False, "include per-check timings in JSON output"))),
+    "spec": ("list the spectrum", _cmd_spec, (
+        _BOUND,
+        ("--graded", "flag", None, False, "graded spectrum instead of the classical one"),
+        _FORMAT)),
+    "export-dot": ("Graphviz view of the spectrum correspondence", _cmd_export_dot,
+                   (_BOUND,)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2spec",
         description="Finite parity-graded commutative rings: build instances, "
                     "verify the structure theorems, and export spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("file", help="instance file (JSON)")
-        p.add_argument("--bound", type=int, default=None,
-                       help="enumeration bound override (default 256)")
-
-    p_build = sub.add_parser("build", help="parse and summarize an instance")
-    common(p_build)
-    p_build.add_argument("--format", choices=("json", "text"), default="text")
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify)
-    p_verify.add_argument("--suite", action="append",
-                          choices=SUITE_NAMES + ("all",),
-                          help="suite to run (repeatable; default all)")
-    p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.add_argument("--timings", action="store_true",
-                          help="include per-check timings in JSON output")
-
-    p_spec = sub.add_parser("spec", help="list the spectrum")
-    common(p_spec)
-    p_spec.add_argument("--graded", action="store_true",
-                        help="graded spectrum instead of the classical one")
-    p_spec.add_argument("--format", choices=("json", "text"), default="text")
-
-    p_dot = sub.add_parser("export-dot",
-                           help="Graphviz view of the spectrum correspondence")
-    common(p_dot)
+        for flag, kind, choices, default, help_ in options:
+            if kind == "flag":
+                p.add_argument(flag, action="store_true", help=help_)
+            else:
+                p.add_argument(flag, action="append" if kind == "append" else "store",
+                               type=int if kind == "int" else None, choices=choices,
+                               default=default, help=help_)
     return parser
 
 
+def _read_argv(argv: list) -> argparse.Namespace | None:
+    """argparse's Namespace for a plainly written command: one ``file`` not
+    starting with "-", each option as ``--flag value`` or a bare flag, valid
+    values, no option twice unless repeatable.  None for anything else."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {opt[0]: opt for opt in _COMMANDS[argv[0]][2]}
+    files, values = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        if token not in options:
+            return None
+        _, kind, choices, _, _ = options[token]
+        value = True if kind == "flag" else next(tokens, "")
+        if kind == "int" and value.isascii() and value.isdigit():
+            try:
+                value = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                return None
+        elif kind != "flag" and value not in (choices or ()):  # "int" has no choices
+            return None
+        if kind == "append":
+            values.setdefault(token, []).append(value)
+        elif token in values:
+            return None
+        else:
+            values[token] = value
+    if len(files) != 1:
+        return None
+    args = argparse.Namespace(command=argv[0], file=files[0])
+    for flag, _, _, default, _ in options.values():
+        setattr(args, flag[2:], values.get(flag, default))
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     if args.bound is not None and args.bound < 1:  # as limits.bound requires
-        parser.error(f"argument --bound: must be >= 1, got {args.bound}")
-    handlers = {
-        "build": _cmd_build,
-        "verify": _cmd_verify,
-        "spec": _cmd_spec,
-        "export-dot": _cmd_export_dot,
-    }
+        _build_parser().error(f"argument --bound: must be >= 1, got {args.bound}")
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except EnumerationLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
