@@ -14,14 +14,13 @@ R1 = {0, 1+x}.  42 instances in all.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 from .grading import GradedRing
 from .instances import InstanceSpec, build_instance
+from .rings import _Record
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     instance_id: str
     recipe: dict
 

@@ -13,14 +13,17 @@ written command; help, usage errors and other spellings (``--flag=value``,
 option prefixes) go to the argparse parser built from the same table.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 input error,
-3 enumeration bound exceeded.
+3 enumeration bound exceeded, 141 (128 + SIGPIPE) stdout closed by its
+reader, as in ``z2spec spec file.json | head -1``: no error is printed, and
+stdout is pointed at the null device so that nothing more is written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from .errors import AlgebraError, EnumerationLimitError, InstanceParseError
 from .instances import build_instance, effective_bound, parse_instance
@@ -133,7 +136,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only for help, usage errors and other spellings
     parser = argparse.ArgumentParser(
         prog="z2spec",
         description="Finite parity-graded commutative rings: build instances, "
@@ -152,10 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_argv(argv: list) -> argparse.Namespace | None:
-    """argparse's Namespace for a plainly written command: one ``file`` not
-    starting with "-", each option as ``--flag value`` or a bare flag, valid
-    values, no option twice unless repeatable.  None for anything else."""
+def _read_argv(argv: list) -> SimpleNamespace | None:
+    """The attributes of argparse's Namespace, in a SimpleNamespace, for a
+    plainly written command: one ``file`` not starting with "-", each option
+    as ``--flag value`` or a bare flag, valid values, no option twice unless
+    repeatable.  None for anything else."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     options = {opt[0]: opt for opt in _COMMANDS[argv[0]][2]}
@@ -184,10 +189,8 @@ def _read_argv(argv: list) -> argparse.Namespace | None:
             values[token] = value
     if len(files) != 1:
         return None
-    args = argparse.Namespace(command=argv[0], file=files[0])
-    for flag, _, _, default, _ in options.values():
-        setattr(args, flag[2:], values.get(flag, default))
-    return args
+    return SimpleNamespace(command=argv[0], file=files[0], **{
+        flag[2:]: values.get(flag, default) for flag, _, _, default, _ in options.values()})
 
 
 def main(argv=None) -> int:
@@ -196,7 +199,14 @@ def main(argv=None) -> int:
     if args.bound is not None and args.bound < 1:  # as limits.bound requires
         _build_parser().error(f"argument --bound: must be >= 1, got {args.bound}")
     try:
-        return _COMMANDS[args.command][1](args)
+        code = _COMMANDS[args.command][1](args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except EnumerationLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,6 @@ J = A + B, iff |A| * |B| = |J|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -54,7 +53,6 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True, repr=False, init=False)
 class GradedIdeal(_StableSubgroup):
     """A graded ideal J as the member mask of its flat set, an ideal of the
     ambient ring, split by ``i0`` and ``r_part`` (module docstring); equal
@@ -67,6 +65,7 @@ class GradedIdeal(_StableSubgroup):
     graded_ring: GradedRing
     mask: int
     flat_members = _StableSubgroup.members
+    __eq__, __hash__ = Submodule.__eq__, Submodule.__hash__  # the same two fields
 
     def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
         g, odd = graded_ring, r_part.mask

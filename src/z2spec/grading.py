@@ -9,9 +9,8 @@ classical ideal machinery applies to it directly; when the grading is trivial
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache, partial
-from typing import Iterable, Sequence
 
 from .errors import (
     GradingAxiomError,
@@ -25,6 +24,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingElement,
+    _Record,
     _StableSubgroup,
     _same_ring,
     as_code,
@@ -44,7 +44,6 @@ from .rings import (
     _tables_by_digits,
     _translator,
     _unit_mask,
-    is_stable_set,
     poly_quotient,
     stable_members,
     zmod,
@@ -330,7 +329,6 @@ def trivial_extension(base: FiniteRing, module_orders: Sequence[int]) -> GradedR
 # submodules of the odd part
 
 
-@dataclass(frozen=True, repr=False, init=False)
 class Submodule(_StableSubgroup):
     """An R0-submodule of R1 as the member mask of its ambient codes; two
     submodules are equal when they live in the identical graded ring and
@@ -353,6 +351,13 @@ class Submodule(_StableSubgroup):
             raise InvalidParameterError(f"{name} is not in the odd part")
         object.__setattr__(self, "graded_ring", g)
         object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        return (self.mask == other.mask and self.graded_ring == other.graded_ring
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.graded_ring, self.mask))
 
     def _family(self) -> tuple:
         return _submodule_family(self.graded_ring)
@@ -454,11 +459,6 @@ def submodule_generate(g: GradedRing, gens: Iterable) -> Submodule:
     return Submodule(g, submodule_members(g, codes))
 
 
-def is_submodule_set(g: GradedRing, members: frozenset) -> bool:
-    """Decide whether a set of ambient codes is an R0-submodule of R1, exactly."""
-    return members <= g.r1 and is_stable_set(g.ring, _r0_generators(g), members)
-
-
 def submodules(g: GradedRing, bound: int | None = None) -> tuple[Submodule, ...]:
     """All R0-submodules of R1, canonically ordered.
 
@@ -541,8 +541,7 @@ def strong_grading_certificate(g: GradedRing) -> tuple:
 # matrix picture
 
 
-@dataclass(frozen=True)
-class Matrix2:
+class Matrix2(_Record):
     """2x2 matrix over a FiniteRing (codes), with ring-matrix + and *."""
 
     ring: FiniteRing

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, InstanceParseError
 from .grading import (
@@ -26,6 +25,7 @@ from .grading import (
 from .rings import (
     DEFAULT_ENUMERATION_BOUND,
     FiniteRing,
+    _Record,
     poly_quotient,
     product_ring,
     zmod,
@@ -59,8 +59,7 @@ _KINDS = {
 _RING_KEYS = ("a", "b", "base")  # each holds a plain-ring recipe
 
 
-@dataclass
-class InstanceSpec:
+class InstanceSpec(_Record, mutable=True):
     recipe: dict
     bound: int | None = None
 

@@ -8,7 +8,6 @@ a graded domain and N vanishes only at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvalidInputError, NotGradedFieldError
@@ -30,6 +29,7 @@ from .grading import (
 )
 from .rings import (
     RingElement,
+    _Record,
     _mask_key,
     _memo,
     _no_pair_inside,
@@ -127,8 +127,7 @@ def is_graded_field(g: GradedRing, method: str = "definitional") -> bool:
     raise InvalidInputError(f"unknown method: {method!r}")
 
 
-@dataclass(frozen=True)
-class GradedFieldPresentation:
+class GradedFieldPresentation(_Record):
     """R identified with R0[X]/(X^2 - alpha) by c0 + c1*b -> c0 + c1*X."""
 
     b: RingElement            # odd generator in the ambient ring
@@ -201,8 +200,7 @@ def norm_set(g: GradedRing) -> frozenset:
     return frozenset(c for c, value in enumerate(_norms(g)) if value == zero)
 
 
-@dataclass(frozen=True)
-class DomainEquivalenceReport:
+class DomainEquivalenceReport(_Record):
     """Flat integrality vs (graded domain and trivial norm kernel)."""
 
     is_domain: bool

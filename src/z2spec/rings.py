@@ -201,10 +201,9 @@ another way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, partial, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationLimitError,
@@ -283,12 +282,72 @@ def as_code(ring: FiniteRing, value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RingElement:
+class _Record:
+    """A record of the fields annotated on its class, in order, each
+    defaulting to its class attribute if it has one (so a slotted record,
+    whose slots are class attributes, defines its own ``__init__``).
+    Records compare and hash by type and field values and show as
+    ``Name(field=value, ...)``.  Fields are read-only unless the class is
+    made with ``mutable=True``, which also makes it unhashable.  Records on
+    hot paths define fixed-field ``__init__``, ``__eq__`` and ``__hash__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, mutable=False):
+        cls._fields = tuple(cls.__annotations__)
+        if mutable:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = (
+                object.__setattr__, object.__delattr__, None)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        values = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        values.update(kwargs, **dict(zip(names, args)))
+        if (len(args) > len(names) or kwargs.keys() & set(names[:len(args)])
+                or values.keys() != set(names)):
+            raise TypeError(f"{cls.__name__}{names} cannot take {args!r} and {kwargs!r}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # copy through the constructor: the fields are read-only
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = zip(self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value=None):  # also __delattr__
+        raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class RingElement(_Record):
     """One element of a specific FiniteRing; supports +, -, *, ** and unary -."""
 
     ring: FiniteRing
     code: int
+
+    def __init__(self, ring: FiniteRing, code: int):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "code", code)
+
+    def __eq__(self, other):
+        return (self.code == other.code and self.ring == other.ring
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.ring, self.code))
 
     def _other(self, other) -> int:
         return as_code(self.ring, other)
@@ -326,7 +385,7 @@ class RingElement:
         return self.ring.names[self.code]
 
 
-class _StableSubgroup:
+class _StableSubgroup(_Record):
     """An M-stable subgroup as its member mask (module docstring, "Member
     masks"); ``members`` decodes it on each read.  ``_family()`` gives (memo
     owner, named in the repr; ring of the codes; span x -> Mx; multipliers;
@@ -372,7 +431,6 @@ class _StableSubgroup:
         return f"{type(self).__name__}{self.label()} of {self._family()[0].provenance}"
 
 
-@dataclass(frozen=True, repr=False, init=False)
 class Ideal(_StableSubgroup):
     """An ideal as its member mask, built from a set of codes of the ring;
     two ideals are equal when they live in the identical ring and have the
@@ -390,6 +448,13 @@ class Ideal(_StableSubgroup):
                 f"a set of {len(members)} codes is not an ideal of {ring.provenance}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        return (self.mask == other.mask and self.ring == other.ring
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.ring, self.mask))
 
     def _family(self) -> tuple:
         return _ideal_family(self.ring)
@@ -773,12 +838,6 @@ def _additive_generators(ring: FiniteRing) -> tuple:
         _subgroup_generators(ring, range(ring.size))))
 
 
-def additive_closure(ring: FiniteRing, codes: Iterable[int]) -> frozenset:
-    """Smallest additive subgroup containing ``codes``."""
-    return _members(ring, _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero,
-                                         codes)[0])
-
-
 def _subgroup_generators(ring: FiniteRing, members: Iterable[int]) -> list:
     """Additive generators of the subgroup generated by ``members``."""
     return _grow_subgroup(ring.add, _translator(ring), 1 << ring.zero, members)[1]
@@ -838,11 +897,6 @@ def _is_stable_mask(ring: FiniteRing, multipliers: tuple, inside: int) -> bool:
         return False
     mul = ring.mul
     return all(inside >> mul[g][m] & 1 for g in grown[1] for m in multipliers)
-
-
-def is_ideal_set(ring: FiniteRing, members: frozenset) -> bool:
-    """Decide the ideal axioms for a member set, exactly."""
-    return is_stable_set(ring, _additive_generators(ring), members)
 
 
 def _check_bound(ring: FiniteRing, bound, what: str) -> None:
@@ -1010,8 +1064,7 @@ def enumerate_ideals(ring: FiniteRing, bound: int | None = None) -> tuple[Ideal,
     return _memo(ring, "ideals", compute)
 
 
-@dataclass(frozen=True)
-class IdealClassification:
+class IdealClassification(_Record):
     is_proper: bool
     is_prime: bool
     is_maximal: bool

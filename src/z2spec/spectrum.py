@@ -12,7 +12,6 @@ exhaustively, once, by a named record of ``z2spec.verify``, not here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
@@ -30,6 +29,7 @@ from .grading import (
 )
 from .rings import (
     Ideal,
+    _Record,
     _mask,
     _mask_key,
     _memo,
@@ -49,16 +49,21 @@ class PrimeKind(enum.Enum):
     PRIME_SUBMODULE = "prime-submodule"    # odd part prime, R1^3 not inside
 
 
-@dataclass(frozen=True)
-class GradedPrime:
+class GradedPrime(_Record):
     """A graded prime ideal; its shape and its contraction p to the even ring
     are read off the ideal, and two primes are equal when their ideals are."""
 
     __slots__ = ("ideal",)
     ideal: GradedIdeal
 
-    def __reduce__(self):  # copy through the constructor: the field is frozen
-        return GradedPrime, (self.ideal,)
+    def __init__(self, ideal: GradedIdeal):
+        object.__setattr__(self, "ideal", ideal)
+
+    def __eq__(self, other):
+        return self.ideal == other.ideal if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.ideal,))
 
     @property
     def kind(self) -> PrimeKind:
@@ -130,8 +135,7 @@ def phi_inverse(g: GradedRing, p: Ideal) -> GradedPrime:
     return GradedPrime(GradedIdeal._of(g, _pair_sum(g, ambient, fiber)))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Record):
     """The graded spectrum with the spectrum of the even part."""
 
     graded_points: tuple

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 from .errors import AlgebraError, EnumerationLimitError
 from .graded_ideals import (
@@ -54,6 +53,7 @@ from .maxfield import (
     _norms,
 )
 from .rings import (
+    _Record,
     _grow_subgroup,
     _is_stable_mask,
     _no_pair_inside,
@@ -83,16 +83,14 @@ NOT_APPLICABLE = "not-applicable"
 RESOURCE_LIMIT = "resource-limit"
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(_Record, mutable=True):
     name: str
     status: str
     witness: str | None
     elapsed: float
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record, mutable=True):
     instance: dict
     counts: dict
     suites: tuple

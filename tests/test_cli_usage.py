@@ -11,13 +11,18 @@ compared on every version.  ``COLUMNS`` fixes the wrapping width.
 
 ``cli._read_argv``, the strict reader of plainly written commands, is
 checked against argparse on a grid of argvs, and the benchmark's and the
-README's commands must run without building an argparse parser.
+README's commands must run without building an argparse parser.  Every
+command is a cold process, so importing the CLI must not import argparse,
+dataclasses (with the inspect module it imports) or typing.  A stdout
+closed by its reader exits 141 with no error message.
 """
 
 import argparse
 import importlib.util
 import itertools
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -225,3 +230,33 @@ def test_plain_commands_build_no_parser(tmp_path, monkeypatch, capsys):
     for argv in sorted(argvs):
         assert _read_argv(list(argv)) is not None, argv
         assert main(list(argv)) == 0, argv
+
+
+def _cold_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_cli_adds_no_argparse_dataclasses_inspect_or_typing():
+    script = ("import sys; before = set(sys.modules); import z2spec.cli; print(sorted("
+              "{'argparse', 'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", script], env=_cold_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_a_closed_stdout_exits_141_with_no_message(tmp_path):
+    """stdout is a pipe whose read end is already closed, so the first write
+    fails: no "error:" line, and no "Exception ignored" at shutdown."""
+    instance = tmp_path / "instance.json"
+    instance.write_text('{"ring": {"kind": "gaussian", "n": 2}}', encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "z2spec", "spec", str(instance)],
+                              env=_cold_env(), stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

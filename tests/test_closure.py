@@ -9,16 +9,18 @@ from naive_closure import (
     naive_is_submodule_set,
 )
 from z2spec.grading import (
+    _r0_generators,
     gaussian_integers,
-    is_submodule_set,
     quadratic_extension,
     trivial_extension,
     trivially_graded,
     truncated_poly,
 )
 from z2spec.rings import (
-    additive_closure,
-    is_ideal_set,
+    _additive_generators,
+    _members,
+    _stable_mask,
+    is_stable_set,
     poly_quotient,
     product_ring,
     zmod,
@@ -29,6 +31,11 @@ def _subsets(codes):
     codes = sorted(codes)
     for bits in range(2 ** len(codes)):
         yield frozenset(c for k, c in enumerate(codes) if bits >> k & 1)
+
+
+def _is_submodule_set(g, members):
+    """The exact submodule test: inside R1 and R0-stable."""
+    return members <= g.r1 and is_stable_set(g.ring, _r0_generators(g), members)
 
 
 GRADED = {
@@ -46,9 +53,10 @@ def test_closure_tests_agree_with_all_pairs_on_every_subset(case):
     ideals = 0
     for members in _subsets(range(ring.size)):
         expected = naive_is_ideal_set(ring, members)
-        assert is_ideal_set(ring, members) == expected, sorted(members)
-        assert is_submodule_set(g, members) == naive_is_submodule_set(g, members)
-        assert additive_closure(ring, members) == naive_additive_closure(ring, members)
+        assert is_stable_set(ring, _additive_generators(ring), members) == expected, sorted(members)
+        assert _is_submodule_set(g, members) == naive_is_submodule_set(g, members)
+        closure = _stable_mask(ring, (ring.one,), members)  # Z*1-stable: additive
+        assert _members(ring, closure) == naive_additive_closure(ring, members)
         ideals += expected
     assert ideals > 2  # the subsets include proper nonzero ideals
 
@@ -64,6 +72,6 @@ def test_submodule_test_agrees_with_all_pairs_on_every_odd_subset(g):
     found = 0
     for members in _subsets(g.r1):
         expected = naive_is_submodule_set(g, members)
-        assert is_submodule_set(g, members) == expected, sorted(members)
+        assert _is_submodule_set(g, members) == expected, sorted(members)
         found += expected
     assert found > 2

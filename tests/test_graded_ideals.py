@@ -2,7 +2,6 @@
 enumeration, and the strongly graded bijection."""
 
 import copy
-import dataclasses
 import sys
 
 import pytest
@@ -306,7 +305,7 @@ def test_cached_graded_ideals_and_primes_are_frozen():
     j, gp = ideals[0], points[0]
     before = (j.flat_members, j.i0, gp.kind, gp.p)
     for obj, name in ((j, "flat_members"), (j, "i0"), (gp, "kind"), (gp, "p")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(obj, name, None)
     assert enumerate_graded_ideals(g) is ideals
     assert graded_spec(g).graded_points is points
@@ -325,11 +324,12 @@ def test_lattice_records_hold_only_their_slots():
     g = gaussian_integers(10)
     for record in _lattice_records(g):
         assert not hasattr(record, "__dict__"), type(record).__name__
-        names = [field.name for field in dataclasses.fields(record)]
-        for name in names + ["members", "extra"]:
+        for name in type(record).__slots__ + ("members", "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
-    assert [field.name for field in dataclasses.fields(GradedIdeal)] == ["graded_ring", "mask"]
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert list(GradedIdeal.__slots__) == ["graded_ring", "mask"]
 
 
 def test_deep_copies_of_records_equal_them():

@@ -16,9 +16,9 @@ from z2spec.grading import grade_manual
 from z2spec.instances import InstanceSpec, build_instance
 from z2spec.rings import (
     _members,
+    _stable_mask,
     _subgroup_lattice,
     _unit_multiples,
-    additive_closure,
     enumerate_ideals,
 )
 from z2spec.verify import FAIL, RECORDS, _run, run_verify
@@ -72,8 +72,9 @@ def gradings(recipe):
     """Every grading of the recipe's ring, as a graded ring."""
     ring = build_instance(InstanceSpec(recipe)).ring
     one = ring.one
-    masks = _subgroup_lattice(ring, range(ring.size), lambda x: additive_closure(ring, [x]),
-                              (one,), (one,) + _unit_multiples(ring)[0])
+    def span(x):  # the subgroup Z*x, the span of x for the multipliers Z*1
+        return _members(ring, _stable_mask(ring, (one,), [x]))
+    masks = _subgroup_lattice(ring, range(ring.size), span, (one,), (one,) + _unit_multiples(ring)[0])
     groups = [_members(ring, mask) for mask in masks]
     found = []
     for even in groups:

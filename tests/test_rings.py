@@ -339,24 +339,24 @@ def test_witness_of_a_set_that_is_no_ideal_is_an_input_error():
 
 @pytest.mark.parametrize("code", [99, 6, -1])
 def test_a_code_outside_the_ring_makes_no_ideal(code):
-    from z2spec.rings import is_ideal_set
+    from z2spec.rings import _additive_generators, is_stable_set
 
     z6 = zmod(6)
     members = frozenset({0, code})
-    assert not is_ideal_set(z6, members)
-    assert not is_ideal_set(z6, frozenset(range(6)) | {code})
+    assert not is_stable_set(z6, _additive_generators(z6), members)
+    assert not is_stable_set(z6, _additive_generators(z6), frozenset(range(6)) | {code})
     with pytest.raises(InvalidInputError, match="not an ideal of Z/6"):
         Ideal(z6, members).generators
 
 
 def test_catalog_flat_ideals_satisfy_invariants():
     from z2spec.catalog import CATALOG
-    from z2spec.rings import ideal_members, is_ideal_set
+    from z2spec.rings import _additive_generators, ideal_members, is_stable_set
 
     for entry in CATALOG:
         ring = entry.build().ring
         for ideal in enumerate_ideals(ring):
-            assert is_ideal_set(ring, ideal.members)
+            assert is_stable_set(ring, _additive_generators(ring), ideal.members)
             assert ideal_members(ring, ideal.generators) == ideal.members
 
 
