@@ -61,11 +61,9 @@ class GradedIdeal(_StableSubgroup):
     checked by the verify record ``ideals.pair-enumeration-oracle``."""
 
     __slots__ = ("graded_ring", "mask")
-    _OWNER = "graded_ring"
     graded_ring: GradedRing
     mask: int
     flat_members = _StableSubgroup.members
-    __eq__, __hash__ = Submodule.__eq__, Submodule.__hash__  # the same two fields
 
     def __init__(self, graded_ring: GradedRing, i0: Ideal, r_part: Submodule):
         g, odd = graded_ring, r_part.mask

@@ -337,7 +337,6 @@ class Submodule(_StableSubgroup):
     "Labels")."""
 
     __slots__ = ("graded_ring", "mask")
-    _OWNER = "graded_ring"
     graded_ring: GradedRing
     mask: int
 
@@ -351,13 +350,6 @@ class Submodule(_StableSubgroup):
             raise InvalidParameterError(f"{name} is not in the odd part")
         object.__setattr__(self, "graded_ring", g)
         object.__setattr__(self, "mask", mask)
-
-    def __eq__(self, other):
-        return (self.mask == other.mask and self.graded_ring == other.graded_ring
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.graded_ring, self.mask))
 
     def _family(self) -> tuple:
         return _submodule_family(self.graded_ring)

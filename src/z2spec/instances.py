@@ -59,7 +59,7 @@ _KINDS = {
 _RING_KEYS = ("a", "b", "base")  # each holds a plain-ring recipe
 
 
-class InstanceSpec(_Record, mutable=True):
+class InstanceSpec(_Record):
     recipe: dict
     bound: int | None = None
 

@@ -203,7 +203,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, partial, reduce
-from operator import or_
+from operator import attrgetter, or_
 
 from .errors import (
     EnumerationLimitError,
@@ -284,46 +284,43 @@ def as_code(ring: FiniteRing, value) -> int:
 
 class _Record:
     """A record of the fields annotated on its class, in order, each
-    defaulting to its class attribute if it has one (so a slotted record,
-    whose slots are class attributes, defines its own ``__init__``).
-    Records compare and hash by type and field values and show as
-    ``Name(field=value, ...)``.  Fields are read-only unless the class is
-    made with ``mutable=True``, which also makes it unhashable.  Records on
-    hot paths define fixed-field ``__init__``, ``__eq__`` and ``__hash__``."""
+    defaulting to its class attribute if it has one that is not a slot.
+    Records compare and hash by type and the tuple of their field values,
+    read by one ``attrgetter`` per class, show as ``Name(field=value, ...)``
+    and are read-only; a record with a dict field is unhashable."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, mutable=False):
-        cls._fields = tuple(cls.__annotations__)
-        if mutable:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = (
-                object.__setattr__, object.__delattr__, None)
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        cls._defaults = {name: getattr(cls, name) for name in names
+                         if hasattr(cls, name) and name not in cls.__slots__}
+        if names:  # _values(record) is the tuple of the record's field values
+            get = attrgetter(*names)
+            cls._values = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs):
-        cls, names = type(self), self._fields
-        values = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
-        values.update(kwargs, **dict(zip(names, args)))
+        names = self._fields
+        values = dict(self._defaults, **kwargs)
+        values.update(zip(names, args))
         if (len(args) > len(names) or kwargs.keys() & set(names[:len(args)])
                 or values.keys() != set(names)):
-            raise TypeError(f"{cls.__name__}{names} cannot take {args!r} and {kwargs!r}")
+            raise TypeError(f"{type(self).__name__}{names} cannot take {args!r} and {kwargs!r}")
         for name in names:
             object.__setattr__(self, name, values[name])
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
-        return (self._values() == other._values()
+        return (self._values(self) == other._values(other)
                 if other.__class__ is self.__class__ else NotImplemented)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __reduce__(self):  # copy through the constructor: the fields are read-only
-        return type(self), self._values()
+        return type(self), self._values(self)
 
     def __repr__(self):
-        fields = zip(self._fields, self._values())
+        fields = zip(self._fields, self._values(self))
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __setattr__(self, name, value=None):  # also __delattr__
@@ -337,17 +334,6 @@ class RingElement(_Record):
 
     ring: FiniteRing
     code: int
-
-    def __init__(self, ring: FiniteRing, code: int):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "code", code)
-
-    def __eq__(self, other):
-        return (self.code == other.code and self.ring == other.ring
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.ring, self.code))
 
     def _other(self, other) -> int:
         return as_code(self.ring, other)
@@ -390,7 +376,7 @@ class _StableSubgroup(_Record):
     masks"); ``members`` decodes it on each read.  ``_family()`` gives (memo
     owner, named in the repr; ring of the codes; span x -> Mx; multipliers;
     units of M as codes; noun for error messages), built once per owner;
-    ``_OWNER`` is the owner's field."""
+    the owner is the first field and the mask the second."""
 
     __slots__ = ()
 
@@ -398,12 +384,12 @@ class _StableSubgroup(_Record):
     def _of(cls, owner, mask: int):
         """The record of a mask that is known to be one of ``cls``."""
         record = object.__new__(cls)
-        object.__setattr__(record, cls._OWNER, owner)
+        object.__setattr__(record, cls._fields[0], owner)
         object.__setattr__(record, "mask", mask)
         return record
 
     def __reduce__(self):  # copy (frozen fields); ring caches hold closures, so no pickle
-        return type(self)._of, (getattr(self, self._OWNER), self.mask)
+        return type(self)._of, self._values(self)
 
     @property
     def members(self) -> frozenset:
@@ -437,7 +423,6 @@ class Ideal(_StableSubgroup):
     same members."""
 
     __slots__ = ("ring", "mask")
-    _OWNER = "ring"
     ring: FiniteRing
     mask: int
 
@@ -448,13 +433,6 @@ class Ideal(_StableSubgroup):
                 f"a set of {len(members)} codes is not an ideal of {ring.provenance}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "mask", mask)
-
-    def __eq__(self, other):
-        return (self.mask == other.mask and self.ring == other.ring
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.ring, self.mask))
 
     def _family(self) -> tuple:
         return _ideal_family(self.ring)

@@ -56,15 +56,6 @@ class GradedPrime(_Record):
     __slots__ = ("ideal",)
     ideal: GradedIdeal
 
-    def __init__(self, ideal: GradedIdeal):
-        object.__setattr__(self, "ideal", ideal)
-
-    def __eq__(self, other):
-        return self.ideal == other.ideal if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.ideal,))
-
     @property
     def kind(self) -> PrimeKind:
         """Full odd part when R1 <= P, else prime submodule (module docstring)."""

@@ -83,14 +83,14 @@ NOT_APPLICABLE = "not-applicable"
 RESOURCE_LIMIT = "resource-limit"
 
 
-class CheckRecord(_Record, mutable=True):
+class CheckRecord(_Record):
     name: str
     status: str
     witness: str | None
     elapsed: float
 
 
-class VerificationReport(_Record, mutable=True):
+class VerificationReport(_Record):
     instance: dict
     counts: dict
     suites: tuple

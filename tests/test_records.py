@@ -1,6 +1,6 @@
 """The package's records: each is built from positional or keyword
-arguments, compares and hashes by type and field values, keeps its repr,
-and is read-only unless it is one of the three mutable records.
+arguments, needs at least one of them, compares and hashes by type and
+field values, keeps its repr, and is read-only.
 
 The reprs and the hash rule, the hash of the tuple of field values, were
 recorded from the records' first implementation, so set and dict orders
@@ -92,7 +92,6 @@ RECORDS = {
         "VerificationReport(instance={}, counts={'ideals': 2}, suites=('norm',),"
         " checks=[], status='pass', lattice_elapsed=0.25)"),
 }
-MUTABLE = {"InstanceSpec", "CheckRecord", "VerificationReport"}
 
 
 def _hash(value):
@@ -115,31 +114,19 @@ def test_records_keep_their_constructor_equality_hash_and_repr(name):
             cls(first, **kwargs)
     with pytest.raises(TypeError):
         cls(*kwargs.values(), None)
+    with pytest.raises(TypeError):  # every record has a required field; a slot is no default
+        cls()
     assert not record != cls(**kwargs)
     assert record != values and record != object()
     assert repr(record) == text
     assert copy.copy(record) == record == copy.deepcopy(record)
-    if name in MUTABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert _hash(record) == _hash(values)
-        for field in fields:
-            with pytest.raises(AttributeError):
-                setattr(record, field, values[0])
-            with pytest.raises(AttributeError):
-                delattr(record, field)
-        assert tuple(getattr(record, field) for field in fields) == values
-
-
-@pytest.mark.parametrize("name", sorted(MUTABLE))
-def test_three_records_are_mutable(name):
-    cls, kwargs, fields, _ = RECORDS[name]
-    record, other = cls(**kwargs), cls(**kwargs)
-    setattr(record, fields[0], "changed")
-    assert getattr(record, fields[0]) == "changed" and record != other
-    setattr(other, fields[0], "changed")
-    assert record == other
+    assert _hash(record) == _hash(values)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert tuple(getattr(record, field) for field in fields) == values
 
 
 def test_defaults_of_the_two_optional_fields():

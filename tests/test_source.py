@@ -168,6 +168,27 @@ def test_every_lattice_record_declares_slots():
                                     True)
 
 
+def _bound_names(stmt: ast.stmt) -> set:
+    """The names a statement of a class body binds by ``def`` or ``=``."""
+    if isinstance(stmt, ast.FunctionDef):
+        return {stmt.name}
+    return {node.id for target in getattr(stmt, "targets", ())
+            for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def test_only_the_record_base_defines_equality_and_hash():
+    """Every record compares and hashes by the tuple of its field values,
+    through ``rings._Record``: no other class defines or assigns ``__eq__``
+    or ``__hash__``."""
+    owners = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                    _bound_names(stmt) & {"__eq__", "__hash__"} for stmt in node.body):
+                owners.add(f"{path.stem}.{node.name}")
+    assert owners == {"rings._Record"}
+
+
 def test_a_passing_verify_searches_for_no_witness(monkeypatch):
     """A passing run prints no ideal or submodule label, so on cold caches
     it never calls the witness search."""
